@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .bundles import T
 from .detmatrix import Section, is_gpli
 from .linalg import ExactMatrix, LinearMapReport, rank, report
-from .polynomials import HomPoly, X, Y, Z, h0_p2, mono_basis
+from .polynomials import HomPoly, X, Y, Z, h0_p2, multiple_columns
 from .tangent import tangent_map
 
 Triple = Tuple[HomPoly, HomPoly, HomPoly]
@@ -81,12 +81,10 @@ def mult_map_matrix(u: USpace) -> ExactMatrix:
     Columns run over (generator, monomial) pairs in that nesting order;
     rows over the degree-(2n+3) monomial basis.
     """
-    n = u.n
-    columns = []
-    for gen in u.generators:
-        for mono in mono_basis(n + 1):
-            columns.append((HomPoly.monomial(mono) * gen).coeff_vector())
-    return ExactMatrix.from_columns(columns, rows=h0_p2(2 * n + 3))
+    target = 2 * u.n + 3
+    return ExactMatrix.from_columns(
+        multiple_columns(u.generators, target), rows=h0_p2(target)
+    )
 
 
 def mult_map_report(u: USpace) -> LinearMapReport:
@@ -100,13 +98,8 @@ def mult_map_report(u: USpace) -> LinearMapReport:
 
 def component_matrix(generators: Sequence[HomPoly], k: int) -> ExactMatrix:
     """Matrix whose column space is the degree-k piece of the ideal."""
-    columns = []
-    for gen in generators:
-        if gen.is_zero() or gen.degree > k:
-            continue
-        for mono in mono_basis(k - gen.degree):
-            columns.append((HomPoly.monomial(mono) * gen).coeff_vector())
-    return ExactMatrix.from_columns(columns, rows=h0_p2(k))
+    live = [gen for gen in generators if not gen.is_zero() and gen.degree <= k]
+    return ExactMatrix.from_columns(multiple_columns(live, k), rows=h0_p2(k))
 
 
 def component_dim(generators: Sequence[HomPoly], k: int) -> int:

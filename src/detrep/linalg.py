@@ -154,10 +154,8 @@ def _int_rows(M: ExactMatrix) -> Tuple[List[List[int]], List[int]]:
     out: List[List[int]] = []
     scales: List[int] = []
     for row in M.entries:
-        mult = 1
-        for e in row:
-            mult = math.lcm(mult, e.denominator)
-        out.append([int(e * mult) for e in row])
+        mult = math.lcm(*[e.denominator for e in row])
+        out.append([e.numerator * (mult // e.denominator) for e in row])
         scales.append(mult)
     return out, scales
 

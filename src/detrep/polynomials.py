@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 Mono3 = Tuple[int, int, int]
 Mono22 = Tuple[int, int, int, int]
 Rat = Fraction
+_ZERO = Fraction(0)
 
 
 class ParseError(ValueError):
@@ -55,6 +57,37 @@ def mono_basis(d: int) -> List[Mono3]:
         for b in range(d - a, -1, -1):
             out.append((a, b, d - a - b))
     return out
+
+
+@lru_cache(maxsize=None)
+def _mono_index(d: int) -> Tuple[Tuple[Mono3, ...], Dict[Mono3, int]]:
+    """The degree-d basis with its monomial -> position table; kept private
+    because callers share the cached dict."""
+    basis = tuple(mono_basis(d))
+    return basis, {m: i for i, m in enumerate(basis)}
+
+
+def multiple_columns(generators: Iterable[HomPoly], degree: int) -> List[List[Fraction]]:
+    """Coefficient columns of m*g for every generator g and every monomial m
+    of degree ``degree - g.degree``.
+
+    Columns are generator-major, with m in ``mono_basis`` order inside each
+    generator; each is ``(HomPoly.monomial(m) * g).coeff_vector()`` in the
+    degree-``degree`` basis, written term by term through the index table
+    without building a product.  A zero generator gives zero columns, and a
+    generator of degree above ``degree`` gives none.
+    """
+    _, index = _mono_index(degree)
+    width = len(index)
+    columns: List[List[Fraction]] = []
+    for gen in generators:
+        terms = list(gen.terms.items())
+        for a, b, c in _mono_index(degree - gen.degree)[0]:
+            col = [_ZERO] * width
+            for (ta, tb, tc), coeff in terms:
+                col[index[(a + ta, b + tb, c + tc)]] = coeff
+            columns.append(col)
+    return columns
 
 
 def bimono_basis(a: int, b: int) -> List[Mono22]:
@@ -111,7 +144,7 @@ class HomPoly:
 
     @staticmethod
     def from_coeff_vector(degree: int, coeffs: Sequence) -> HomPoly:
-        basis = mono_basis(degree)
+        basis, _ = _mono_index(degree)
         if len(coeffs) != len(basis):
             raise ValueError(
                 f"need {len(basis)} coefficients for degree {degree}, got {len(coeffs)}"
@@ -175,7 +208,11 @@ class HomPoly:
 
     def coeff_vector(self) -> Tuple[Fraction, ...]:
         """Coefficients in the canonical mono_basis order of this degree."""
-        return tuple(self.terms.get(m, Fraction(0)) for m in mono_basis(self.degree))
+        _, index = _mono_index(self.degree)
+        vec = [_ZERO] * len(index)
+        for mono, coeff in self.terms.items():
+            vec[index[mono]] = coeff
+        return tuple(vec)
 
     def leading(self) -> Tuple[Mono3, Fraction]:
         """Largest monomial in lex order with its coefficient."""

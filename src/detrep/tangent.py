@@ -37,7 +37,7 @@ from .bundles import (
 )
 from .detmatrix import GpliError, Section, wedge_curve
 from .linalg import ExactMatrix, Vector, rank, rref
-from .polynomials import HomPoly, h0_p2, mono_basis
+from .polynomials import HomPoly, h0_p2, multiple_columns
 
 
 class SectionSpace:
@@ -54,24 +54,21 @@ class SectionSpace:
             off += h0_p2(d)
         self.ambient_dim = off
 
+        # Relation f*row for every monomial f of the row's source degree: one
+        # block of columns per row entry, stacked block by block.
         columns: List[List[Fraction]] = []
         rows = relation_rows(bundle)
         sources = relation_source_degrees(bundle)
         for row, src in zip(rows, sources):
-            for mono in mono_basis(src):
-                f = HomPoly.monomial(mono)
-                vec: List[Fraction] = []
-                for entry in row:
-                    vec.extend((f * entry).coeff_vector())
-                columns.append(vec)
+            blocks = [multiple_columns([entry], src + entry.degree) for entry in row]
+            columns.extend(sum(parts, []) for parts in zip(*blocks))
         self.relation_matrix = ExactMatrix.from_columns(columns, rows=self.ambient_dim)
         rel_rows, rel_pivots = rref(self.relation_matrix.transpose())
         assert len(rel_rows) == len(columns), "defining relations must be independent"
         self._rel_echelon = rel_rows
         self._rel_pivots = rel_pivots
-        self.free_positions = [
-            i for i in range(self.ambient_dim) if i not in set(rel_pivots)
-        ]
+        pivot_set = set(rel_pivots)
+        self.free_positions = [i for i in range(self.ambient_dim) if i not in pivot_set]
         self.dim = len(self.free_positions)
         assert self.dim == h0_bundle(bundle), "rank-computed dimension must match"
 
@@ -211,32 +208,23 @@ def tangent_map(bundle: BundleSpec, v1: Section, v2: Section) -> TangentReport:
     )
 
 
-def smoothness_check(F: HomPoly, k_max: int | None = None) -> bool:
-    """Certify smoothness of the curve F = 0 via its partial derivatives.
+def smoothness_check(F: HomPoly) -> bool:
+    """Decide whether the curve F = 0 is smooth, from its partial derivatives.
 
-    True means the three partials have no common projective zero: some
-    degree-d graded piece of the ideal they generate is the full space of
-    degree-d forms, for d up to k_max.  False only means the search did not
-    certify within k_max, never that the curve is singular.
+    With e = deg F - 1 >= 1, the three partials are degree-e forms, and they
+    have no common projective zero exactly when they form a regular sequence.
+    The quotient by such a sequence has socle degree 3e-3, so 3e-2 is its
+    Macaulay degree: the degree-(3e-2) piece of the Jacobian ideal is all of
+    the degree-(3e-2) forms if and only if the partials have no common zero.
+    One rank test at that rung therefore decides; a full piece in any lower
+    degree d stays full above it, since R_{d+1} = R_1 * R_d.  By Euler's
+    relation (e+1)F = x*F_x + y*F_y + z*F_z, a common zero of the partials
+    lies on the curve, so False is a proof that the curve is singular.  A line
+    (e = 0) has constant partials and is decided at degree 1.
     """
     if F.is_zero() or F.degree < 1:
         return False
-    partials = [F.derivative(v) for v in range(3)]
-    if all(p.is_zero() for p in partials):
-        return False
-    if k_max is None:
-        k_max = max(1, 3 * F.degree - 5)
-    e = F.degree - 1
-    for d in range(1, k_max + 1):
-        columns = []
-        for g in partials:
-            if g.is_zero() or d < e:
-                continue
-            for mono in mono_basis(d - e):
-                columns.append((HomPoly.monomial(mono) * g).coeff_vector())
-        if not columns:
-            continue
-        matrix = ExactMatrix.from_columns(columns, rows=h0_p2(d))
-        if rank(matrix) == h0_p2(d):
-            return True
-    return False
+    k = max(1, 3 * F.degree - 5)
+    partials = [g for g in (F.derivative(v) for v in range(3)) if not g.is_zero()]
+    matrix = ExactMatrix.from_columns(multiple_columns(partials, k), rows=h0_p2(k))
+    return rank(matrix) == h0_p2(k)

@@ -14,9 +14,10 @@ from detrep.ideals import (
     mult_map_report,
     u_generators,
 )
-from detrep.linalg import in_column_space, rank
+from detrep.bundles import T
+from detrep.linalg import ExactMatrix, in_column_space, rank
 from detrep.polynomials import HomPoly, X, Y, Z, h0_p2, mono_basis, parse_hompoly
-from detrep.sampling import derive_rng, random_hompoly
+from detrep.sampling import derive_rng, random_hompoly, random_pair
 
 
 def triple(*texts):
@@ -69,6 +70,38 @@ def test_mult_map_rank_matches_ideal_component():
         g = tuple(random_hompoly(rng, n + 1) for _ in range(3))
         u = u_generators(f, g)
         assert rank(mult_map_matrix(u)) == component_dim(list(u.generators), 2 * n + 3)
+
+
+def reference_mult_map_matrix(u):
+    """One product and one coefficient vector per (generator, monomial)."""
+    columns = [
+        (HomPoly.monomial(mono) * gen).coeff_vector()
+        for gen in u.generators
+        for mono in mono_basis(u.n + 1)
+    ]
+    return ExactMatrix.from_columns(columns, rows=h0_p2(2 * u.n + 3))
+
+
+def test_mult_map_matrix_matches_reference_products():
+    for n in range(5):
+        s1, s2 = random_pair(derive_rng(31, "mult-reference", n), T(n))
+        u = u_generators(s1.components, s2.components)
+        assert mult_map_matrix(u) == reference_mult_map_matrix(u)
+    # the special pair at k = 3, which is n = 3
+    n = 3
+    zero = HomPoly.zero(n + 1)
+    f = (HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((n + 1, 0, 0)), zero)
+    g = (zero, HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((0, n + 1, 0)))
+    u = u_generators(f, g)
+    assert mult_map_matrix(u) == reference_mult_map_matrix(u)
+
+
+def test_mult_map_keeps_zero_generator_columns():
+    u = u_generators(triple("x", "y", "z"), triple("x", "y", "z"))
+    matrix = mult_map_matrix(u)
+    assert matrix == reference_mult_map_matrix(u)
+    assert matrix.cols == 6 * h0_p2(1)
+    assert mult_map_report(u).domain_dim == 6 * h0_p2(1)
 
 
 def test_mult_map_surjective_generic_small():

@@ -1,5 +1,6 @@
 """Exact linear algebra: ranks, kernels, membership certificates."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -158,6 +159,40 @@ def test_left_kernel_annihilates_rows():
     for w in left_kernel_basis(m):
         assert all(e == 0 for e in m.left_times_vector(w))
     assert len(left_kernel_basis(m)) == 3 - rank(m)
+
+
+def reference_int_rows(M):
+    """Row-wise lcm of denominators, then int(e * lcm) in Fraction arithmetic."""
+    out, scales = [], []
+    for row in M.entries:
+        mult = 1
+        for e in row:
+            mult = math.lcm(mult, e.denominator)
+        out.append([int(e * mult) for e in row])
+        scales.append(mult)
+    return out, scales
+
+
+def test_int_rows_match_fraction_scaling():
+    rng = random.Random("int-rows")
+    cases = [
+        ExactMatrix.from_rows([
+            [Fraction(1, 2), Fraction(-2, 3), Fraction(5), Fraction(-7, 12)],
+            [Fraction(0), Fraction(0), Fraction(0), Fraction(0)],
+            [Fraction(-3, 4), Fraction(9, 10), Fraction(-1, 15), Fraction(2)],
+        ]),
+        ExactMatrix.from_rows([[0, 0], [0, 0]]),
+        ExactMatrix.from_rows([[], [], []]),
+        ExactMatrix.from_rows([
+            [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(7)]
+            for _ in range(6)
+        ]),
+    ]
+    for M in cases:
+        rows, scales = la._int_rows(M)
+        assert (rows, scales) == reference_int_rows(M)
+        assert all(type(e) is int for row in rows for e in row)
+    assert la._int_rows(cases[2]) == ([[], [], []], [1, 1, 1])
 
 
 entry = st.integers(min_value=-7, max_value=7)

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from detrep.polynomials import (
     divide_exact,
     h0_p2,
     mono_basis,
+    multiple_columns,
     parse_bipoly,
     parse_hompoly,
 )
@@ -112,7 +115,60 @@ def test_coeff_vector_roundtrip():
     p = parse_hompoly("x^2 - 3*x*z + 1/2*y^2")
     v = p.coeff_vector()
     assert len(v) == h0_p2(2)
+    assert v == tuple(p.coeff(m) for m in mono_basis(2))
     assert HomPoly.from_coeff_vector(2, v) == p
+    assert HomPoly.zero(2).coeff_vector() == (0,) * h0_p2(2)
+
+
+# ---------------------------------------------------------------- multiple columns
+
+
+def reference_columns(generators, degree):
+    """One product and one coefficient vector per (generator, monomial)."""
+    return [
+        list((HomPoly.monomial(m) * g).coeff_vector())
+        for g in generators
+        for m in mono_basis(degree - g.degree)
+    ]
+
+
+def random_rational_form(rng, degree):
+    terms = {}
+    for m in mono_basis(degree):
+        if rng.random() < 0.6:
+            terms[m] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return HomPoly(degree, terms)
+
+
+def test_multiple_columns_match_products_on_random_generators():
+    rng = random.Random("multiple-columns")
+    for _ in range(20):
+        gens = [random_rational_form(rng, rng.randint(0, 4)) for _ in range(rng.randint(1, 4))]
+        degree = rng.randint(0, 7)
+        assert multiple_columns(gens, degree) == reference_columns(gens, degree)
+
+
+def test_multiple_columns_zero_generator_gives_zero_columns():
+    gens = [HomPoly.zero(2), parse_hompoly("x*y - 3/4*z^2")]
+    cols = multiple_columns(gens, 4)
+    assert cols == reference_columns(gens, 4)
+    assert len(cols) == 2 * h0_p2(2)
+    assert all(e == 0 for col in cols[: h0_p2(2)] for e in col)
+
+
+def test_multiple_columns_degree_zero_generators():
+    gens = [HomPoly(0, {(0, 0, 0): Fraction(5, 3)}), HomPoly.zero(0)]
+    for degree in (0, 1, 3):
+        assert multiple_columns(gens, degree) == reference_columns(gens, degree)
+    assert multiple_columns(gens[:1], 2)[1] == [0, Fraction(5, 3), 0, 0, 0, 0]
+
+
+def test_multiple_columns_target_below_generator_degree():
+    gens = [parse_hompoly("x^3 + y*z^2"), parse_hompoly("x - 2*y")]
+    cols = multiple_columns(gens, 2)
+    assert cols == reference_columns(gens, 2)
+    assert len(cols) == h0_p2(1)  # only the linear generator contributes
+    assert multiple_columns(gens, -1) == []
 
 
 def test_cancellation_drops_terms():

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import detrep.tangent
 from detrep.bundles import BundleSpec, E, M, N, T, ambient_degrees, det_degree, h0_bundle
 from detrep.detmatrix import GpliError, Section, shifted, wedge_curve
-from detrep.polynomials import HomPoly, h0_p2, parse_hompoly
-from detrep.sampling import derive_rng, random_hompoly, random_section
+from detrep.linalg import ExactMatrix, rank
+from detrep.polynomials import HomPoly, h0_p2, mono_basis, parse_hompoly
+from detrep.sampling import derive_rng, random_hompoly, random_pair, random_section
 from detrep.tangent import (
     quotient_by_pair,
     section_space,
@@ -221,9 +223,64 @@ def test_fermat_cubic_is_smooth():
 
 
 def test_triangle_of_lines_not_certified():
-    # xyz has three singular points, the ladder never fills up
+    # xyz has three singular points, so no graded piece of its Jacobian ideal fills
     assert not smoothness_check(parse_hompoly("x*y*z"))
 
 
 def test_cuspidal_cubic_not_certified():
     assert not smoothness_check(parse_hompoly("x^3 - y^2*z"))
+
+
+def reference_smoothness(F):
+    """The full ladder: some rung d <= 3*deg F - 5 fills with degree-d forms."""
+    if F.is_zero() or F.degree < 1:
+        return False
+    partials = [F.derivative(v) for v in range(3)]
+    e = F.degree - 1
+    for d in range(1, max(1, 3 * F.degree - 5) + 1):
+        columns = []
+        for g in partials:
+            if g.is_zero() or d < e:
+                continue
+            for mono in mono_basis(d - e):
+                columns.append((HomPoly.monomial(mono) * g).coeff_vector())
+        if columns and rank(ExactMatrix.from_columns(columns)) == h0_p2(d):
+            return True
+    return False
+
+
+def smoothness_cases():
+    curves = []
+    for family in (T, N):
+        for n in range(3):
+            v1, v2 = random_pair(derive_rng(31, f"smoothness:{family.__name__}", n), family(n))
+            curves.append(wedge_curve(v1, v2))
+    texts = [
+        "x*y*z",
+        "x^3 - y^2*z",
+        "y^2*z - x^3 - x^2*z",  # nodal cubic
+        "x^2 + y^2",  # a cone: the z-partial is zero
+        "x^2",  # double line
+        "x - 2*y + z",
+    ]
+    return curves + [parse_hompoly(t) for t in texts]
+
+
+def test_one_rung_smoothness_matches_full_ladder(monkeypatch):
+    calls = []
+
+    def counting_rank(matrix):
+        calls.append(matrix)
+        return rank(matrix)
+
+    monkeypatch.setattr(detrep.tangent, "rank", counting_rank)
+    verdicts = []
+    for F in smoothness_cases():
+        calls.clear()
+        verdict = smoothness_check(F)
+        assert len(calls) == 1, f"{F}: {len(calls)} rank calls"
+        assert verdict == reference_smoothness(F), str(F)
+        verdicts.append(verdict)
+    # the six wedge curves are smooth and the five special forms singular;
+    # the line closes the list
+    assert verdicts == [True] * 6 + [False] * 5 + [True]
