@@ -24,7 +24,7 @@ from .bundles import (
     linearity_onset,
     select_E_d,
 )
-from .detmatrix import GpliError, Section, wedge_curve
+from .detmatrix import GpliError, Section
 from .ideals import containment_degree, diagram_crosscheck, mult_map_matrix, u_generators
 from .linalg import in_column_space, rank
 from .biprojective import dpsi_report, monomial_cover_check, witness_quad
@@ -117,10 +117,10 @@ def cmd_verify_example1(args) -> int:
     bundle = BundleSpec("T", 0)
     v1 = Section(bundle, (parse_hompoly("x"), parse_hompoly("2*y"), parse_hompoly("3*z")))
     v2 = Section(bundle, (parse_hompoly("y"), parse_hompoly("z"), parse_hompoly("x")))
-    curve = wedge_curve(v1, v2)
+    tangent = tangent_map(bundle, v1, v2)
+    curve = tangent.curve
     expected = parse_hompoly("x^2*y - 2*x*z^2 + y^2*z")
     smooth = smoothness_check(curve)
-    tangent = tangent_map(bundle, v1, v2)
     report = RunReport(
         subcommand="verify-example1",
         inputs={"v1": "x, 2*y, 3*z", "v2": "y, z, x"},
@@ -147,11 +147,11 @@ def cmd_verify_example2(args) -> int:
     zero = HomPoly.zero(0)
     v1 = Section(bundle, (zero, one, parse_hompoly("y")))
     v2 = Section(bundle, (one, zero, parse_hompoly("x")))
-    curve = wedge_curve(v1, v2)
+    tangent = tangent_map(bundle, v1, v2)
+    curve = tangent.curve
     expected = parse_hompoly("x^2 + y^2 - z^2")
     matches = curve == expected or curve == expected.scale(Fraction(-1))
     smooth = smoothness_check(curve)
-    tangent = tangent_map(bundle, v1, v2)
     report = RunReport(
         subcommand="verify-example2",
         inputs={"v1": "0, 1, y", "v2": "1, 0, x"},

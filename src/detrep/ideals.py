@@ -8,8 +8,14 @@ degree n+2 (the 2x2 minors of each triple against the coordinate row):
 These six forms span the space U.  Multiplying U by all forms of degree n+1
 lands in degree 2n+3, and the image of that multiplication map coincides with
 the image of the tangent map of the degeneracy construction at (f, g), after
-restriction to the curve.  Both verdicts are computed independently here and
-compared (``diagram_crosscheck``).
+restriction to the curve.  ``diagram_crosscheck`` computes both verdicts and
+compares them.  The two sides share the column kernel
+``polynomials.multiple_columns``: the tangent matrix is a column subset of the
+multiplication matrix of the cofactor forms, which for T(n) are these minors
+up to sign.  They differ in their index sets (every monomial of degree n+1
+against the lifts of a quotient basis) and in the curve column that augments
+the tangent matrix.  What tests them independently is the determinant-based
+oracle ``tangent.tangent_column``.
 
 The same graded machinery decides ideal containment: the power of the
 irrelevant maximal ideal sits inside the ideal generated by given forms as
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .bundles import T
-from .detmatrix import Section, is_gpli
+from .detmatrix import GpliError, Section
 from .linalg import ExactMatrix, LinearMapReport, rank, report
 from .polynomials import HomPoly, X, Y, Z, h0_p2, multiple_columns
 from .tangent import tangent_map
@@ -172,17 +178,18 @@ def diagram_crosscheck(
 
     The two must agree whenever the pair is generically independent; a
     degenerate pair cuts no curve, and both sides then count as
-    non-surjective.
+    non-surjective.  The tangent map builds the one wedge curve and raises
+    ``GpliError`` when it vanishes, which is what marks the pair degenerate.
     """
     u = u_generators(f, g, n)
     bundle = T(u.n)
     s1 = Section(bundle, u.f)
     s2 = Section(bundle, u.g)
     mult_surj = mult_map_report(u).surjective
-    if is_gpli(s1, s2):
-        gpli = True
+    try:
         tangent_surj = tangent_map(bundle, s1, s2).surjective
-    else:
+        gpli = True
+    except GpliError:
         gpli = False
         tangent_surj = False
     agree = mult_surj == tangent_surj if gpli else True

@@ -13,15 +13,26 @@ Hom(V, H0/V) to the curve-restriction of
 
     v1 ^ phi(v2)  -  v2 ^ phi(v1)
 
-where a ^ b is the determinant of the two ambient rows over the relation
-rows.  Columns of the tangent matrix are these values on the basis
-phi_{i,j}: v_i -> q_j; surjectivity onto sections of the curve is decided by
-ranking the matrix augmented with the curve's own coefficient vector, since
-the curve spans the kernel of restriction.
+where v ^ q is the determinant of the rows v and q over the relation row
+r = (r1, r2, r3).  Expanding along q gives v ^ q = sum_j q_j * C_j(v) with
+the cofactor forms
+
+    C1 = c*r2 - b*r3,   C2 = a*r3 - c*r1,   C3 = b*r1 - a*r2
+
+of v = (a, b, c).  Every canonical lift of a quotient basis vector is one
+monomial m in one ambient block j, so the column of phi: v1 -> m is
+-m*C_j(v2) and that of phi: v2 -> m is m*C_j(v1): the tangent matrix is a
+column subset of the multiplication matrix of the cofactor forms, and no
+polynomial determinant is taken per column.  For T(n) the C_j are, up to
+sign, the minors that ``ideals.u_generators`` calls U.  Surjectivity onto
+sections of the curve is decided by ranking the matrix augmented with the
+curve's own coefficient vector, since the curve spans the kernel of
+restriction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -123,15 +134,31 @@ def section_space(bundle: BundleSpec) -> SectionSpace:
 
 @dataclass(frozen=True)
 class SectionQuotient:
-    """H0(bundle) / <v1, v2> with canonical lifts of a quotient basis."""
+    """H0(bundle) / <v1, v2> with canonical lifts of a quotient basis.
+
+    Each canonical lift is the ambient unit vector at one free position, i.e.
+    one monomial in one ambient block; ``lift_positions`` lists those ambient
+    positions in increasing order.
+    """
 
     space: SectionSpace
     v_coords: Tuple[Vector, Vector]
-    lifts: Tuple[Section, ...]
+    lift_positions: Tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.lifts)
+        return len(self.lift_positions)
+
+    @property
+    def lifts(self) -> Tuple[Section, ...]:
+        """The lifts as sections, built on demand."""
+        space = self.space
+        out = []
+        for pos in self.lift_positions:
+            ambient = [Fraction(0)] * space.ambient_dim
+            ambient[pos] = Fraction(1)
+            out.append(Section(space.bundle, space.components(ambient)))
+        return tuple(out)
 
 
 def quotient_by_pair(space: SectionSpace, v1: Section, v2: Section) -> SectionQuotient:
@@ -141,19 +168,30 @@ def quotient_by_pair(space: SectionSpace, v1: Section, v2: Section) -> SectionQu
     if len(rows) != 2:
         raise GpliError("the two sections do not span a two-dimensional subspace")
     pivot_set = set(pivots)
-    lifts = []
-    for q in range(space.dim):
-        if q in pivot_set:
-            continue
-        coords = [Fraction(0)] * space.dim
-        coords[q] = Fraction(1)
-        ambient = space.embed(coords)
-        lifts.append(Section(space.bundle, space.components(ambient)))
-    return SectionQuotient(space=space, v_coords=(w1, w2), lifts=tuple(lifts))
+    positions = tuple(
+        pos for q, pos in enumerate(space.free_positions) if q not in pivot_set
+    )
+    return SectionQuotient(space=space, v_coords=(w1, w2), lift_positions=positions)
+
+
+def cofactor_forms(v: Section) -> Tuple[HomPoly, HomPoly, HomPoly]:
+    """The forms C_j(v) with v ^ q = sum_j q_j * C_j(v) for every q.
+
+    They are the signed 2x2 minors of v over the relation row r of a rank-2
+    family: C1 = c*r2 - b*r3, C2 = a*r3 - c*r1, C3 = b*r1 - a*r2.
+    """
+    [(r1, r2, r3)] = relation_rows(v.bundle)
+    a, b, c = v.components
+    return (c * r2 - b * r3, a * r3 - c * r1, b * r1 - a * r2)
 
 
 def tangent_column(v1: Section, v2: Section, lift: Section, slot: int) -> HomPoly:
-    """Value of the derivative on phi: v_slot -> lift (zero on the other)."""
+    """Value of the derivative on phi: v_slot -> lift (zero on the other).
+
+    Computed by a polynomial determinant per call; ``tangent_map`` does not
+    use it, and tests use it as the independent reference for the columns
+    that ``tangent_map`` takes from the cofactor forms.
+    """
     if slot == 1:
         return -wedge_curve(v2, lift)
     if slot == 2:
@@ -176,6 +214,10 @@ def tangent_map(bundle: BundleSpec, v1: Section, v2: Section) -> TangentReport:
     """Derivative of the degeneracy-curve map at (v1, v2), with verdict.
 
     Works for the two rank-2 families (degeneracy curves of section pairs).
+    Columns are the values on phi: v1 -> lift, then on phi: v2 -> lift, with
+    the lifts in order.  A lift is one monomial m in ambient block j, so its
+    columns are -m*C_j(v2) and m*C_j(v1): one multiplication of each signed
+    cofactor form by the monomials of its block, keeping the lift positions.
     Raises GpliError when the pair has identically dependent values, i.e.
     when its wedge curve vanishes.
     """
@@ -189,11 +231,16 @@ def tangent_map(bundle: BundleSpec, v1: Section, v2: Section) -> TangentReport:
     space = section_space(bundle)
     quot = quotient_by_pair(space, v1, v2)
     degree = det_degree(bundle)
-    columns: List[Vector] = []
-    for slot in (1, 2):
-        for lift in quot.lifts:
-            value = tangent_column(v1, v2, lift, slot)
-            columns.append(value.coeff_vector())
+    # Lift positions split by ambient block, as offsets inside the block.
+    block_lifts: List[List[int]] = [[] for _ in space.block_offsets]
+    for pos in quot.lift_positions:
+        j = bisect_right(space.block_offsets, pos) - 1
+        block_lifts[j].append(pos - space.block_offsets[j])
+    columns: List[List[Fraction]] = []
+    for v, sign in ((v2, -1), (v1, 1)):
+        for form, local in zip(cofactor_forms(v), block_lifts):
+            block_columns = multiple_columns([form.scale(sign)], degree)
+            columns.extend(block_columns[i] for i in local)
     matrix = ExactMatrix.from_columns(columns, rows=h0_p2(degree))
     augmented = matrix.augment_column(curve.coeff_vector())
     aug_rank = rank(augmented)

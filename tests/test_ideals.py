@@ -207,6 +207,25 @@ def test_crosscheck_equal_triples_degenerate():
     assert rep.agree
 
 
+def test_crosscheck_builds_one_wedge_curve(monkeypatch):
+    import detrep.detmatrix
+    import detrep.tangent
+
+    calls = []
+    original = detrep.detmatrix.wedge_curve
+
+    def counting_wedge_curve(*sections):
+        calls.append(sections)
+        return original(*sections)
+
+    monkeypatch.setattr(detrep.detmatrix, "wedge_curve", counting_wedge_curve)
+    monkeypatch.setattr(detrep.tangent, "wedge_curve", counting_wedge_curve)
+    s1, s2 = random_pair(derive_rng(31, "cross-count", 0), T(1))
+    rep = diagram_crosscheck(s1, s2)
+    assert rep.gpli and rep.agree
+    assert len(calls) == 1
+
+
 def test_disjointness_of_the_special_pair():
     # vanishing loci {y=z=0} and {x=z=0} share no projective point
     n = 1

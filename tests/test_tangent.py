@@ -11,6 +11,7 @@ from detrep.linalg import ExactMatrix, rank
 from detrep.polynomials import HomPoly, h0_p2, mono_basis, parse_hompoly
 from detrep.sampling import derive_rng, random_hompoly, random_pair, random_section
 from detrep.tangent import (
+    cofactor_forms,
     quotient_by_pair,
     section_space,
     smoothness_check,
@@ -80,6 +81,25 @@ def test_quotient_lift_count():
     assert len(quot.lifts) == space.dim - 2
 
 
+def test_quotient_lifts_are_unit_coordinates():
+    # each lift is one monomial in one ambient block, and it reduces to a
+    # unit vector of section coordinates at a non-pivot position
+    for spec in (T(1), N(1)):
+        space = section_space(spec)
+        v1, v2 = random_pair(derive_rng(9, "lifts", 0), spec)
+        quot = quotient_by_pair(space, v1, v2)
+        assert quot.dim == space.dim - 2
+        seen = set()
+        for pos, lift in zip(quot.lift_positions, quot.lifts):
+            assert sum(len(c.terms) for c in lift.components) == 1
+            coords = space.reduce_section(lift)
+            assert sorted(coords) == [0] * (space.dim - 1) + [1]
+            q = space.free_positions.index(pos)
+            assert coords[q] == 1
+            seen.add(q)
+        assert len(seen) == quot.dim
+
+
 def test_quotient_rejects_dependent_pair():
     spec = T(0)
     space = section_space(spec)
@@ -133,6 +153,70 @@ def test_special_pair_misses_one_direction():
     assert rep.curve == parse_hompoly("x^5*y^4 - y^5*z^4 + z^9")
     assert rep.augmented_rank == h0_p2(9) - 1
     assert not rep.surjective
+
+
+def reference_tangent_matrix(spec, v1, v2):
+    """One polynomial determinant per column: slot 1 over the lifts, then slot 2."""
+    quot = quotient_by_pair(section_space(spec), v1, v2)
+    columns = [
+        tangent_column(v1, v2, lift, slot).coeff_vector()
+        for slot in (1, 2)
+        for lift in quot.lifts
+    ]
+    return ExactMatrix.from_columns(columns, rows=h0_p2(det_degree(spec)))
+
+
+def special_pair(k):
+    n = (3 * k - 3) // 2
+    spec = T(n)
+    zero = HomPoly.zero(n + 1)
+    v1 = Section(spec, (HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((n + 1, 0, 0)), zero))
+    v2 = Section(spec, (zero, HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((0, n + 1, 0))))
+    return spec, v1, v2
+
+
+def test_tangent_map_matches_determinant_columns():
+    cases = []
+    for family, twists in ((T, range(5)), (N, range(4))):
+        for n in twists:
+            spec = family(n)
+            cases.append((spec, *random_pair(derive_rng(9, "oracle", spec.label()), spec)))
+    cases.append(special_pair(3))
+    cases.append((T(0), sec(T(0), "x", "2*y", "3*z"), sec(T(0), "y", "z", "x")))
+    cases.append((N(0), sec(N(0), "0", "1", "y"), sec(N(0), "1", "0", "x")))
+    for spec, v1, v2 in cases:
+        rep = tangent_map(spec, v1, v2)
+        assert rep.matrix == reference_tangent_matrix(spec, v1, v2), spec.label()
+        assert rep.hom_dim == 2 * (section_space(spec).dim - 2)
+
+
+def test_wedge_curve_is_cofactor_expansion():
+    rng = derive_rng(9, "cofactor", 0)
+    for spec in (T(0), T(1), T(2), N(0), N(1), N(2)):
+        for _ in range(3):
+            v, q = random_section(rng, spec), random_section(rng, spec)
+            expansion = HomPoly.zero(det_degree(spec))
+            for q_j, c_j in zip(q.components, cofactor_forms(v)):
+                expansion = expansion + q_j * c_j
+            assert wedge_curve(v, q) == expansion
+
+
+def test_tangent_map_takes_one_determinant(monkeypatch):
+    import detrep.detmatrix
+
+    calls = []
+    original = detrep.detmatrix.det_poly
+
+    def counting_det_poly(M):
+        calls.append(M)
+        return original(M)
+
+    monkeypatch.setattr(detrep.detmatrix, "det_poly", counting_det_poly)
+    spec = T(2)
+    v1, v2 = random_pair(derive_rng(9, "one-det", 0), spec)
+    rep = tangent_map(spec, v1, v2)
+    assert rep.hom_dim > 0
+    assert len(calls) == 1
 
 
 def test_column_shift_by_other_generator_cancels():
