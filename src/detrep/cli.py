@@ -4,6 +4,10 @@ Output is a human-readable listing by default or JSON with --json; all
 mathematical values are exact (rationals rendered as "p/q").  Exit codes:
 0 when every verdict passes, 1 when a mathematical verdict fails, 2 on
 usage or parse errors.
+
+Each ``cmd_*`` function returns a ``RunReport`` and raises ``ValueError``
+(``ParseError`` included) on bad input.  ``main`` alone times the command,
+prints its report and maps a ``ValueError`` to ``error: ...`` with exit 2.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .bundles import (
     BundleSpec,
@@ -97,36 +101,39 @@ def _textual(value):
     return str(value)
 
 
-def _parse_components(text: str, count: int, degrees) -> List[HomPoly]:
+def _parse_section(bundle: BundleSpec, text: str) -> Section:
+    degrees = ambient_degrees(bundle)
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != count:
-        raise ParseError(f"expected {count} comma-separated components, got {len(parts)}")
-    return [parse_hompoly(part, degree=deg) for part, deg in zip(parts, degrees)]
-
-
-def _emit(report: RunReport, as_json: bool) -> int:
-    print(report.to_json() if as_json else report.to_text())
-    return report.exit_code()
+    if len(parts) != len(degrees):
+        raise ParseError(f"expected {len(degrees)} comma-separated components, got {len(parts)}")
+    return Section(bundle, tuple(parse_hompoly(p, degree=d) for p, d in zip(parts, degrees)))
 
 
 # ---------------------------------------------------------------- commands
 
+# The worked examples: bundle, the two sections, and the expected curve with
+# the signs it is allowed (the conic is fixed only up to sign).
+EXAMPLES = {
+    "verify-example1": (BundleSpec("T", 0), "x, 2*y, 3*z", "y, z, x",
+                        "x^2*y - 2*x*z^2 + y^2*z", (1,)),
+    "verify-example2": (BundleSpec("N", 0), "0, 1, y", "1, 0, x",
+                        "x^2 + y^2 - z^2", (1, -1)),
+}
 
-def cmd_verify_example1(args) -> int:
-    t0 = time.perf_counter()
-    bundle = BundleSpec("T", 0)
-    v1 = Section(bundle, (parse_hompoly("x"), parse_hompoly("2*y"), parse_hompoly("3*z")))
-    v2 = Section(bundle, (parse_hompoly("y"), parse_hompoly("z"), parse_hompoly("x")))
+
+def cmd_verify_example(args) -> RunReport:
+    bundle, text1, text2, expected, signs = EXAMPLES[args.command]
+    v1 = _parse_section(bundle, text1)
+    v2 = _parse_section(bundle, text2)
     tangent = tangent_map(bundle, v1, v2)
     curve = tangent.curve
-    expected = parse_hompoly("x^2*y - 2*x*z^2 + y^2*z")
-    smooth = smoothness_check(curve)
-    report = RunReport(
-        subcommand="verify-example1",
-        inputs={"v1": "x, 2*y, 3*z", "v2": "y, z, x"},
+    expected_curve = parse_hompoly(expected)
+    return RunReport(
+        subcommand=args.command,
+        inputs={"v1": text1, "v2": text2},
         verdicts={
-            "determinant_matches": curve == expected,
-            "smooth": smooth,
+            "determinant_matches": any(curve == expected_curve.scale(Fraction(s)) for s in signs),
+            "smooth": smoothness_check(curve),
             "tangent_surjective": tangent.surjective,
         },
         data={
@@ -135,97 +142,44 @@ def cmd_verify_example1(args) -> int:
             "target_dim": tangent.target_dim,
             "augmented_rank": tangent.augmented_rank,
         },
-        timing=time.perf_counter() - t0,
     )
-    return _emit(report, args.json)
 
 
-def cmd_verify_example2(args) -> int:
-    t0 = time.perf_counter()
-    bundle = BundleSpec("N", 0)
-    one = parse_hompoly("1")
-    zero = HomPoly.zero(0)
-    v1 = Section(bundle, (zero, one, parse_hompoly("y")))
-    v2 = Section(bundle, (one, zero, parse_hompoly("x")))
-    tangent = tangent_map(bundle, v1, v2)
-    curve = tangent.curve
-    expected = parse_hompoly("x^2 + y^2 - z^2")
-    matches = curve == expected or curve == expected.scale(Fraction(-1))
-    smooth = smoothness_check(curve)
-    report = RunReport(
-        subcommand="verify-example2",
-        inputs={"v1": "0, 1, y", "v2": "1, 0, x"},
-        verdicts={
-            "determinant_matches": matches,
-            "smooth": smooth,
-            "tangent_surjective": tangent.surjective,
-        },
-        data={
-            "curve": str(curve),
-            "hom_dim": tangent.hom_dim,
-            "target_dim": tangent.target_dim,
-            "augmented_rank": tangent.augmented_rank,
-        },
-        timing=time.perf_counter() - t0,
-    )
-    return _emit(report, args.json)
-
-
-def cmd_tangent(args) -> int:
-    t0 = time.perf_counter()
+def cmd_tangent(args) -> RunReport:
     bundle = BundleSpec(args.bundle, args.n)
-    degs = ambient_degrees(bundle)
-    try:
-        c1 = _parse_components(args.v1, len(degs), degs)
-        c2 = _parse_components(args.v2, len(degs), degs)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    v1 = Section(bundle, tuple(c1))
-    v2 = Section(bundle, tuple(c2))
+    v1 = _parse_section(bundle, args.v1)
+    v2 = _parse_section(bundle, args.v2)
     try:
         tangent = tangent_map(bundle, v1, v2)
     except GpliError as exc:
-        report = RunReport(
-            subcommand="tangent",
-            inputs={"bundle": args.bundle, "n": args.n, "v1": args.v1, "v2": args.v2},
-            verdicts={"gpli": False},
-            data={"reason": str(exc)},
-            timing=time.perf_counter() - t0,
-        )
-        return _emit(report, args.json)
-    report = RunReport(
-        subcommand="tangent",
-        inputs={"bundle": args.bundle, "n": args.n, "v1": args.v1, "v2": args.v2},
-        verdicts={"gpli": True, "surjective": tangent.surjective},
-        data={
+        verdicts: Dict[str, bool] = {"gpli": False}
+        data: Dict[str, object] = {"reason": str(exc)}
+    else:
+        verdicts = {"gpli": True, "surjective": tangent.surjective}
+        data = {
             "curve": str(tangent.curve),
             "curve_degree": tangent.curve.degree,
             "hom_dim": tangent.hom_dim,
             "target_dim": tangent.target_dim,
             "augmented_rank": tangent.augmented_rank,
-        },
-        timing=time.perf_counter() - t0,
+        }
+    return RunReport(
+        subcommand="tangent",
+        inputs={"bundle": args.bundle, "n": args.n, "v1": args.v1, "v2": args.v2},
+        verdicts=verdicts,
+        data=data,
     )
-    return _emit(report, args.json)
 
 
-def cmd_mult(args) -> int:
-    t0 = time.perf_counter()
+def cmd_mult(args) -> RunReport:
     n = args.n
     bundle = BundleSpec("T", n)
-    degs = ambient_degrees(bundle)
     seed = None
     if args.f is not None or args.g is not None:
         if args.f is None or args.g is None:
-            print("error: --f and --g must be given together", file=sys.stderr)
-            return USAGE_ERROR
-        try:
-            f = tuple(_parse_components(args.f, 3, degs))
-            g = tuple(_parse_components(args.g, 3, degs))
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("--f and --g must be given together")
+        f = _parse_section(bundle, args.f).components
+        g = _parse_section(bundle, args.g).components
         inputs = {"n": n, "f": args.f, "g": args.g}
     else:
         seed = resolve_seed(args.seed)
@@ -260,26 +214,16 @@ def cmd_mult(args) -> int:
         "tangent_surjective": cross.tangent_surjective,
         "crosscheck_agree": cross.agree,
     }
-    report = RunReport(
-        subcommand="mult",
-        inputs=inputs,
-        verdicts=verdicts,
-        data=data,
-        seed=seed,
-        timing=time.perf_counter() - t0,
-    )
-    return _emit(report, args.json)
+    return RunReport(subcommand="mult", inputs=inputs, verdicts=verdicts, data=data, seed=seed)
 
 
-def cmd_p1p1(args) -> int:
-    t0 = time.perf_counter()
+def cmd_p1p1(args) -> RunReport:
     if args.a < 1 or args.b < 1 or args.m < 1:
-        print("error: a, b, m must all be at least 1", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("a, b, m must all be at least 1")
     cover = monomial_cover_check(args.a, args.b, args.m)
     quad = witness_quad(args.a, args.b, args.m)
     rep = dpsi_report(quad)
-    report = RunReport(
+    return RunReport(
         subcommand="p1p1",
         inputs={"a": args.a, "b": args.b, "m": args.m},
         verdicts={
@@ -292,9 +236,7 @@ def cmd_p1p1(args) -> int:
             "target_dim": rep.target_dim,
             "rank": rep.rank,
         },
-        timing=time.perf_counter() - t0,
     )
-    return _emit(report, args.json)
 
 
 def _parse_params(text: Optional[str]) -> Dict[str, int]:
@@ -316,43 +258,34 @@ def _parse_range(text: str):
     lo, sep, hi = text.partition(":")
     if not sep:
         raise ValueError(f"malformed range {text!r}, expected lo:hi")
-    return range(int(lo), int(hi) + 1)
+    m_range = range(int(lo), int(hi) + 1)
+    if not m_range:
+        raise ValueError(f"empty range {text!r}, expected lo <= hi")
+    return m_range
 
 
-def cmd_audit(args) -> int:
-    t0 = time.perf_counter()
+def cmd_audit(args) -> RunReport:
     if args.select_degree is not None:
-        d = args.select_degree
-        if d < 1:
-            print("error: degree must be at least 1", file=sys.stderr)
-            return USAGE_ERROR
-        spec = select_E_d(d)
-        report = RunReport(
+        spec = select_E_d(args.select_degree)
+        return RunReport(
             subcommand="audit",
-            inputs={"select_degree": d},
-            verdicts={"degree_matches": det_degree(spec) == d},
+            inputs={"select_degree": args.select_degree},
+            verdicts={"degree_matches": det_degree(spec) == args.select_degree},
             data={"bundle": spec.label(), "det_degree": det_degree(spec)},
-            timing=time.perf_counter() - t0,
         )
-        return _emit(report, args.json)
     if args.family is None:
-        print("error: --family (or --select-degree) is required", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        params = _parse_params(args.params)
-        m_range = _parse_range(args.m_range)
-        n = params.pop("n", 0)
-        param = params.pop("k", None) if args.family == "M" else params.pop("r", None)
-        if params:
-            raise ValueError(f"unknown parameters {sorted(params)}")
-        spec = BundleSpec(args.family, n, param)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--family (or --select-degree) is required")
+    params = _parse_params(args.params)
+    m_range = _parse_range(args.m_range)
+    n = params.pop("n", 0)
+    param = params.pop("k", None) if args.family == "M" else params.pop("r", None)
+    if params:
+        raise ValueError(f"unknown parameters {sorted(params)}")
+    spec = BundleSpec(args.family, n, param)
     rows = inequality_audit(spec, m_range, args.g)
     gaps = [row.rhs - row.lhs for row in rows]
     onset = linearity_onset(gaps)
-    report = RunReport(
+    return RunReport(
         subcommand="audit",
         inputs={"family": args.family, "bundle": spec.label(), "m_range": args.m_range, "g": args.g},
         verdicts={"all_hold": all(row.holds for row in rows)},
@@ -363,36 +296,22 @@ def cmd_audit(args) -> int:
             ],
             "gap_linear_from": m_range[onset] if onset is not None else None,
         },
-        timing=time.perf_counter() - t0,
     )
-    return _emit(report, args.json)
 
 
-def cmd_containment(args) -> int:
-    t0 = time.perf_counter()
+def cmd_containment(args) -> RunReport:
     try:
         with open(args.gens_file, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            lines = [line.strip() for line in fh]
     except OSError as exc:
-        print(f"error: cannot read {args.gens_file}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    gens = []
-    try:
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            gens.append(parse_hompoly(line))
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"cannot read {args.gens_file}: {exc}") from exc
+    gens = [parse_hompoly(line) for line in lines if line and not line.startswith("#")]
     if not gens:
-        print("error: no generators in file", file=sys.stderr)
-        return USAGE_ERROR
-    result = containment_degree(gens, args.k_max)
-    report = RunReport(
+        raise ValueError("no generators in file")
+    result = containment_degree(gens)
+    return RunReport(
         subcommand="containment",
-        inputs={"gens": [str(g) for g in gens], "k_max": args.k_max},
+        inputs={"gens": [str(g) for g in gens]},
         verdicts={"reached": result.reached is not None},
         data={
             "containment_degree": result.reached,
@@ -401,9 +320,7 @@ def cmd_containment(args) -> int:
                 for row in result.ladder
             ],
         },
-        timing=time.perf_counter() - t0,
     )
-    return _emit(report, args.json)
 
 
 # ---------------------------------------------------------------- wiring
@@ -421,11 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-example1", help="cubic from two tangent-bundle sections")
     add_json(p)
-    p.set_defaults(func=cmd_verify_example1)
+    p.set_defaults(func=cmd_verify_example)
 
     p = sub.add_parser("verify-example2", help="smooth conic from the rank-two kernel bundle")
     add_json(p)
-    p.set_defaults(func=cmd_verify_example2)
+    p.set_defaults(func=cmd_verify_example)
 
     p = sub.add_parser("tangent", help="tangent-map surjectivity for an explicit pair")
     p.add_argument("--bundle", choices=("T", "N"), required=True)
@@ -462,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("containment", help="power-of-variables containment ladder")
     p.add_argument("--gens-file", required=True, help="one polynomial per line")
-    p.add_argument("--k-max", type=int, default=12)
     add_json(p)
     p.set_defaults(func=cmd_containment)
 
@@ -475,11 +391,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except (ValueError, ParseError) as exc:
+        report = args.func(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    report.timing = time.perf_counter() - t0
+    print(report.to_json() if args.json else report.to_text())
+    return report.exit_code()
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from .bundles import (
     bundle_rank,
     det_degree,
     relation_rows,
+    relation_source_degrees,
 )
 from .linalg import ExactMatrix, rank
 from .polynomials import HomPoly, ParseError, divide_exact, parse_hompoly
@@ -212,8 +213,6 @@ def relation_shift(bundle: BundleSpec, f: HomPoly, row_index: int = 0) -> Tuple[
     These tuples span exactly the ambient representatives of zero, so adding
     one to any section never moves its class (or any wedge against it).
     """
-    from .bundles import relation_source_degrees
-
     rows = relation_rows(bundle)
     src = relation_source_degrees(bundle)[row_index]
     if f.degree != src:

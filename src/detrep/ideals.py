@@ -125,21 +125,26 @@ class ContainmentReport:
 
     ``reached`` of k certifies that every form of degree >= k lies in the
     ideal (each degree-k monomial does, and higher degrees follow by
-    multiplying); it is always double-checked at k+1.  None means the ladder
-    stayed deficient through k_max, which certifies nothing beyond that.
+    multiplying); it is always double-checked at k+1.  The ladder climbs to
+    ``bound``, the Macaulay degree 3D-2 of generators of largest degree D:
+    an ideal whose generators share no projective zero fills by then, so
+    None is a proof that the generators share a projective zero.
     """
 
     reached: Optional[int]
-    k_max: int
+    bound: int
     ladder: Tuple[LadderRow, ...]
 
 
-def containment_degree(generators: Sequence[HomPoly], k_max: int) -> ContainmentReport:
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+def containment_degree(generators: Sequence[HomPoly]) -> ContainmentReport:
+    # Three generic forms of degree D in the ideal form a regular sequence
+    # when the generators have no common zero, and a complete intersection
+    # of three degree-D forms contains every form of degree 3D-2 (Macaulay).
+    top = max((gen.degree for gen in generators if not gen.is_zero()), default=0)
+    bound = max(0, 3 * top - 2)
     ladder: List[LadderRow] = []
     reached: Optional[int] = None
-    for k in range(0, k_max + 1):
+    for k in range(0, bound + 1):
         dim = component_dim(generators, k)
         full = dim == h0_p2(k)
         ladder.append(LadderRow(k=k, dim=dim, full=full))
@@ -153,7 +158,7 @@ def containment_degree(generators: Sequence[HomPoly], k_max: int) -> Containment
         full = dim == h0_p2(nxt)
         ladder.append(LadderRow(k=nxt, dim=dim, full=full))
         assert full, "a full graded piece must stay full one degree up"
-    return ContainmentReport(reached=reached, k_max=k_max, ladder=tuple(ladder))
+    return ContainmentReport(reached=reached, bound=bound, ladder=tuple(ladder))
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +215,16 @@ class DisjointnessReport:
 def disjointness_check(
     f: Union[Section, Sequence[HomPoly]],
     g: Union[Section, Sequence[HomPoly]],
-    k_max: Optional[int] = None,
 ) -> DisjointnessReport:
     """Certify that the two triples' degeneracy schemes share no point.
 
     The six minors cut the union of the two schemes' intersection loci; they
     have no common projective zero exactly when some power of the irrelevant
     ideal lies in the ideal they generate, which the containment ladder
-    decides.  A ladder that never fills within k_max certifies nothing.
+    decides.  A ladder that never fills proves that the minors share one.
     """
     u = u_generators(f, g)
-    if k_max is None:
-        k_max = 4 * u.n + 8
-    containment = containment_degree(u.generators, k_max)
+    containment = containment_degree(u.generators)
     return DisjointnessReport(
         disjoint_certified=containment.reached is not None,
         containment=containment,

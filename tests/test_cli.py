@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report formats, flag validation."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -178,7 +179,7 @@ def test_containment_file(tmp_path, capsys):
 def test_containment_not_reached(tmp_path, capsys):
     path = tmp_path / "gens.txt"
     path.write_text("x^2\ny^2\n")
-    code, rep = run_json(capsys, ["containment", "--gens-file", str(path), "--k-max", "6"])
+    code, rep = run_json(capsys, ["containment", "--gens-file", str(path)])
     assert code == 1
     assert rep["data"]["containment_degree"] is None
 
@@ -195,3 +196,42 @@ def test_containment_bad_polynomial(tmp_path, capsys):
 
 def test_unknown_subcommand_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+# ---------------------------------------------------------------- golden reports
+
+# Every subcommand's full report, pinned: the JSON minus "timing" (key order
+# included), the text minus its "time:" line, the exit code and stderr.
+# "{tmp}" in an argument or a message stands for a per-test directory that
+# holds the case's files.
+GOLDEN_CASES = [
+    dict(case)
+    for case in json.loads(
+        Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"),
+        object_pairs_hook=list,
+    )
+]
+
+
+def _ordered(text):
+    """A JSON report as nested key/value lists, so that key order counts."""
+    return [pair for pair in json.loads(text, object_pairs_hook=list) if pair[0] != "timing"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[case["id"] for case in GOLDEN_CASES])
+def test_golden_report(case, fmt, tmp_path, capsys):
+    for name, content in case["files"]:
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in case["argv"]]
+    code = main(argv + ["--json"] if fmt == "json" else argv)
+    captured = capsys.readouterr()
+    assert code == case["exit"]
+    assert captured.err.replace(str(tmp_path), "{tmp}") == case["stderr"]
+    if case[fmt] is None:
+        assert captured.out == ""
+    elif fmt == "json":
+        assert _ordered(captured.out) == case["json"]
+    else:
+        lines = [line for line in captured.out.splitlines() if not line.startswith("  time: ")]
+        assert lines == case["text"]

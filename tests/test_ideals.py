@@ -159,12 +159,12 @@ def test_component_dim_against_divisibility_count():
 
 
 def test_containment_degree_coordinate_ideal():
-    rep = containment_degree([X, Y, Z], k_max=5)
+    rep = containment_degree([X, Y, Z])
     assert rep.reached == 1
 
 
 def test_containment_degree_squares():
-    rep = containment_degree([X * X, Y * Y, Z * Z], k_max=8)
+    rep = containment_degree([X * X, Y * Y, Z * Z])
     assert rep.reached == 4
     dims = {row.k: row.dim for row in rep.ladder}
     assert dims[3] == 9  # only x^3 alone misses... the monomial count says 9 of 10
@@ -173,9 +173,9 @@ def test_containment_degree_squares():
 
 def test_containment_not_reached_reports_none():
     # two squares share the zero point (0:0:1), the ladder can never fill
-    rep = containment_degree([X * X, Y * Y], k_max=9)
+    rep = containment_degree([X * X, Y * Y])
     assert rep.reached is None
-    assert len(rep.ladder) == 10
+    assert len(rep.ladder) == 5
 
 
 def test_component_dim_of_principal_ideal():
@@ -238,5 +238,5 @@ def test_disjointness_of_the_special_pair():
 
 def test_disjointness_fails_for_equal_triples():
     f = triple("x", "y", "z")
-    rep = disjointness_check(f, f, k_max=6)
+    rep = disjointness_check(f, f)
     assert not rep.disjoint_certified
