@@ -30,7 +30,7 @@ from .bundles import (
 )
 from .detmatrix import GpliError, Section
 from .ideals import containment_degree, diagram_crosscheck, mult_map_matrix, u_generators
-from .linalg import in_column_space, rank
+from .linalg import in_column_space
 from .biprojective import dpsi_report, monomial_cover_check, witness_quad
 from .polynomials import HomPoly, ParseError, h0_p2, parse_hompoly
 from .sampling import derive_rng, random_pair, resolve_seed
@@ -194,11 +194,10 @@ def cmd_mult(args) -> RunReport:
         "product_degree": 2 * n + 3,
     }
     if cross.gpli:
-        u = u_generators(f, g, n=n)
-        matrix = mult_map_matrix(u)
-        data["mult_rank"] = rank(matrix)
+        data["mult_rank"] = cross.mult_rank
         data["target_dim"] = h0_p2(2 * n + 3)
         if (2 * n + 3) % 3 == 0:
+            matrix = mult_map_matrix(u_generators(f, g, n=n))
             k = (2 * n + 3) // 3
             probe1 = HomPoly.monomial((k, k, k))
             probe2 = HomPoly.monomial((k + 1, k, k - 1))
@@ -250,7 +249,11 @@ def _parse_params(text: Optional[str]) -> Dict[str, int]:
         if "=" not in item:
             raise ValueError(f"malformed parameter {item!r}, expected key=value")
         key, _, value = item.partition("=")
-        params[key.strip()] = int(value)
+        key = key.strip()
+        try:
+            params[key] = int(value)
+        except ValueError:
+            raise ValueError(f"--params: {key} must be an integer, got {value.strip()!r}") from None
     return params
 
 
@@ -258,7 +261,10 @@ def _parse_range(text: str):
     lo, sep, hi = text.partition(":")
     if not sep:
         raise ValueError(f"malformed range {text!r}, expected lo:hi")
-    m_range = range(int(lo), int(hi) + 1)
+    try:
+        m_range = range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise ValueError(f"--m-range: expected integers lo:hi, got {text!r}") from None
     if not m_range:
         raise ValueError(f"empty range {text!r}, expected lo <= hi")
     return m_range

@@ -172,6 +172,7 @@ class CrosscheckReport:
     mult_surjective: bool
     tangent_surjective: bool
     agree: bool
+    mult_rank: int
 
 
 def diagram_crosscheck(
@@ -190,19 +191,20 @@ def diagram_crosscheck(
     bundle = T(u.n)
     s1 = Section(bundle, u.f)
     s2 = Section(bundle, u.g)
-    mult_surj = mult_map_report(u).surjective
+    mult = mult_map_report(u)
     try:
         tangent_surj = tangent_map(bundle, s1, s2).surjective
         gpli = True
     except GpliError:
         gpli = False
         tangent_surj = False
-    agree = mult_surj == tangent_surj if gpli else True
+    agree = mult.surjective == tangent_surj if gpli else True
     return CrosscheckReport(
         gpli=gpli,
-        mult_surjective=mult_surj,
+        mult_surjective=mult.surjective,
         tangent_surjective=tangent_surj,
         agree=agree,
+        mult_rank=mult.rank,
     )
 
 

@@ -1,9 +1,15 @@
 """Exact linear algebra over the rationals with verifiable verdicts.
 
-Everything here returns exact answers.  The workhorse is fraction-free
-(Bareiss) elimination over the integers after clearing denominators row by
-row; pivoting is deterministic (first nonzero entry in column order), so
-identical inputs give bit-identical outputs.
+Everything here returns exact answers, from one elimination core:
+fraction-free (Bareiss) elimination over the integers after clearing
+denominators row by row (``_bareiss_echelon``), and one back-substitution
+that turns its echelon form into the reduced one (``_reduce``).  Ranks,
+kernels, left kernels, membership and ``rref`` all run on it.  Pivoting is
+deterministic (first nonzero entry in column order), so identical inputs give
+bit-identical outputs.  The elimination leaves a row alone while its entry
+in the pivot column is zero and divides its next update by the pivot that
+divided its last one (a lazy divisor, exact by telescoping), so the sparse
+relation and multiplication matrices cost only the updates they need.
 
 ``rank`` carries one internal shortcut: the matrix is first eliminated modulo
 the prime 2^31 - 1.  A full-rank outcome there exhibits a nonzero minor mod p,
@@ -30,6 +36,7 @@ Vector = Tuple[Fraction, ...]
 _FAST_PRIME = 2**31 - 1
 # Tests may flip this to exercise the pure-Bareiss path.
 USE_MODP_FAST_PATH = True
+_ZERO = Fraction(0)
 
 
 def _rat(value) -> Fraction:
@@ -160,60 +167,105 @@ def _int_rows(M: ExactMatrix) -> Tuple[List[List[int]], List[int]]:
     return out, scales
 
 
+def _combine(row: List[int], other: List[int], a: int, b: int, d: int, start: int) -> None:
+    """row[j] = (a * row[j] - b * other[j]) / d for j >= start, in place."""
+    for j in range(start, len(row)):
+        q, rem = divmod(a * row[j] - b * other[j], d)
+        assert rem == 0, "Bareiss division must be exact"
+        row[j] = q
+
+
 def _bareiss_echelon(
     rows: List[List[int]], pivot_cols: int, track: bool = False
 ) -> Tuple[List[List[int]], List[Tuple[int, int]], Optional[List[List[int]]]]:
-    """Fraction-free row echelon form.
+    """Fraction-free row echelon form: the one elimination routine.
 
     Only the first ``pivot_cols`` columns are eligible to host pivots; all
     columns (including any caller-appended ones) are updated.  Returns the
     echelon rows, the (row, col) pivot list, and, when ``track`` is set, the
-    row-operation tracker T with T @ input == echelon (up to the Bareiss row
-    scalings, which never change row spans or zero patterns).
+    integer row-operation tracker T with T @ input == echelon.
+
+    Classic Bareiss updates every row below the pivot at every step; for a
+    row whose entry in the pivot column is already zero that update is only
+    the scaling piv/prev.  Here such a row is left alone, and ``div[i]``
+    holds the pivot that divided row i's last update (1 for an input row).
+    Over the skipped steps the classic scalings telescope to prev/div[i], so
+    the row's next update (piv * row_i - f * row_r) / div[i] is the classic
+    one, and its division is exact because the classic entries are minors
+    of the input.  A lagging row is brought up to date by prev/div[i] when it
+    becomes the pivot row, and the rows left below the last pivot are brought
+    up to date at the end, so pivots, echelon and tracker are exactly classic
+    Bareiss's.  Tracker rows take the same steps as their rows.
     """
     work = [list(r) for r in rows]
     n = len(work)
     width = len(work[0]) if work else 0
     tracker = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track else None
+    div = [1] * n
     pivots: List[Tuple[int, int]] = []
     prev = 1
+
+    def catch_up(i: int, start: int) -> None:
+        # Scale a lagging row (and its tracker row) by prev/div[i].
+        if div[i] != prev:
+            _combine(work[i], work[i], prev, 0, div[i], start)
+            if tracker is not None:
+                _combine(tracker[i], tracker[i], prev, 0, div[i], 0)
+            div[i] = prev
+
     r = 0
     for col in range(min(pivot_cols, width)):
         if r == n:
             break
-        piv_row = None
-        for i in range(r, n):
-            if work[i][col]:
-                piv_row = i
-                break
+        piv_row = next((i for i in range(r, n) if work[i][col]), None)
         if piv_row is None:
             continue
         if piv_row != r:
             work[r], work[piv_row] = work[piv_row], work[r]
+            div[r], div[piv_row] = div[piv_row], div[r]
             if tracker is not None:
                 tracker[r], tracker[piv_row] = tracker[piv_row], tracker[r]
-        piv = work[r][col]
+        catch_up(r, col)
         row_r = work[r]
+        piv = row_r[col]
         for i in range(r + 1, n):
             row_i = work[i]
             f = row_i[col]
-            for j in range(col + 1, width):
-                num = piv * row_i[j] - f * row_r[j]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss division must be exact"
-                row_i[j] = q
+            if not f:
+                continue
+            _combine(row_i, row_r, piv, f, div[i], col + 1)
             row_i[col] = 0
             if tracker is not None:
-                trk_i, trk_r = tracker[i], tracker[r]
-                for j in range(n):
-                    num = piv * trk_i[j] - f * trk_r[j]
-                    q, rem = divmod(num, prev)
-                    assert rem == 0, "Bareiss division must be exact"
-                    trk_i[j] = q
+                _combine(tracker[i], tracker[r], piv, f, div[i], 0)
+            div[i] = piv
         prev = piv
         pivots.append((r, col))
         r += 1
+    for i in range(r, n):
+        catch_up(i, 0)
     return work, pivots, tracker
+
+
+def _reduce(echelon: List[List[int]], pivots: List[Tuple[int, int]]) -> List[List[Fraction]]:
+    """Back-substitution: the reduced rows of an echelon form, one per pivot.
+
+    Each pivot row is scaled to a leading 1 and its entries in the later
+    pivot columns are cleared with the rows already reduced, bottom row
+    first; zero entries are skipped.  The result is the unique reduced row
+    echelon form of the echelon's row span.
+    """
+    done: List[Tuple[int, List[Fraction], List[int]]] = []
+    for r, c in reversed(pivots):
+        row = echelon[r]
+        piv = row[c]
+        out = [Fraction(e, piv) if e else _ZERO for e in row]
+        for lc, lower, support in done:
+            f = out[lc]
+            if f:
+                for j in support:
+                    out[j] -= f * lower[j]
+        done.append((c, out, [j for j in range(c, len(out)) if out[j]]))
+    return [out for _, out, _ in reversed(done)]
 
 
 def _modp_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -262,29 +314,25 @@ def rank(M: ExactMatrix) -> int:
 
 
 def kernel_basis(M: ExactMatrix) -> List[Vector]:
-    """Deterministic basis of the right kernel, each vector verified."""
+    """Deterministic basis of the right kernel, each vector verified.
+
+    The vector of free column f has x_f = 1, every other free entry 0, and
+    x_c = -R_c[f] for the reduced row R_c with pivot column c.
+    """
     if M.cols == 0:
         return []
-    if M.rows == 0:
-        basis = [
-            tuple(Fraction(1 if j == f else 0) for j in range(M.cols))
-            for f in range(M.cols)
-        ]
-        return basis
     introws, _ = _int_rows(M)
     echelon, pivots, _ = _bareiss_echelon(introws, M.cols)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(M.cols) if c not in pivot_cols]
+    reduced = _reduce(echelon, pivots)
+    pivot_cols = {c for _, c in pivots}
     basis: List[Vector] = []
-    for f in free_cols:
-        x = [Fraction(0)] * M.cols
+    for f in range(M.cols):
+        if f in pivot_cols:
+            continue
+        x = [_ZERO] * M.cols
         x[f] = Fraction(1)
-        for r, c in reversed(pivots):
-            if c > f:
-                continue
-            row = echelon[r]
-            s = sum((Fraction(row[j]) * x[j] for j in range(c + 1, M.cols)), Fraction(0))
-            x[c] = -s / row[c]
+        for (_, c), row in zip(pivots, reduced):
+            x[c] = -row[f]
         vec = tuple(x)
         assert all(e == 0 for e in M.times_vector(vec)), "kernel vector must verify"
         basis.append(vec)
@@ -313,11 +361,9 @@ def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
         pairing = sum((w[i] * vv[i] for i in range(M.rows)), Fraction(0))
         assert pairing != 0, "functional must separate v"
         return Membership(member=False, preimage=None, functional=w)
-    x = [Fraction(0)] * M.cols
-    for r, c in reversed(pivots):
-        row = echelon[r]
-        s = sum((Fraction(row[j]) * x[j] for j in range(c + 1, M.cols)), Fraction(0))
-        x[c] = (Fraction(row[M.cols]) - s) / row[c]
+    x = [_ZERO] * M.cols
+    for (_, c), row in zip(pivots, _reduce(echelon, pivots)):
+        x[c] = row[M.cols]
     pre = tuple(x)
     assert M.times_vector(pre) == vv, "preimage must verify"
     return Membership(member=True, preimage=pre, functional=None)
@@ -344,29 +390,9 @@ def rref(M: ExactMatrix) -> Tuple[List[Vector], List[int]]:
     Returns the nonzero rows (pivot entries normalized to 1, pivot columns
     cleared elsewhere) and the pivot column indices, both deterministic.
     """
-    rows = [list(row) for row in M.entries]
-    pivots: List[int] = []
-    r = 0
-    for col in range(M.cols):
-        if r == len(rows):
-            break
-        piv_row = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                piv_row = i
-                break
-        if piv_row is None:
-            continue
-        rows[r], rows[piv_row] = rows[piv_row], rows[r]
-        piv = rows[r][col]
-        rows[r] = [e / piv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return [tuple(row) for row in rows[:r]], pivots
+    introws, _ = _int_rows(M)
+    echelon, pivots, _ = _bareiss_echelon(introws, M.cols)
+    return [tuple(row) for row in _reduce(echelon, pivots)], [c for _, c in pivots]
 
 
 def report(M: ExactMatrix) -> LinearMapReport:

@@ -76,12 +76,16 @@ class SectionSpace:
         self.relation_matrix = ExactMatrix.from_columns(columns, rows=self.ambient_dim)
         rel_rows, rel_pivots = rref(self.relation_matrix.transpose())
         assert len(rel_rows) == len(columns), "defining relations must be independent"
-        self._rel_echelon = rel_rows
-        self._rel_pivots = rel_pivots
         pivot_set = set(rel_pivots)
         self.free_positions = [i for i in range(self.ambient_dim) if i not in pivot_set]
         self.dim = len(self.free_positions)
         assert self.dim == h0_bundle(bundle), "rank-computed dimension must match"
+        # Each reduced relation row is 1 at its pivot and 0 at every other
+        # pivot, so only its free entries matter: (free index, value) pairs.
+        self._rel_terms = [
+            (piv, [(q, row[pos]) for q, pos in enumerate(self.free_positions) if row[pos]])
+            for row, piv in zip(rel_rows, rel_pivots)
+        ]
 
     # -- ambient packing ------------------------------------------------
 
@@ -103,16 +107,22 @@ class SectionSpace:
 
     def reduce(self, vec: Sequence[Fraction]) -> Vector:
         """Coordinates of the class of an ambient vector, canonical and
-        idempotent; the relation span reduces to zero."""
+        idempotent; the relation span reduces to zero.
+
+        Subtracting a reduced relation row leaves every other pivot entry
+        alone, so each row's coefficient is the vector's own pivot entry and
+        only the free coordinates change.
+        """
         work = [Fraction(e) for e in vec]
         if len(work) != self.ambient_dim:
             raise ValueError("ambient vector has wrong length")
-        for row, piv in zip(self._rel_echelon, self._rel_pivots):
+        out = [work[i] for i in self.free_positions]
+        for piv, terms in self._rel_terms:
             f = work[piv]
-            if f != 0:
-                for j in range(piv, self.ambient_dim):
-                    work[j] -= f * row[j]
-        return tuple(work[i] for i in self.free_positions)
+            if f:
+                for q, value in terms:
+                    out[q] -= f * value
+        return tuple(out)
 
     def embed(self, coords: Sequence[Fraction]) -> Vector:
         """Canonical ambient representative with the given coordinates."""

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import detrep.cli
+import detrep.ideals
 from detrep.cli import main
 
 
@@ -129,6 +131,26 @@ def test_mult_membership_probes_at_multiple_of_three(capsys):
     assert rep["data"]["probe_balanced"] == "x^3*y^3*z^3"
     assert rep["data"]["probe_balanced_member"] is False
     assert rep["verdicts"]["crosscheck_agree"] is True
+
+
+@pytest.mark.parametrize("n, builds", [(2, 1), (0, 2)])
+def test_mult_builds_the_mult_side_once(n, builds, monkeypatch, capsys):
+    # The cross-check builds the minors and their matrix and reports the
+    # rank; only the membership probes (2n+3 divisible by 3) build them again.
+    calls = {"u_generators": 0, "mult_map_matrix": 0}
+    for name in calls:
+        original = getattr(detrep.ideals, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (detrep.cli, detrep.ideals):
+            monkeypatch.setattr(module, name, counted)
+    code, rep = run_json(capsys, ["mult", "--n", str(n), "--seed", "1"])
+    assert code == 0
+    assert "mult_rank" in rep["data"]
+    assert calls == {"u_generators": builds, "mult_map_matrix": builds}
 
 
 # ---------------------------------------------------------------- others

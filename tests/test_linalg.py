@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detrep.linalg as la
+from detrep.ideals import mult_map_matrix, u_generators
 from detrep.linalg import (
     ExactMatrix,
     in_column_space,
@@ -18,6 +19,7 @@ from detrep.linalg import (
     report,
     rref,
 )
+from detrep.polynomials import HomPoly
 
 
 def frac_matrix(rows):
@@ -212,3 +214,157 @@ def test_duplicating_a_row_preserves_rank(rows):
     m = ExactMatrix.from_rows([[Fraction(e) for e in row] for row in rows])
     doubled = ExactMatrix.from_rows([list(m.entries[0])] + [list(r) for r in m.entries])
     assert rank(doubled) == rank(m)
+
+
+# ---------------------------------------------------------------- the one core
+#
+# Differential tests of the elimination core against sympy and against
+# classic Bareiss, which updates every row below the pivot at every step.
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def seeded_matrices(seed, count):
+    """Rational matrices up to 8x8, sparse and dense, with forced zero rows,
+    zero columns and dependent rows among them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.choice([0.15, 0.3, 0.6, 1.0])
+        m = [
+            [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7])) if rng.random() < density else Fraction(0)
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        shape = rng.randrange(4)
+        if shape == 1:
+            m[rng.randrange(rows)] = [Fraction(0)] * cols
+        elif shape == 2:
+            dead = rng.randrange(cols)
+            for row in m:
+                row[dead] = Fraction(0)
+        elif shape == 3 and rows > 2:
+            a, b = rng.sample(range(rows), 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            m[rng.randrange(rows)] = [x + c * y for x, y in zip(m[a], m[b])]
+        out.append(ExactMatrix.from_rows(m))
+    return out
+
+
+def to_sympy(sympy, M):
+    return sympy.Matrix(M.rows, M.cols, lambda i, j: sympy.Rational(M.entries[i][j].numerator,
+                                                                     M.entries[i][j].denominator))
+
+
+def test_rref_matches_sympy(sympy):
+    for M in seeded_matrices("rref-vs-sympy", 150):
+        ref, ref_pivots = to_sympy(sympy, M).rref()
+        rows, pivots = rref(M)
+        assert pivots == list(ref_pivots)
+        assert rows == [
+            tuple(Fraction(int(e.p), int(e.q)) for e in ref.row(i)) for i in range(len(ref_pivots))
+        ]
+
+
+def test_certificates_verify_with_sympy_dimensions(sympy):
+    rng = random.Random("certificates-vs-sympy")
+    for M in seeded_matrices("certificates-vs-sympy", 120):
+        S = to_sympy(sympy, M)
+        r = S.rank()
+        assert rank(M) == r
+        kernel = kernel_basis(M)
+        assert len(kernel) == len(S.nullspace()) == M.cols - r
+        for x in kernel:
+            assert all(e == 0 for e in M.times_vector(x))
+        left = left_kernel_basis(M)
+        assert len(left) == M.rows - r
+        for w in left:
+            assert any(e != 0 for e in w)
+            assert all(e == 0 for e in M.left_times_vector(w))
+        member_v = M.times_vector([Fraction(rng.randint(-3, 3)) for _ in range(M.cols)])
+        random_v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(M.rows))
+        for v in (member_v, random_v):
+            res = in_column_space(M, v)
+            assert res.member == (S.row_join(sympy.Matrix(v)).rank() == r)
+            if res.member:
+                assert M.times_vector(res.preimage) == v
+            else:
+                assert all(e == 0 for e in M.left_times_vector(res.functional))
+                assert sum(wi * vi for wi, vi in zip(res.functional, v)) != 0
+
+
+def classic_bareiss(rows, pivot_cols):
+    """Reference: Bareiss updating every row below the pivot at every step."""
+    work = [list(r) for r in rows]
+    n = len(work)
+    width = len(work[0]) if work else 0
+    tracker = [[int(i == j) for j in range(n)] for i in range(n)]
+    pivots = []
+    prev, r = 1, 0
+    for col in range(min(pivot_cols, width)):
+        if r == n:
+            break
+        piv_row = next((i for i in range(r, n) if work[i][col]), None)
+        if piv_row is None:
+            continue
+        work[r], work[piv_row] = work[piv_row], work[r]
+        tracker[r], tracker[piv_row] = tracker[piv_row], tracker[r]
+        piv = work[r][col]
+        for i in range(r + 1, n):
+            f = work[i][col]
+            work[i] = [(piv * a - f * b) // prev for a, b in zip(work[i], work[r])]
+            tracker[i] = [(piv * a - f * b) // prev for a, b in zip(tracker[i], tracker[r])]
+        prev = piv
+        pivots.append((r, col))
+        r += 1
+    return work, pivots, tracker
+
+
+def check_against_classic(m, pivot_cols):
+    echelon, pivots, tracker = la._bareiss_echelon(m, pivot_cols, track=True)
+    assert (echelon, pivots, tracker) == classic_bareiss(m, pivot_cols)
+    for t_row, e_row in zip(tracker, echelon):
+        assert [sum(t * m[i][j] for i, t in enumerate(t_row)) for j in range(len(m[0]))] == e_row
+    return pivots
+
+
+def test_lagging_row_becomes_pivot_row():
+    # [0, 0, 3, 1] skips the pivot steps at columns 0 and 1, then hosts the
+    # pivot at column 2 and is first brought up to date.
+    m = [[2, 1, 1, 0], [0, 0, 3, 1], [4, 5, 0, 2]]
+    assert check_against_classic(m, 4) == [(0, 0), (1, 1), (2, 2)]
+
+
+def test_skipped_rows_match_classic_bareiss_and_tracker():
+    # Row 0 hosts the first pivot, row 1 the second, and the last row is zero
+    # in both pivot columns, so it skips at least two pivot steps.
+    rng = random.Random("lazy-divisor")
+    for _ in range(300):
+        rows, cols = rng.randint(3, 8), rng.randint(3, 8)
+        m = [[rng.randint(-9, 9) if rng.random() < 0.3 else 0 for _ in range(cols)] for _ in range(rows)]
+        m[0][0] = rng.choice([-3, -2, 2, 5])
+        m[1][0], m[1][1] = 0, rng.choice([-7, 3, 4])
+        m[-1][0] = m[-1][1] = 0
+        for pivot_cols in (cols, cols - 1):
+            assert check_against_classic(m, pivot_cols)[:2] == [(0, 0), (1, 1)]
+
+
+def test_special_pair_k3_verdicts():
+    k, n = 3, 3
+    zero = HomPoly.zero(n + 1)
+    f = (HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((n + 1, 0, 0)), zero)
+    g = (zero, HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((0, n + 1, 0)))
+    matrix = mult_map_matrix(u_generators(f, g, n=n))
+    assert (matrix.rows, rank(matrix)) == (55, 54)
+    balanced = HomPoly.monomial((k, k, k)).coeff_vector()
+    shifted = HomPoly.monomial((k + 1, k, k - 1)).coeff_vector()
+    res = in_column_space(matrix, balanced)
+    assert not res.member
+    assert all(e == 0 for e in matrix.left_times_vector(res.functional))
+    res = in_column_space(matrix, shifted)
+    assert res.member
+    assert matrix.times_vector(res.preimage) == shifted
