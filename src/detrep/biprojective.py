@@ -7,7 +7,11 @@ matrix the quadruple fills).  The derivative of psi at F is the linear map
     dpsi_F(f) = F1*f4 + F4*f1 - F2*f3 - F3*f2,
 
 a bilinear shadow of the product rule; psi(F + t*f) expands exactly as
-psi(F) + t*dpsi_F(f) + t^2*psi(f).
+psi(F) + t*dpsi_F(f) + t^2*psi(f).  Its matrix is the multiplication-column
+matrix of (F4, -F3, -F2, F1) from bidegree (ma, mb) into (2ma, 2mb), built by
+``multiple_columns``, the same kernel that builds the plane's multiplication
+maps.  The forms are ``HomPoly`` forms whose degree is the pair (a, b);
+``BigradedPoly`` is the same class under its P1 x P1 name.
 
 At the monomial witness quadruple (X0^ma*Y0^mb, X0^ma*Y1^mb, X1^ma*Y0^mb,
 X1^ma*Y1^mb) surjectivity of dpsi has a combinatorial certificate: every
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .linalg import ExactMatrix, LinearMapReport, report
-from .polynomials import BigradedPoly, bimono_basis
+from .polynomials import BigradedPoly, bimono_basis, multiple_columns
 
 
 @dataclass(frozen=True)
@@ -72,18 +76,13 @@ def psi(q: QuadSections) -> BigradedPoly:
 def dpsi_matrix(q: QuadSections) -> ExactMatrix:
     """Matrix of dpsi at q, columns in slot-major order.
 
-    Slot i contributes columns (multiplier_i * basis monomial) with
-    multipliers (F4, -F3, -F2, F1) against the bidegree-(ma, mb) basis.
+    Slot i contributes the columns multiplier_i * m, for m over the
+    bidegree-(ma, mb) basis, with multipliers (F4, -F3, -F2, F1), read in
+    the bidegree-(2ma, 2mb) basis.
     """
     f1, f2, f3, f4 = q.components
-    multipliers = (f4, -f3, -f2, f1)
-    ma, mb = q.m * q.a, q.m * q.b
-    target = bimono_basis(2 * ma, 2 * mb)
-    columns = []
-    for mult in multipliers:
-        for mono in bimono_basis(ma, mb):
-            columns.append((mult * BigradedPoly.monomial(mono)).coeff_vector())
-    return ExactMatrix.from_columns(columns, rows=len(target))
+    target = (2 * q.m * q.a, 2 * q.m * q.b)
+    return ExactMatrix.from_columns(multiple_columns((f4, -f3, -f2, f1), target))
 
 
 def dpsi_report(q: QuadSections) -> LinearMapReport:

@@ -32,7 +32,7 @@ from .bundles import (
     relation_source_degrees,
 )
 from .linalg import ExactMatrix, rank
-from .polynomials import HomPoly, ParseError, divide_exact, parse_hompoly
+from .polynomials import HomPoly, ParseError, _plane_only, divide_exact, parse_hompoly
 
 
 class GpliError(ValueError):
@@ -55,6 +55,7 @@ class PolyMatrix:
             for e in row:
                 if not isinstance(e, HomPoly):
                     raise TypeError("entries must be HomPoly")
+                _plane_only(e)
         deg = [[e.degree for e in row] for row in rows]
         # Constant generalized-diagonal degree == rank-1 additive pattern.
         for i in range(size):
@@ -383,7 +384,12 @@ def read_poly_matrix(text: str) -> PolyMatrix:
         raise ParseError("matrix text must start with a 'degrees:' header")
     pattern = []
     for chunk in header[len("degrees:") :].split(";"):
-        row = [int(p) for p in chunk.strip().split(",") if p.strip()]
+        entries = [p.strip() for p in chunk.split(",") if p.strip()]
+        if not all(p.isdecimal() for p in entries):
+            raise ParseError(
+                f"'degrees:' header entries must be non-negative integers, got {chunk.strip()!r}"
+            )
+        row = [int(p) for p in entries]
         if row:
             pattern.append(row)
     size = len(pattern)

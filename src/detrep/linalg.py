@@ -31,22 +31,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .polynomials import _rat
+
 Vector = Tuple[Fraction, ...]
 
 _FAST_PRIME = 2**31 - 1
 # Tests may flip this to exercise the pure-Bareiss path.
 USE_MODP_FAST_PATH = True
 _ZERO = Fraction(0)
-
-
-def _rat(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
 
 
 class ExactMatrix:

@@ -1,14 +1,28 @@
-"""Exact homogeneous polynomial arithmetic over the rationals.
+"""Exact graded polynomial arithmetic over the rationals.
 
-Two flavours live here:
+One form type, ``HomPoly``, serves two rings:
 
-* ``HomPoly`` -- homogeneous polynomials in x, y, z of a fixed total degree,
-  stored as a sparse map from exponent triples (a, b, c) to ``Fraction``
-  coefficients.  The zero polynomial still carries a declared degree so that
-  degree bookkeeping never degenerates.
-* ``BigradedPoly`` -- bihomogeneous polynomials in X0, X1, Y0, Y1 of a fixed
-  bidegree (a, b), stored as a sparse map from exponent quadruples
-  (a0, a1, b0, b1).
+* the plane: forms in x, y, z of one total degree, an ``int``, stored as a
+  sparse map from exponent triples (a, b, c) to ``Fraction`` coefficients;
+* P1 x P1: bihomogeneous forms in X0, X1, Y0, Y1 of one bidegree, the pair
+  (a, b), stored by exponent quadruples (a0, a1, b0, b1).  ``BigradedPoly``
+  is the same class under its old name, and ``bidegree`` reads ``degree``.
+
+The zero form still carries its declared degree so that degree bookkeeping
+never degenerates.  ``_ring`` is the one place that tells the rings apart:
+from a degree or an exponent tuple it picks the variable names, the monomial
+basis and the degree arithmetic.  A sum requires equal degrees, and a
+product adds the degrees with the ring's own arithmetic, so mixing a plane
+form with a bidegree form raises a ``ValueError`` or ``TypeError`` instead of
+giving a result.  ``derivative``, ``evaluate``, ``compose_linear`` and
+``divide_exact`` are plane-only and refuse a bidegree form with a
+``TypeError``; so does ``detmatrix.PolyMatrix``.
+
+Products and multiplication columns share one private primitive, ``_shift``:
+a cached table of the positions of t*m in the degree-D basis, for a monomial
+t and a target degree D, with m running over the basis of the complementary
+degree.  ``HomPoly.__mul__`` accumulates through it into a sparse map keyed
+by position, and ``multiple_columns`` writes its columns through it.
 
 All coefficient arithmetic is exact (``fractions.Fraction``); nothing in this
 package ever touches floating point.  Monomial bases are enumerated in
@@ -19,10 +33,11 @@ vector in the package.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 Mono3 = Tuple[int, int, int]
 Mono22 = Tuple[int, int, int, int]
@@ -59,37 +74,6 @@ def mono_basis(d: int) -> List[Mono3]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _mono_index(d: int) -> Tuple[Tuple[Mono3, ...], Dict[Mono3, int]]:
-    """The degree-d basis with its monomial -> position table; kept private
-    because callers share the cached dict."""
-    basis = tuple(mono_basis(d))
-    return basis, {m: i for i, m in enumerate(basis)}
-
-
-def multiple_columns(generators: Iterable[HomPoly], degree: int) -> List[List[Fraction]]:
-    """Coefficient columns of m*g for every generator g and every monomial m
-    of degree ``degree - g.degree``.
-
-    Columns are generator-major, with m in ``mono_basis`` order inside each
-    generator; each is ``(HomPoly.monomial(m) * g).coeff_vector()`` in the
-    degree-``degree`` basis, written term by term through the index table
-    without building a product.  A zero generator gives zero columns, and a
-    generator of degree above ``degree`` gives none.
-    """
-    _, index = _mono_index(degree)
-    width = len(index)
-    columns: List[List[Fraction]] = []
-    for gen in generators:
-        terms = list(gen.terms.items())
-        for a, b, c in _mono_index(degree - gen.degree)[0]:
-            col = [_ZERO] * width
-            for (ta, tb, tc), coeff in terms:
-                col[index[(a + ta, b + tb, c + tc)]] = coeff
-            columns.append(col)
-    return columns
-
-
 def bimono_basis(a: int, b: int) -> List[Mono22]:
     """Exponent quadruples of bidegree (a, b), descending lex.
 
@@ -111,39 +95,115 @@ def h0_p2(d: int) -> int:
     return (d + 1) * (d + 2) // 2
 
 
+class _Ring(NamedTuple):
+    names: Tuple[str, ...]
+    prefix: str  # "" or "bi": messages say "degree" or "bidegree"
+    basis: Callable  # degree -> exponent tuples, descending lex
+    grade: Callable  # exponent tuple -> its degree
+    add: Callable  # degree + degree
+    sub: Callable  # degree - degree
+
+
+_PLANE = _Ring(("x", "y", "z"), "", mono_basis, sum, operator.add, operator.sub)
+_P1P1 = _Ring(
+    ("X0", "X1", "Y0", "Y1"),
+    "bi",
+    lambda d: bimono_basis(*d),
+    lambda m: (m[0] + m[1], m[2] + m[3]),
+    lambda d, e: (d[0] + e[0], d[1] + e[1]),
+    lambda d, e: (d[0] - e[0], d[1] - e[1]),
+)
+
+
+def _ring(key) -> _Ring:
+    """The ring of a degree or an exponent tuple: an int degree or a triple
+    is the plane's, a pair (a, b) or a quadruple is P1 x P1's."""
+    return _PLANE if isinstance(key, int) or len(key) == 3 else _P1P1
+
+
+def _plane_only(*forms: HomPoly) -> None:
+    """Refuse a P1 x P1 form where only plane forms make sense."""
+    for form in forms:
+        if _ring(form.degree) is not _PLANE:
+            raise TypeError(f"a plane form is required, not one of bidegree {form.degree}")
+
+
+@lru_cache(maxsize=None)
+def _mono_index(degree) -> Tuple[tuple, Dict[tuple, int]]:
+    """The degree's basis with its monomial -> position table; kept private
+    because callers share the cached dict."""
+    basis = tuple(_ring(degree).basis(degree))
+    return basis, {m: i for i, m in enumerate(basis)}
+
+
+@lru_cache(maxsize=None)
+def _shift(t: tuple, degree) -> Tuple[int, ...]:
+    """Positions of t*m in the ``degree`` basis, for m over the basis of
+    ``degree`` minus the degree of t (none when that is negative)."""
+    ring = _ring(degree)
+    index = _mono_index(degree)[1]
+    cofactors = _mono_index(ring.sub(degree, ring.grade(t)))[0]
+    return tuple(index[tuple(map(operator.add, t, m))] for m in cofactors)
+
+
+def multiple_columns(generators: Iterable[HomPoly], degree) -> List[List[Fraction]]:
+    """Coefficient columns of m*g for every generator g and every monomial m
+    of degree ``degree - g.degree``.
+
+    Columns are generator-major, with m in basis order inside each generator;
+    each is ``(HomPoly.monomial(m) * g).coeff_vector()`` in the
+    degree-``degree`` basis, written term by term through the shift table
+    without building a product.  A zero generator gives zero columns, and a
+    generator of degree above ``degree`` gives none.
+    """
+    width = len(_mono_index(degree)[0])
+    sub = _ring(degree).sub
+    columns: List[List[Fraction]] = []
+    for gen in generators:
+        block = [[_ZERO] * width for _ in _mono_index(sub(degree, gen.degree))[0]]
+        for t, coeff in gen.terms.items():
+            for col, pos in zip(block, _shift(t, degree)):
+                col[pos] = coeff
+        columns.extend(block)
+    return columns
+
+
 class HomPoly:
-    """A homogeneous polynomial in x, y, z of one fixed total degree."""
+    """A form of one fixed degree: an int on the plane, (a, b) on P1 x P1."""
 
     __slots__ = ("degree", "terms")
 
-    def __init__(self, degree: int, terms: Dict[Mono3, Fraction] | None = None):
-        clean: Dict[Mono3, Fraction] = {}
+    def __init__(self, degree, terms: Dict[tuple, Fraction] | None = None):
+        ring = _ring(degree)
+        width, grade = len(ring.names), ring.grade
+        clean: Dict[tuple, Fraction] = {}
         for mono, coeff in (terms or {}).items():
-            a, b, c = mono
-            if a < 0 or b < 0 or c < 0:
+            if min(mono) < 0:
                 raise ValueError(f"negative exponent in {mono}")
-            if a + b + c != degree:
-                raise ValueError(f"monomial {mono} does not have degree {degree}")
+            if len(mono) != width or grade(mono) != degree:
+                raise ValueError(f"monomial {mono} does not have {ring.prefix}degree {degree}")
             coeff = _rat(coeff)
             if coeff != 0:
-                clean[mono] = clean.get(mono, Fraction(0)) + coeff
+                clean[mono] = clean.get(mono, _ZERO) + coeff
                 if clean[mono] == 0:
                     del clean[mono]
         self.degree = degree
         self.terms = clean
 
+    bidegree = property(lambda self: self.degree, doc="The degree, under its P1 x P1 name.")
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero(degree: int) -> HomPoly:
+    def zero(degree) -> HomPoly:
         return HomPoly(degree, {})
 
     @staticmethod
-    def monomial(mono: Mono3, coeff=1) -> HomPoly:
-        return HomPoly(sum(mono), {mono: _rat(coeff)})
+    def monomial(mono: tuple, coeff=1) -> HomPoly:
+        return HomPoly(_ring(mono).grade(mono), {mono: _rat(coeff)})
 
     @staticmethod
-    def from_coeff_vector(degree: int, coeffs: Sequence) -> HomPoly:
+    def from_coeff_vector(degree, coeffs: Sequence) -> HomPoly:
         basis, _ = _mono_index(degree)
         if len(coeffs) != len(basis):
             raise ValueError(
@@ -173,14 +233,19 @@ class HomPoly:
         return HomPoly(self.degree, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> HomPoly:
-        if isinstance(other, HomPoly):
-            terms: Dict[Mono3, Fraction] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                    terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-            return HomPoly(self.degree + other.degree, terms)
-        return self.scale(other)
+        if not isinstance(other, HomPoly):
+            return self.scale(other)
+        degree = _ring(self.degree).add(self.degree, other.degree)
+        basis = _mono_index(degree)[0]
+        index = _mono_index(other.degree)[1]
+        right = [(index[m], c) for m, c in other.terms.items()]
+        acc: Dict[int, Fraction] = {}
+        for t, c1 in self.terms.items():
+            pos = _shift(t, degree)
+            for j, c2 in right:
+                p = pos[j]
+                acc[p] = acc.get(p, _ZERO) + c1 * c2
+        return HomPoly(degree, {basis[p]: c for p, c in acc.items()})
 
     def __rmul__(self, other) -> HomPoly:
         return self.scale(other)
@@ -203,42 +268,40 @@ class HomPoly:
 
     # -- coefficient access -------------------------------------------
 
-    def coeff(self, mono: Mono3) -> Fraction:
+    def coeff(self, mono: tuple) -> Fraction:
         return self.terms.get(mono, Fraction(0))
 
     def coeff_vector(self) -> Tuple[Fraction, ...]:
-        """Coefficients in the canonical mono_basis order of this degree."""
+        """Coefficients in the canonical basis order of this degree."""
         _, index = _mono_index(self.degree)
         vec = [_ZERO] * len(index)
         for mono, coeff in self.terms.items():
             vec[index[mono]] = coeff
         return tuple(vec)
 
-    def leading(self) -> Tuple[Mono3, Fraction]:
+    def leading(self) -> Tuple[tuple, Fraction]:
         """Largest monomial in lex order with its coefficient."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         mono = max(self.terms)
         return mono, self.terms[mono]
 
-    # -- calculus-flavoured helpers -----------------------------------
+    # -- plane-only calculus ------------------------------------------
 
     def derivative(self, var: int) -> HomPoly:
         """Partial derivative with respect to x (var=0), y (1) or z (2)."""
+        _plane_only(self)
         if self.degree == 0:
             return HomPoly.zero(0)
         terms: Dict[Mono3, Fraction] = {}
         for mono, coeff in self.terms.items():
             e = mono[var]
-            if e == 0:
-                continue
-            lowered = list(mono)
-            lowered[var] = e - 1
-            m = (lowered[0], lowered[1], lowered[2])
-            terms[m] = terms.get(m, Fraction(0)) + coeff * e
+            if e:
+                terms[mono[:var] + (e - 1,) + mono[var + 1 :]] = coeff * e
         return HomPoly(self.degree - 1, terms)
 
     def evaluate(self, point: Sequence) -> Fraction:
+        _plane_only(self)
         px, py, pz = (_rat(v) for v in point)
         total = Fraction(0)
         for (a, b, c), coeff in self.terms.items():
@@ -247,6 +310,7 @@ class HomPoly:
 
     def compose_linear(self, images: Sequence[HomPoly]) -> HomPoly:
         """Substitute x, y, z by three degree-1 polynomials."""
+        _plane_only(self)
         ix, iy, iz = images
         for img in (ix, iy, iz):
             if img.degree != 1:
@@ -263,122 +327,32 @@ class HomPoly:
     # -- text ----------------------------------------------------------
 
     def __str__(self) -> str:
-        return format_poly(self.terms, ("x", "y", "z"))
+        return format_poly(self.terms, _ring(self.degree).names)
 
     def __repr__(self) -> str:
         return f"HomPoly({self.degree}, {str(self)})"
 
 
-class BigradedPoly:
-    """A bihomogeneous polynomial in X0, X1, Y0, Y1 of fixed bidegree."""
-
-    __slots__ = ("bidegree", "terms")
-
-    def __init__(self, bidegree: Tuple[int, int], terms: Dict[Mono22, Fraction] | None = None):
-        a, b = bidegree
-        clean: Dict[Mono22, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            if any(e < 0 for e in mono):
-                raise ValueError(f"negative exponent in {mono}")
-            if mono[0] + mono[1] != a or mono[2] + mono[3] != b:
-                raise ValueError(f"monomial {mono} does not have bidegree {bidegree}")
-            coeff = _rat(coeff)
-            if coeff != 0:
-                clean[mono] = clean.get(mono, Fraction(0)) + coeff
-                if clean[mono] == 0:
-                    del clean[mono]
-        self.bidegree = (a, b)
-        self.terms = clean
-
-    @staticmethod
-    def zero(bidegree: Tuple[int, int]) -> BigradedPoly:
-        return BigradedPoly(bidegree, {})
-
-    @staticmethod
-    def monomial(mono: Mono22, coeff=1) -> BigradedPoly:
-        return BigradedPoly((mono[0] + mono[1], mono[2] + mono[3]), {mono: _rat(coeff)})
-
-    def _require_same_bidegree(self, other: BigradedPoly) -> None:
-        if self.bidegree != other.bidegree:
-            raise ValueError(
-                f"bidegree mismatch: {self.bidegree} vs {other.bidegree}"
-            )
-
-    def __add__(self, other: BigradedPoly) -> BigradedPoly:
-        self._require_same_bidegree(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return BigradedPoly(self.bidegree, terms)
-
-    def __sub__(self, other: BigradedPoly) -> BigradedPoly:
-        return self + (-other)
-
-    def __neg__(self) -> BigradedPoly:
-        return BigradedPoly(self.bidegree, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other) -> BigradedPoly:
-        if isinstance(other, BigradedPoly):
-            a = self.bidegree[0] + other.bidegree[0]
-            b = self.bidegree[1] + other.bidegree[1]
-            terms: Dict[Mono22, Fraction] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                    terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-            return BigradedPoly((a, b), terms)
-        return self.scale(other)
-
-    def __rmul__(self, other) -> BigradedPoly:
-        return self.scale(other)
-
-    def scale(self, scalar) -> BigradedPoly:
-        s = _rat(scalar)
-        return BigradedPoly(self.bidegree, {m: s * c for m, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BigradedPoly):
-            return NotImplemented
-        return self.bidegree == other.bidegree and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.bidegree, frozenset(self.terms.items())))
-
-    def coeff(self, mono: Mono22) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
-    def coeff_vector(self) -> Tuple[Fraction, ...]:
-        return tuple(
-            self.terms.get(m, Fraction(0)) for m in bimono_basis(*self.bidegree)
-        )
-
-    def __str__(self) -> str:
-        return format_poly(self.terms, ("X0", "X1", "Y0", "Y1"))
-
-    def __repr__(self) -> str:
-        return f"BigradedPoly({self.bidegree}, {str(self)})"
-
+BigradedPoly = HomPoly
 
 # Handy degree-1 generators; immutable by convention.
 X = HomPoly.monomial((1, 0, 0))
 Y = HomPoly.monomial((0, 1, 0))
 Z = HomPoly.monomial((0, 0, 1))
-X0 = BigradedPoly.monomial((1, 0, 0, 0))
-X1 = BigradedPoly.monomial((0, 1, 0, 0))
-Y0 = BigradedPoly.monomial((0, 0, 1, 0))
-Y1 = BigradedPoly.monomial((0, 0, 0, 1))
+X0 = HomPoly.monomial((1, 0, 0, 0))
+X1 = HomPoly.monomial((0, 1, 0, 0))
+Y0 = HomPoly.monomial((0, 0, 1, 0))
+Y1 = HomPoly.monomial((0, 0, 0, 1))
 
 
 def divide_exact(p: HomPoly, q: HomPoly) -> HomPoly:
-    """Quotient p/q when q divides p exactly; raises otherwise.
+    """Quotient p/q of plane forms when q divides p exactly; raises otherwise.
 
     Standard leading-term division in lex order.  Because lex order is
     multiplicative, every step of an exact division must succeed, so a
     non-dividing leading term is proof that q does not divide p.
     """
+    _plane_only(p, q)
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
@@ -504,62 +478,42 @@ def _parse_terms(text: str, names: Tuple[str, ...]):
     return out
 
 
+def _parse_form(text: str, ring: _Ring, degree) -> HomPoly:
+    """Parse a form of ``ring``, inferring its degree from the terms; a
+    declared degree is checked, and is required for the literal zero."""
+    noun = f"{ring.prefix}degree"
+    seen = set()
+    terms: Dict[tuple, Fraction] = {}
+    for coeff, mono, has_vars in _parse_terms(text, ring.names):
+        if coeff == 0 and not has_vars:
+            continue  # a bare 0 constrains nothing
+        seen.add(ring.grade(mono))
+        terms[mono] = terms.get(mono, _ZERO) + coeff
+    if len(seen) > 1:
+        raise ParseError(
+            f"not {ring.prefix}homogeneous: {text!r} mixes "
+            f"{noun} {min(seen)} and {noun} {max(seen)} terms"
+        )
+    if seen:
+        inferred = seen.pop()
+        if degree is not None and degree != inferred:
+            raise ParseError(f"declared {noun} {degree} but terms have {noun} {inferred}")
+        return HomPoly(inferred, terms)
+    if degree is None:
+        raise ParseError(f"zero polynomial needs a declared {noun}")
+    return HomPoly.zero(degree)
+
+
 def parse_hompoly(text: str, degree: int | None = None) -> HomPoly:
     """Parse a homogeneous polynomial in x, y, z.
 
     A declared degree is required only when the degree cannot be read off the
     terms (the literal zero polynomial); otherwise it is checked.  Terms of
-    different degrees are rejected naming both offending degrees.
+    different degrees are rejected naming the lowest and the highest degree.
     """
-    parsed = _parse_terms(text, ("x", "y", "z"))
-    seen: Dict[int, Mono3] = {}
-    terms: Dict[Mono3, Fraction] = {}
-    for coeff, mono, has_vars in parsed:
-        if coeff == 0 and not has_vars:
-            continue  # a bare 0 constrains nothing
-        d = sum(mono)
-        seen.setdefault(d, mono)
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
-    if len(seen) > 1:
-        lo, hi = min(seen), max(seen)
-        raise ParseError(
-            f"not homogeneous: {text!r} mixes degree {lo} and degree {hi} terms"
-        )
-    if seen:
-        inferred = next(iter(seen))
-        if degree is not None and degree != inferred:
-            raise ParseError(
-                f"declared degree {degree} but terms have degree {inferred}"
-            )
-        return HomPoly(inferred, terms)
-    if degree is None:
-        raise ParseError("zero polynomial needs a declared degree")
-    return HomPoly.zero(degree)
+    return _parse_form(text, _PLANE, degree)
 
 
-def parse_bipoly(text: str, bidegree: Tuple[int, int] | None = None) -> BigradedPoly:
-    """Parse a bihomogeneous polynomial in X0, X1, Y0, Y1."""
-    parsed = _parse_terms(text, ("X0", "X1", "Y0", "Y1"))
-    seen: Dict[Tuple[int, int], Mono22] = {}
-    terms: Dict[Mono22, Fraction] = {}
-    for coeff, mono, has_vars in parsed:
-        if coeff == 0 and not has_vars:
-            continue
-        bd = (mono[0] + mono[1], mono[2] + mono[3])
-        seen.setdefault(bd, mono)
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
-    if len(seen) > 1:
-        pair = sorted(seen)[:2]
-        raise ParseError(
-            f"not bihomogeneous: {text!r} mixes bidegree {pair[0]} and bidegree {pair[1]} terms"
-        )
-    if seen:
-        inferred = next(iter(seen))
-        if bidegree is not None and tuple(bidegree) != inferred:
-            raise ParseError(
-                f"declared bidegree {tuple(bidegree)} but terms have bidegree {inferred}"
-            )
-        return BigradedPoly(inferred, terms)
-    if bidegree is None:
-        raise ParseError("zero polynomial needs a declared bidegree")
-    return BigradedPoly.zero(tuple(bidegree))
+def parse_bipoly(text: str, bidegree: Tuple[int, int] | None = None) -> HomPoly:
+    """Parse a bihomogeneous polynomial in X0, X1, Y0, Y1, by the same rules."""
+    return _parse_form(text, _P1P1, None if bidegree is None else tuple(bidegree))

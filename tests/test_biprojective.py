@@ -14,7 +14,7 @@ from detrep.biprojective import (
     quad_sections,
     witness_quad,
 )
-from detrep.linalg import rank
+from detrep.linalg import ExactMatrix, rank
 from detrep.polynomials import BigradedPoly, bimono_basis, parse_bipoly
 
 
@@ -140,6 +140,55 @@ def test_dpsi_slot_partners():
         image = m.times_vector(tuple(vec))
         got = BigradedPoly((2, 2), {mo: c for mo, c in zip(target, image) if c})
         assert got == partners[slot] * probe
+
+
+def reference_dpsi(q):
+    """The column loop that dpsi_matrix replaced: one product (by adding
+    exponent quadruples) per slot and bidegree-(ma, mb) monomial, read off
+    in the target basis."""
+    f1, f2, f3, f4 = q.components
+    ma, mb = q.m * q.a, q.m * q.b
+    target = bimono_basis(2 * ma, 2 * mb)
+    columns = []
+    for mult in (f4, -f3, -f2, f1):
+        for mono in bimono_basis(ma, mb):
+            prod = {}
+            for t, c in mult.terms.items():
+                key = tuple(u + v for u, v in zip(t, mono))
+                prod[key] = prod.get(key, 0) + c
+            columns.append([prod.get(t, 0) for t in target])
+    return ExactMatrix.from_columns(columns, rows=len(target))
+
+
+def test_dpsi_matrix_matches_the_product_loop():
+    rng = random.Random("dpsi-vs-loop")
+    for a in (1, 2):
+        for b in (1, 2):
+            for m in (1, 2):
+                for q in (random_quad(rng, a, b, m), witness_quad(a, b, m)):
+                    got, want = dpsi_matrix(q), reference_dpsi(q)
+                    assert (got.rows, got.cols) == (want.rows, want.cols)
+                    assert got.entries == want.entries
+
+
+def test_psi_matches_sympy_expand():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("X0 X1 Y0 Y1")
+
+    def expr(p):
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(v**e for v, e in zip(gens, mono)))
+            for mono, c in p.terms.items()
+        ))
+
+    rng = random.Random("psi-vs-sympy")
+    for (a, b, m) in ((1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 1)):
+        q = random_quad(rng, a, b, m)
+        f1, f2, f3, f4 = (expr(c) for c in q.components)
+        ref = sympy.Poly(sympy.expand(f1 * f4 - f2 * f3), *gens).as_dict()
+        got = psi(q)
+        assert got.bidegree == (2 * m * a, 2 * m * b)
+        assert {mono: sympy.Rational(c.numerator, c.denominator) for mono, c in got.terms.items()} == ref
 
 
 # ---------------------------------------------------------------- cover

@@ -21,7 +21,7 @@ from detrep.detmatrix import (
     write_poly_matrix,
 )
 from detrep.detmatrix import _det_cofactor, _det_eliminate
-from detrep.polynomials import HomPoly, X, Y, Z, mono_basis, parse_hompoly
+from detrep.polynomials import HomPoly, ParseError, X, Y, Z, mono_basis, parse_bipoly, parse_hompoly
 from detrep.sampling import derive_rng, random_hompoly, random_section
 
 
@@ -44,6 +44,15 @@ def test_degree_pattern_consistency_enforced():
     with pytest.raises(ValueError) as err:
         PolyMatrix([[X, X * Y], [Y, Z]])
     assert "degree pattern" in str(err.value)
+
+
+def test_poly_matrix_refuses_bidegree_entries():
+    for entries in (
+        [[X, Y], [Y, parse_bipoly("X0*Y0")]],
+        [[parse_bipoly("X0"), parse_bipoly("X1")], [parse_bipoly("Y0"), parse_bipoly("Y1")]],
+    ):
+        with pytest.raises(TypeError, match="plane form"):
+            PolyMatrix(entries)
 
 
 def test_det_two_by_two():
@@ -270,3 +279,32 @@ def test_roundtrip_with_zero_entries():
 def test_read_matrix_rejects_bad_header():
     with pytest.raises(ValueError):
         read_poly_matrix("x; y\nz; x")
+
+
+def test_read_matrix_names_a_bad_degree_header():
+    for header, chunk in (("a,1; 1,1", "'a,1'"), ("-1,0; 0,1", "'-1,0'"), ("1,1; 1,1.5", "'1,1.5'")):
+        with pytest.raises(ParseError) as err:
+            read_poly_matrix(f"degrees: {header}\nx; y\nz; x")
+        assert "'degrees:' header" in str(err.value)
+        assert chunk in str(err.value)
+
+
+def test_det_poly_matches_sympy_on_a_syzygy_degeneracy_matrix():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x y z")
+
+    def expr(p):
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(v**e for v, e in zip(gens, mono)))
+            for mono, c in p.terms.items()
+        ))
+
+    rng = derive_rng(3, "det-vs-sympy", 0)
+    b = M(2, 1)
+    m = degeneracy_matrix(tuple(random_section(rng, b) for _ in range(5)))
+    assert m.size == 6
+    ref = sympy.Matrix([[expr(e) for e in row] for row in m.entries]).det(method="domain-ge")
+    ref = sympy.Poly(ref, *gens)
+    got = det_poly(m)
+    assert got.degree == 7 and not got.is_zero()
+    assert {mono: sympy.Rational(c.numerator, c.denominator) for mono, c in got.terms.items()} == ref.as_dict()

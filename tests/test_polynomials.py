@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import operator
 import random
 
 import pytest
@@ -318,3 +319,139 @@ def test_bigraded_product():
     q = parse_bipoly("X1*Y1")
     assert (p * q).bidegree == (2, 2)
     assert (p * q).coeff((1, 1, 1, 1)) == 1
+
+
+# ---------------------------------------------------------------- one type, two rings
+#
+# The plain dict product and the 3-tuple column kernel that the shift table
+# replaced, kept here as references for the product and the kernel.
+
+BIDEGREES = [(a, b) for a in range(4) for b in range(4)]
+
+
+def dict_product(p, q):
+    """Term map of p*q by adding exponent tuples pairwise."""
+    terms = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in terms.items() if c != 0}
+
+
+def tuple_kernel(generators, degree):
+    """Columns of m*g written through a plain monomial -> position dict."""
+    index = {m: i for i, m in enumerate(mono_basis(degree))}
+    columns = []
+    for gen in generators:
+        for a, b, c in mono_basis(degree - gen.degree):
+            col = [Fraction(0)] * len(index)
+            for (ta, tb, tc), coeff in gen.terms.items():
+                col[index[(a + ta, b + tb, c + tc)]] = coeff
+            columns.append(col)
+    return columns
+
+
+def seeded_forms(rng, degrees, basis_of):
+    """A sparse, a dense and a zero form of every degree, with rational
+    coefficients."""
+    forms = []
+    for degree in degrees:
+        for density in (0.2, 1.0, 0.0):
+            terms = {
+                m: Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 5]))
+                for m in basis_of(degree)
+                if rng.random() < density
+            }
+            forms.append(HomPoly(degree, terms))
+    return forms
+
+
+def test_products_match_dict_product_on_both_rings():
+    rng = random.Random("shift-table-products")
+    rings = (
+        (seeded_forms(rng, range(7), mono_basis), lambda d, e: d + e),
+        (
+            seeded_forms(rng, BIDEGREES, lambda d: bimono_basis(*d)),
+            lambda d, e: (d[0] + e[0], d[1] + e[1]),
+        ),
+    )
+    for forms, add in rings:
+        for p in forms:
+            for q in rng.sample(forms, 8):
+                assert p * q == HomPoly(add(p.degree, q.degree), dict_product(p, q))
+
+
+def test_multiple_columns_match_tuple_kernel_and_products():
+    rng = random.Random("shift-table-columns")
+    plane = seeded_forms(rng, range(7), mono_basis)
+    for _ in range(40):
+        gens = rng.sample(plane, rng.randint(1, 4))
+        degree = rng.randint(0, 9)
+        assert multiple_columns(gens, degree) == tuple_kernel(gens, degree)
+    for gen in seeded_forms(rng, BIDEGREES, lambda d: bimono_basis(*d)):
+        target = (rng.randint(0, 5), rng.randint(0, 5))
+        cofactor_degree = (target[0] - gen.degree[0], target[1] - gen.degree[1])
+        expected = []
+        for m in bimono_basis(*cofactor_degree):
+            prod = dict_product(gen, BigradedPoly.monomial(m))
+            expected.append([prod.get(t, 0) for t in bimono_basis(*target)])
+        assert multiple_columns([gen], target) == expected
+
+
+def test_plane_and_bidegree_forms_do_not_mix_in_arithmetic():
+    plane = [X, X * Y, HomPoly.zero(1), HomPoly.zero(2)]
+    bidegree = [parse_bipoly("X0*Y0"), parse_bipoly("X0"), BigradedPoly.zero((1, 0))]
+    for p in plane:
+        for q in bidegree:
+            for a, b in ((p, q), (q, p)):
+                for op in (operator.add, operator.sub, operator.mul):
+                    with pytest.raises((TypeError, ValueError)):
+                        op(a, b)
+                with pytest.raises((TypeError, ValueError)):
+                    multiple_columns([a], b.degree)
+
+
+def test_divide_exact_refuses_bidegree_forms():
+    p = parse_bipoly("X0^2*Y0 - X1^2*Y0")
+    q = parse_bipoly("X0 + X1")
+    for num, den in ((p, q), (BigradedPoly.zero((2, 1)), q), (X * X, q), (p, X)):
+        with pytest.raises(TypeError, match="plane form"):
+            divide_exact(num, den)
+
+
+def test_derivative_refuses_bidegree_forms():
+    for p in (parse_bipoly("X0^2*Y1"), BigradedPoly.zero((1, 1)), parse_bipoly("3")):
+        for var in range(3):
+            with pytest.raises(TypeError, match="plane form"):
+                p.derivative(var)
+
+
+def test_bigraded_poly_is_hom_poly_with_bidegree_alias():
+    assert BigradedPoly is HomPoly
+    p = parse_bipoly("X0*Y0 - 2*X1*Y1")
+    assert p.bidegree == p.degree == (1, 1)
+    assert str(p) == "X0*Y0 - 2*X1*Y1"
+    assert p.coeff_vector() == (1, 0, 0, -2)
+    with pytest.raises(AttributeError):
+        p.bidegree = (2, 2)
+    with pytest.raises(ValueError):
+        BigradedPoly((1, 1), {(1, 0, 1): 1})
+    with pytest.raises(ValueError):
+        HomPoly(2, {(1, 0, 1, 0): 1})
+
+
+def test_parse_error_messages_name_lowest_and_highest_degree():
+    with pytest.raises(ParseError) as err:
+        parse_hompoly("x + y^3 + z^2")
+    assert str(err.value) == "not homogeneous: 'x + y^3 + z^2' mixes degree 1 and degree 3 terms"
+    with pytest.raises(ParseError) as err:
+        parse_bipoly("X0 + Y0")
+    assert str(err.value) == "not bihomogeneous: 'X0 + Y0' mixes bidegree (0, 1) and bidegree (1, 0) terms"
+    with pytest.raises(ParseError) as err:
+        parse_bipoly("X0*Y0", bidegree=[2, 1])
+    assert str(err.value) == "declared bidegree (2, 1) but terms have bidegree (1, 1)"
+    with pytest.raises(ParseError) as err:
+        parse_bipoly("0")
+    assert str(err.value) == "zero polynomial needs a declared bidegree"
+    assert parse_bipoly("0", bidegree=[1, 2]) == BigradedPoly.zero((1, 2))

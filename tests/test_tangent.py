@@ -368,3 +368,32 @@ def test_one_rung_smoothness_matches_full_ladder(monkeypatch):
     # the six wedge curves are smooth and the five special forms singular;
     # the line closes the list
     assert verdicts == [True] * 6 + [False] * 5 + [True]
+
+
+def test_smoothness_matches_a_groebner_basis_of_the_partials():
+    # The partials have only the trivial common zero exactly when their ideal
+    # has finite colength, i.e. when a grevlex Groebner basis has a pure power
+    # of each variable among its leading monomials.
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x y z")
+
+    def expr(p):
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(v**e for v, e in zip(gens, mono)))
+            for mono, c in p.terms.items()
+        ))
+
+    def groebner_smooth(F):
+        partials = [sympy.diff(expr(F), v) for v in gens]
+        basis = sympy.groebner(partials, *gens, order="grevlex")
+        leads = [sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in basis.exprs]
+        return all(
+            any(lead[i] > 0 and sum(lead) == lead[i] for lead in leads) for i in range(3)
+        )
+
+    rng = derive_rng(37, "smoothness-vs-groebner", 0)
+    cubics = [parse_hompoly(t) for t in ("x^3 + y^3 + z^3", "x^3 - y^2*z", "x*y*z")]
+    cubics += [random_hompoly(rng, 3) for _ in range(3)]
+    verdicts = [smoothness_check(F) for F in cubics]
+    assert verdicts == [groebner_smooth(F) for F in cubics]
+    assert verdicts[:3] == [True, False, False]
