@@ -28,6 +28,7 @@ from .polynomials import (
     parse_hompoly,
 )
 from .linalg import (
+    CertificateError,
     ExactMatrix,
     LinearMapReport,
     Membership,

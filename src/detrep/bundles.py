@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from .linalg import CertificateError
 from .polynomials import HomPoly, X, Y, Z, h0_p2, mono_basis
 
 FAMILIES = ("N", "T", "M", "E")
@@ -210,7 +211,7 @@ def select_E_d(d: int) -> BundleSpec:
     """The bundle whose pairs of sections cut degree-d curves.
 
     Even d comes from the N family, odd d from the T family; the defining
-    property, asserted here, is det_degree == d.
+    property, checked here, is det_degree == d.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
@@ -218,5 +219,6 @@ def select_E_d(d: int) -> BundleSpec:
         spec = N(d // 2 - 1)
     else:
         spec = T((d - 3) // 2)
-    assert det_degree(spec) == d
+    if det_degree(spec) != d:
+        raise CertificateError(f"{spec.label()} cuts degree {det_degree(spec)}, not {d}")
     return spec

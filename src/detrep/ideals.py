@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .bundles import T
 from .detmatrix import GpliError, Section
-from .linalg import ExactMatrix, LinearMapReport, rank, report
+from .linalg import CertificateError, ExactMatrix, LinearMapReport, rank, report
 from .polynomials import HomPoly, X, Y, Z, h0_p2, multiple_columns
 from .tangent import tangent_map
 
@@ -157,7 +157,8 @@ def containment_degree(generators: Sequence[HomPoly]) -> ContainmentReport:
         dim = component_dim(generators, nxt)
         full = dim == h0_p2(nxt)
         ladder.append(LadderRow(k=nxt, dim=dim, full=full))
-        assert full, "a full graded piece must stay full one degree up"
+        if not full:
+            raise CertificateError("a full graded piece must stay full one degree up")
     return ContainmentReport(reached=reached, bound=bound, ladder=tuple(ladder))
 
 

@@ -19,7 +19,9 @@ is the sole authority for deficient ranks.
 
 Membership and surjectivity verdicts come with certificates (a preimage or a
 cokernel functional) that are re-verified against the original matrix before
-being returned.
+being returned.  Functionals are re-checked in integers, against the cleared
+rows.  A failed re-check raises ``CertificateError``, which ``python -O``
+does not strip.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ _FAST_PRIME = 2**31 - 1
 # Tests may flip this to exercise the pure-Bareiss path.
 USE_MODP_FAST_PATH = True
 _ZERO = Fraction(0)
+
+
+class CertificateError(Exception):
+    """A certificate or internal invariant failed its exact re-check.
+
+    This is a defect of the program, never of its input, so it is not a
+    ``ValueError``.
+    """
 
 
 class ExactMatrix:
@@ -163,19 +173,22 @@ def _combine(row: List[int], other: List[int], a: int, b: int, d: int, start: in
     """row[j] = (a * row[j] - b * other[j]) / d for j >= start, in place."""
     for j in range(start, len(row)):
         q, rem = divmod(a * row[j] - b * other[j], d)
-        assert rem == 0, "Bareiss division must be exact"
+        if rem:
+            raise CertificateError("Bareiss division must be exact")
         row[j] = q
 
 
 def _bareiss_echelon(
     rows: List[List[int]], pivot_cols: int, track: bool = False
-) -> Tuple[List[List[int]], List[Tuple[int, int]], Optional[List[List[int]]]]:
+) -> Tuple[List[List[int]], List[Tuple[int, int]], Optional[List[List[int]]], int]:
     """Fraction-free row echelon form: the one elimination routine.
 
     Only the first ``pivot_cols`` columns are eligible to host pivots; all
     columns (including any caller-appended ones) are updated.  Returns the
-    echelon rows, the (row, col) pivot list, and, when ``track`` is set, the
-    integer row-operation tracker T with T @ input == echelon.
+    echelon rows, the (row, col) pivot list, when ``track`` is set the
+    integer row-operation tracker T with T @ input == echelon (else None),
+    and the sign (+1 or -1) of the row permutation.  On a nonsingular square
+    input the last pivot times that sign is the determinant.
 
     Classic Bareiss updates every row below the pivot at every step; for a
     row whose entry in the pivot column is already zero that update is only
@@ -196,6 +209,7 @@ def _bareiss_echelon(
     div = [1] * n
     pivots: List[Tuple[int, int]] = []
     prev = 1
+    sign = 1
 
     def catch_up(i: int, start: int) -> None:
         # Scale a lagging row (and its tracker row) by prev/div[i].
@@ -215,6 +229,7 @@ def _bareiss_echelon(
         if piv_row != r:
             work[r], work[piv_row] = work[piv_row], work[r]
             div[r], div[piv_row] = div[piv_row], div[r]
+            sign = -sign
             if tracker is not None:
                 tracker[r], tracker[piv_row] = tracker[piv_row], tracker[r]
         catch_up(r, col)
@@ -235,7 +250,7 @@ def _bareiss_echelon(
         r += 1
     for i in range(r, n):
         catch_up(i, 0)
-    return work, pivots, tracker
+    return work, pivots, tracker, sign
 
 
 def _reduce(echelon: List[List[int]], pivots: List[Tuple[int, int]]) -> List[List[Fraction]]:
@@ -258,6 +273,17 @@ def _reduce(echelon: List[List[int]], pivots: List[Tuple[int, int]]) -> List[Lis
                     out[j] -= f * lower[j]
         done.append((c, out, [j for j in range(c, len(out)) if out[j]]))
     return [out for _, out, _ in reversed(done)]
+
+
+def _left_product(t: Sequence[int], rows: Sequence[Sequence[int]]) -> List[int]:
+    """The integer row vector t @ rows, skipping zero factors and entries."""
+    acc = [0] * len(rows[0])
+    for ti, row in zip(t, rows):
+        if ti:
+            for j, e in enumerate(row):
+                if e:
+                    acc[j] += ti * e
+    return acc
 
 
 def _modp_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -301,7 +327,7 @@ def rank(M: ExactMatrix) -> int:
         fast = _modp_rank(introws)
         if fast == min(M.rows, M.cols):
             return fast
-    _, pivots, _ = _bareiss_echelon(introws, M.cols)
+    _, pivots, _, _ = _bareiss_echelon(introws, M.cols)
     return len(pivots)
 
 
@@ -314,7 +340,7 @@ def kernel_basis(M: ExactMatrix) -> List[Vector]:
     if M.cols == 0:
         return []
     introws, _ = _int_rows(M)
-    echelon, pivots, _ = _bareiss_echelon(introws, M.cols)
+    echelon, pivots, _, _ = _bareiss_echelon(introws, M.cols)
     reduced = _reduce(echelon, pivots)
     pivot_cols = {c for _, c in pivots}
     basis: List[Vector] = []
@@ -326,7 +352,8 @@ def kernel_basis(M: ExactMatrix) -> List[Vector]:
         for (_, c), row in zip(pivots, reduced):
             x[c] = -row[f]
         vec = tuple(x)
-        assert all(e == 0 for e in M.times_vector(vec)), "kernel vector must verify"
+        if any(M.times_vector(vec)):
+            raise CertificateError("kernel vector must verify")
         basis.append(vec)
     return basis
 
@@ -338,7 +365,7 @@ def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
         raise ValueError("vector length does not match row count")
     aug = M.augment_column(vv)
     introws, scales = _int_rows(aug)
-    echelon, pivots, tracker = _bareiss_echelon(introws, M.cols, track=True)
+    echelon, pivots, tracker, _ = _bareiss_echelon(introws, M.cols, track=True)
     rank_m = len(pivots)
     # v lies in the span iff no leftover row has a nonzero entry in v's column.
     bad_row = None
@@ -347,17 +374,22 @@ def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
             bad_row = i
             break
     if bad_row is not None:
-        w = tuple(Fraction(tracker[bad_row][i] * scales[i]) for i in range(M.rows))
-        assert any(e != 0 for e in w)
-        assert all(e == 0 for e in M.left_times_vector(w)), "functional must kill M"
-        pairing = sum((w[i] * vv[i] for i in range(M.rows)), Fraction(0))
-        assert pairing != 0, "functional must separate v"
+        # w_i = t_i * scale_i and introws_i = scale_i * (M | v)_i, so
+        # t @ introws is w @ (M | v): zero on M's columns, nonzero on v's.
+        t = tracker[bad_row]
+        *on_m, pairing = _left_product(t, introws)
+        if any(on_m):
+            raise CertificateError("functional must kill M")
+        if not pairing:
+            raise CertificateError("functional must separate v")
+        w = tuple(Fraction(ti * si) for ti, si in zip(t, scales))
         return Membership(member=False, preimage=None, functional=w)
     x = [_ZERO] * M.cols
     for (_, c), row in zip(pivots, _reduce(echelon, pivots)):
         x[c] = row[M.cols]
     pre = tuple(x)
-    assert M.times_vector(pre) == vv, "preimage must verify"
+    if M.times_vector(pre) != vv:
+        raise CertificateError("preimage must verify")
     return Membership(member=True, preimage=pre, functional=None)
 
 
@@ -366,13 +398,14 @@ def left_kernel_basis(M: ExactMatrix) -> List[Vector]:
     if M.rows == 0:
         return []
     introws, scales = _int_rows(M)
-    echelon, pivots, tracker = _bareiss_echelon(introws, M.cols, track=True)
+    echelon, pivots, tracker, _ = _bareiss_echelon(introws, M.cols, track=True)
     out: List[Vector] = []
     for i in range(len(pivots), M.rows):
-        w = tuple(Fraction(tracker[i][j] * scales[j]) for j in range(M.rows))
-        assert all(e == 0 for e in M.left_times_vector(w))
-        assert any(e != 0 for e in w)
-        out.append(w)
+        # As in in_column_space: t @ introws is w @ M.
+        t = tracker[i]
+        if not any(t) or any(_left_product(t, introws)):
+            raise CertificateError("left kernel vector must be nonzero and kill M")
+        out.append(tuple(Fraction(tj * sj) for tj, sj in zip(t, scales)))
     return out
 
 
@@ -383,7 +416,7 @@ def rref(M: ExactMatrix) -> Tuple[List[Vector], List[int]]:
     cleared elsewhere) and the pivot column indices, both deterministic.
     """
     introws, _ = _int_rows(M)
-    echelon, pivots, _ = _bareiss_echelon(introws, M.cols)
+    echelon, pivots, _, _ = _bareiss_echelon(introws, M.cols)
     return [tuple(row) for row in _reduce(echelon, pivots)], [c for _, c in pivots]
 
 

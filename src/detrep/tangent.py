@@ -47,7 +47,7 @@ from .bundles import (
     relation_source_degrees,
 )
 from .detmatrix import GpliError, Section, wedge_curve
-from .linalg import ExactMatrix, Vector, rank, rref
+from .linalg import CertificateError, ExactMatrix, Vector, rank, rref
 from .polynomials import HomPoly, h0_p2, multiple_columns
 
 
@@ -75,11 +75,13 @@ class SectionSpace:
             columns.extend(sum(parts, []) for parts in zip(*blocks))
         self.relation_matrix = ExactMatrix.from_columns(columns, rows=self.ambient_dim)
         rel_rows, rel_pivots = rref(self.relation_matrix.transpose())
-        assert len(rel_rows) == len(columns), "defining relations must be independent"
+        if len(rel_rows) != len(columns):
+            raise CertificateError("defining relations must be independent")
         pivot_set = set(rel_pivots)
         self.free_positions = [i for i in range(self.ambient_dim) if i not in pivot_set]
         self.dim = len(self.free_positions)
-        assert self.dim == h0_bundle(bundle), "rank-computed dimension must match"
+        if self.dim != h0_bundle(bundle):
+            raise CertificateError("rank-computed dimension must match")
         # Each reduced relation row is 1 at its pivot and 0 at every other
         # pivot, so only its free entries matter: (free index, value) pairs.
         self._rel_terms = [

@@ -20,7 +20,8 @@ from detrep.detmatrix import (
     wedge_curve,
     write_poly_matrix,
 )
-from detrep.detmatrix import _det_cofactor, _det_eliminate
+from detrep.detmatrix import _det_cofactor, _det_eliminate, _unpack
+from detrep.linalg import CertificateError
 from detrep.polynomials import HomPoly, ParseError, X, Y, Z, mono_basis, parse_bipoly, parse_hompoly
 from detrep.sampling import derive_rng, random_hompoly, random_section
 
@@ -83,6 +84,100 @@ def test_det_row_swap_changes_sign():
     m = PolyMatrix(entries)
     swapped = PolyMatrix([entries[1], entries[0], entries[2]])
     assert det_poly(swapped) == det_poly(m).scale(Fraction(-1))
+
+
+def oracle(m):
+    return _det_cofactor(m.entries, m.det_deg)
+
+
+def test_det_poly_matches_elimination_on_seeded_m21():
+    rng = derive_rng(1729, "kronecker-m21", 0)
+    m = degeneracy_matrix(tuple(random_section(rng, M(2, 1)) for _ in range(5)))
+    assert (m.size, m.det_deg) == (6, 7)
+    got = det_poly(m)
+    assert not got.is_zero()
+    assert got == _det_eliminate(m.entries, m.det_deg)
+
+
+def test_det_poly_matches_elimination_on_mixed_patterns():
+    # Row/column degree splits with zero entries of negative degree, entries
+    # above the determinant degree and rational coefficients.
+    rng = random.Random("kronecker-patterns")
+    for size in range(1, 6):
+        for _ in range(10):
+            rows = [rng.randint(0, 1) for _ in range(size)]
+            cols = [rng.randint(-1, 1) for _ in range(size)]
+            entries = []
+            for r in rows:
+                row = []
+                for c in cols:
+                    e = random_hompoly(rng, r + c) if r + c >= 0 else HomPoly.zero(r + c)
+                    row.append(e.scale(Fraction(1, rng.randint(1, 6))))
+                entries.append(row)
+            m = PolyMatrix(entries)
+            assert det_poly(m) == _det_eliminate(m.entries, m.det_deg)
+
+
+def test_det_poly_zero_determinant_is_zero_of_its_degree():
+    m = PolyMatrix([[X, Y, Z], [X * 2, Y * 2, Z * 2], [Z, X, Y]])
+    assert det_poly(m) == HomPoly.zero(3)
+    assert det_poly(PolyMatrix([[HomPoly.zero(2)]])) == HomPoly.zero(2)
+
+
+def test_det_poly_rows_with_different_denominators():
+    third = Fraction(1, 3)
+    m = PolyMatrix([
+        [X.scale(Fraction(1, 2)), Y.scale(Fraction(-3, 4)), Z],
+        [Y.scale(third), Z.scale(Fraction(5, 6)), X.scale(Fraction(7, 9))],
+        [Z, X.scale(Fraction(-1, 5)), Y.scale(Fraction(2, 7))],
+    ])
+    got = det_poly(m)
+    assert got == oracle(m)
+    assert any(c.denominator > 1 for c in got.terms.values())
+
+
+def test_det_poly_balanced_digit_borrows():
+    big = 2**40
+    # -1 beside large coefficients: negative digits borrow from their
+    # neighbours on both sides.
+    m = PolyMatrix([
+        [X.scale(big) - Y + Z.scale(big - 1), -X + Y.scale(big), Z.scale(-1)],
+        [Y.scale(-1), X.scale(-big) + Z, Y.scale(big + 1)],
+        [Z.scale(big) - X, -Y, X.scale(-1) + Y.scale(-big)],
+    ])
+    assert det_poly(m) == oracle(m)
+    # A coefficient of magnitude exactly the bound, prod_i sum_j |a_ij|_1,
+    # with both signs, at and one below a power of two.
+    for c in (big - 1, -(big - 1), big, -big):
+        m = PolyMatrix([[X.scale(c), HomPoly.zero(1)], [HomPoly.zero(1), Y]])
+        assert det_poly(m) == (X * Y).scale(c)
+        m = PolyMatrix([[(X * Z).scale(c)]])
+        assert det_poly(m) == (X * Z).scale(c)
+
+
+def test_det_poly_one_by_one():
+    q = parse_hompoly("3*x^2 - 1/2*y*z + z^2")
+    assert det_poly(PolyMatrix([[q]])) == q
+
+
+def test_det_poly_negative_and_oversized_entry_degrees():
+    # Degrees [[1, 0], [0, -1]]: the (1, 1) entry is a zero of degree -1.
+    m = PolyMatrix([[X, HomPoly.monomial((0, 0, 0), 2)], [HomPoly.monomial((0, 0, 0), 3), HomPoly.zero(-1)]])
+    assert det_poly(m) == HomPoly.monomial((0, 0, 0), -6)
+    # Degrees [[2, 0], [1, -1]]: the (0, 0) entry has degree 2 > D = 1.
+    big = parse_hompoly("x^2 - 5*x*y + 7*y^2 + z^2")
+    m = PolyMatrix([[big, HomPoly.monomial((0, 0, 0), 4)], [X - Z, HomPoly.zero(-1)]])
+    assert m.det_deg == 1
+    assert det_poly(m) == (X - Z).scale(-4) == oracle(m)
+    # A negative determinant degree leaves only the zero form.
+    assert det_poly(PolyMatrix([[HomPoly.zero(-1)]])) == HomPoly.zero(-1)
+
+
+def test_kronecker_unpack_guards_the_triangle():
+    # Degree 1, digits of 4 bits: digit 2 is y, digit 3 is x*y, outside a + b <= 1.
+    assert _unpack(-5 << 8, 4, 1, 2) == HomPoly(1, {(0, 1, 0): Fraction(-5, 2)})
+    with pytest.raises(CertificateError, match="outside degree 1"):
+        _unpack(1 << 12, 4, 1, 1)
 
 
 # ---------------------------------------------------------------- wedges

@@ -1,8 +1,14 @@
 """Exact linear algebra: ranks, kernels, membership certificates."""
 
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -304,13 +310,15 @@ def classic_bareiss(rows, pivot_cols):
     width = len(work[0]) if work else 0
     tracker = [[int(i == j) for j in range(n)] for i in range(n)]
     pivots = []
-    prev, r = 1, 0
+    prev, r, sign = 1, 0, 1
     for col in range(min(pivot_cols, width)):
         if r == n:
             break
         piv_row = next((i for i in range(r, n) if work[i][col]), None)
         if piv_row is None:
             continue
+        if piv_row != r:
+            sign = -sign
         work[r], work[piv_row] = work[piv_row], work[r]
         tracker[r], tracker[piv_row] = tracker[piv_row], tracker[r]
         piv = work[r][col]
@@ -321,12 +329,12 @@ def classic_bareiss(rows, pivot_cols):
         prev = piv
         pivots.append((r, col))
         r += 1
-    return work, pivots, tracker
+    return work, pivots, tracker, sign
 
 
 def check_against_classic(m, pivot_cols):
-    echelon, pivots, tracker = la._bareiss_echelon(m, pivot_cols, track=True)
-    assert (echelon, pivots, tracker) == classic_bareiss(m, pivot_cols)
+    echelon, pivots, tracker, sign = la._bareiss_echelon(m, pivot_cols, track=True)
+    assert (echelon, pivots, tracker, sign) == classic_bareiss(m, pivot_cols)
     for t_row, e_row in zip(tracker, echelon):
         assert [sum(t * m[i][j] for i, t in enumerate(t_row)) for j in range(len(m[0]))] == e_row
     return pivots
@@ -368,3 +376,60 @@ def test_special_pair_k3_verdicts():
     res = in_column_space(matrix, shifted)
     assert res.member
     assert matrix.times_vector(res.preimage) == shifted
+
+
+def test_bareiss_last_pivot_is_the_determinant():
+    # sign * last pivot == det on nonsingular square inputs, by Leibniz.
+    rng = random.Random("bareiss-det")
+    for n in range(1, 6):
+        for _ in range(30):
+            m = [[rng.choice([0, 0, rng.randint(-9, 9), rng.randint(-2**40, 2**40)]) for _ in range(n)] for _ in range(n)]
+            det = sum(
+                math.prod(m[i][p[i]] for i in range(n))
+                * (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+                for p in itertools.permutations(range(n))
+            )
+            echelon, pivots, _, sign = la._bareiss_echelon(m, n)
+            assert (sign * echelon[-1][-1] if len(pivots) == n else 0) == det
+
+
+CHECKS_UNDER_O = textwrap.dedent(
+    """
+    import sys
+    import detrep.linalg as la
+    from detrep.detmatrix import _unpack
+
+    real = la._bareiss_echelon
+
+    def corrupt(rows, pivot_cols, track=False):
+        echelon, pivots, tracker, sign = real(rows, pivot_cols, track)
+        if track:
+            tracker[-1][0] += 1
+        return echelon, pivots, tracker, sign
+
+    checks = {
+        "bareiss": lambda: la._combine([1], [0], 1, 0, 2, 0),
+        "kronecker": lambda: _unpack(1 << 12, 4, 1, 1),
+        "membership": lambda: la.in_column_space(la.ExactMatrix([[1, 0], [0, 0]]), [0, 1]),
+        "left_kernel": lambda: la.left_kernel_basis(la.ExactMatrix([[1, 0], [0, 0]])),
+    }
+    la._bareiss_echelon = corrupt
+    raised = []
+    for name, check in checks.items():
+        try:
+            check()
+        except la.CertificateError:
+            raised.append(name)
+    print(sys.flags.optimize, *raised)
+    """
+)
+
+
+def test_certificate_checks_raise_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", CHECKS_UNDER_O],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.split()
+    assert out == ["1", "bareiss", "kronecker", "membership", "left_kernel"]
