@@ -3,11 +3,13 @@
 Output is a human-readable listing by default or JSON with --json; all
 mathematical values are exact (rationals rendered as "p/q").  Exit codes:
 0 when every verdict passes, 1 when a mathematical verdict fails, 2 on
-usage or parse errors.
+usage or parse errors, 3 when a certificate or internal invariant fails its
+re-check (a defect of the program, not of the input).
 
 Each ``cmd_*`` function returns a ``RunReport`` and raises ``ValueError``
 (``ParseError`` included) on bad input.  ``main`` alone times the command,
-prints its report and maps a ``ValueError`` to ``error: ...`` with exit 2.
+prints its report, maps a ``ValueError`` to ``error: ...`` with exit 2 and a
+``CertificateError`` to ``internal error: ...`` with exit 3.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .bundles import (
 )
 from .detmatrix import GpliError, Section
 from .ideals import containment_degree, diagram_crosscheck, mult_map_matrix, u_generators
-from .linalg import in_column_space
+from .linalg import CertificateError, in_column_space
 from .biprojective import dpsi_report, monomial_cover_check, witness_quad
 from .polynomials import HomPoly, ParseError, h0_p2, parse_hompoly
 from .sampling import derive_rng, random_pair, resolve_seed
@@ -38,6 +40,13 @@ from .tangent import smoothness_check, tangent_map
 
 USAGE_ERROR = 2
 VERDICT_ERROR = 1
+INTERNAL_ERROR = 3
+
+# The largest --n that mult and tangent accept.  `detrep mult --seed 1` on a
+# 2-core machine took 0.8 s at n = 11 and 140 s at n = 9, where 2n + 3 is a
+# multiple of 3 and the membership probes run; at n = 12, with the probes, it
+# did not finish within 450 s.  `detrep tangent` stayed under 2 s up to n = 16.
+MAX_N = 11
 
 
 @dataclass
@@ -101,6 +110,11 @@ def _textual(value):
     return str(value)
 
 
+def _check_n(n: int) -> None:
+    if n > MAX_N:
+        raise ValueError(f"--n must be at most {MAX_N}, got {n}")
+
+
 def _parse_section(bundle: BundleSpec, text: str) -> Section:
     degrees = ambient_degrees(bundle)
     parts = [p.strip() for p in text.split(",")]
@@ -146,6 +160,7 @@ def cmd_verify_example(args) -> RunReport:
 
 
 def cmd_tangent(args) -> RunReport:
+    _check_n(args.n)
     bundle = BundleSpec(args.bundle, args.n)
     v1 = _parse_section(bundle, args.v1)
     v2 = _parse_section(bundle, args.v2)
@@ -173,6 +188,7 @@ def cmd_tangent(args) -> RunReport:
 
 def cmd_mult(args) -> RunReport:
     n = args.n
+    _check_n(n)
     bundle = BundleSpec("T", n)
     seed = None
     if args.f is not None or args.g is not None:
@@ -403,6 +419,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except CertificateError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     report.timing = time.perf_counter() - t0
     print(report.to_json() if args.json else report.to_text())
     return report.exit_code()

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals with verifiable verdicts.
 
 Everything here returns exact answers, from one elimination core:
-fraction-free (Bareiss) elimination over the integers after clearing
-denominators row by row (``_bareiss_echelon``), and one back-substitution
-that turns its echelon form into the reduced one (``_reduce``).  Ranks,
+fraction-free (Bareiss) elimination over the integers (``_bareiss_echelon``)
+and one back-substitution that turns its echelon form into the reduced one
+(``_reduce``).  An ``ExactMatrix`` clears its rows of denominators once, at
+construction, and stores them in the integer form the core reads.  Ranks,
 kernels, left kernels, membership and ``rref`` all run on it.  Pivoting is
 deterministic (first nonzero entry in column order), so identical inputs give
 bit-identical outputs.  The elimination leaves a row alone while its entry
@@ -19,9 +20,9 @@ is the sole authority for deficient ranks.
 
 Membership and surjectivity verdicts come with certificates (a preimage or a
 cokernel functional) that are re-verified against the original matrix before
-being returned.  Functionals are re-checked in integers, against the cleared
-rows.  A failed re-check raises ``CertificateError``, which ``python -O``
-does not strip.
+being returned, and so are kernel vectors.  Every re-check runs in integers,
+against the stored cleared rows.  A failed re-check raises
+``CertificateError``, which ``python -O`` does not strip.
 """
 
 from __future__ import annotations
@@ -52,18 +53,29 @@ class CertificateError(Exception):
 
 
 class ExactMatrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable dense rational matrix, stored as the elimination core reads it.
 
-    __slots__ = ("rows", "cols", "entries")
+    Row i is ``ints[i] / dens[i]``: integer entries over one positive
+    denominator, the lcm of the row's entry denominators.  Rows are cleared
+    once, at construction; the form is canonical, so equal matrices have
+    equal stored rows.  ``entries`` is the read-only Fraction view.
+    """
+
+    __slots__ = ("rows", "cols", "ints", "dens")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = tuple(tuple(_rat(e) for e in row) for row in entries)
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows")
-        self.entries = rows
+        cleared = [_clear(row) for row in entries]
+        cols = len(cleared[0][0]) if cleared else 0
+        self._store(cols, [row for row, _ in cleared], [den for _, den in cleared])
+
+    def _store(self, cols: int, ints: Sequence[Tuple[int, ...]], dens: Sequence[int]) -> None:
+        if any(len(row) != cols for row in ints):
+            raise ValueError("ragged rows")
+        self.rows, self.cols, self.ints, self.dens = len(ints), cols, tuple(ints), tuple(dens)
+
+    @property
+    def entries(self) -> Tuple[Vector, ...]:
+        return tuple(tuple(Fraction(e, den) for e in row) for row, den in zip(self.ints, self.dens))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> ExactMatrix:
@@ -82,50 +94,28 @@ class ExactMatrix:
     def zero(rows: int, cols: int) -> ExactMatrix:
         return ExactMatrix([[0] * cols for _ in range(rows)])
 
-    @staticmethod
-    def identity(n: int) -> ExactMatrix:
-        return ExactMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def transpose(self) -> ExactMatrix:
-        return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def column(self, j: int) -> Vector:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
     def augment_column(self, v: Sequence) -> ExactMatrix:
+        """The matrix (self | v); each row's denominator merges with v_i's."""
         if len(v) != self.rows:
             raise ValueError("column length does not match row count")
-        return ExactMatrix(
-            [list(self.entries[i]) + [v[i]] for i in range(self.rows)]
-        )
-
-    def times_vector(self, v: Sequence) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        vv = [_rat(e) for e in v]
-        return tuple(
-            sum((self.entries[i][j] * vv[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
-
-    def left_times_vector(self, w: Sequence) -> Vector:
-        if len(w) != self.rows:
-            raise ValueError("vector length does not match row count")
-        ww = [_rat(e) for e in w]
-        return tuple(
-            sum((ww[i] * self.entries[i][j] for i in range(self.rows)), Fraction(0))
-            for j in range(self.cols)
-        )
+        ints, dens = [], []
+        for row, den, e in zip(self.ints, self.dens, v):
+            num, d = _rat(e).as_integer_ratio()
+            merged = math.lcm(den, d)
+            scale = merged // den
+            ints.append((*(x * scale for x in row), num * (merged // d)))
+            dens.append(merged)
+        out = ExactMatrix.__new__(ExactMatrix)
+        out._store(self.cols + 1, ints, dens)
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return (self.cols, self.ints, self.dens) == (other.cols, other.ints, other.dens)
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.cols, self.ints, self.dens))
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -158,15 +148,11 @@ class LinearMapReport:
 # ---------------------------------------------------------------------------
 
 
-def _int_rows(M: ExactMatrix) -> Tuple[List[List[int]], List[int]]:
-    """Clear denominators row by row; returns integer rows and the scalars."""
-    out: List[List[int]] = []
-    scales: List[int] = []
-    for row in M.entries:
-        mult = math.lcm(*[e.denominator for e in row])
-        out.append([e.numerator * (mult // e.denominator) for e in row])
-        scales.append(mult)
-    return out, scales
+def _clear(row: Sequence) -> Tuple[Tuple[int, ...], int]:
+    """A row of exact rationals as integers over the lcm of its denominators."""
+    ratios = [_rat(e).as_integer_ratio() for e in row]
+    den = math.lcm(*{d for _, d in ratios})
+    return tuple([n * (den // d) for n, d in ratios]), den
 
 
 def _combine(row: List[int], other: List[int], a: int, b: int, d: int, start: int) -> None:
@@ -286,6 +272,12 @@ def _left_product(t: Sequence[int], rows: Sequence[Sequence[int]]) -> List[int]:
     return acc
 
 
+def _annihilates(rows: Sequence[Sequence[int]], x: Sequence[Fraction]) -> bool:
+    """Whether rows @ x == 0, decided in integers on x's cleared form."""
+    support = [(j, e) for j, e in enumerate(_clear(x)[0]) if e]
+    return not any(sum(row[j] * e for j, e in support) for row in rows)
+
+
 def _modp_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix modulo 2^31 - 1 (a lower bound on the rank)."""
     p = _FAST_PRIME
@@ -322,12 +314,11 @@ def rank(M: ExactMatrix) -> int:
     """Exact rank over the rationals."""
     if M.rows == 0 or M.cols == 0:
         return 0
-    introws, _ = _int_rows(M)
     if USE_MODP_FAST_PATH:
-        fast = _modp_rank(introws)
+        fast = _modp_rank(M.ints)
         if fast == min(M.rows, M.cols):
             return fast
-    _, pivots, _, _ = _bareiss_echelon(introws, M.cols)
+    _, pivots, _, _ = _bareiss_echelon(M.ints, M.cols)
     return len(pivots)
 
 
@@ -337,10 +328,7 @@ def kernel_basis(M: ExactMatrix) -> List[Vector]:
     The vector of free column f has x_f = 1, every other free entry 0, and
     x_c = -R_c[f] for the reduced row R_c with pivot column c.
     """
-    if M.cols == 0:
-        return []
-    introws, _ = _int_rows(M)
-    echelon, pivots, _, _ = _bareiss_echelon(introws, M.cols)
+    echelon, pivots, _, _ = _bareiss_echelon(M.ints, M.cols)
     reduced = _reduce(echelon, pivots)
     pivot_cols = {c for _, c in pivots}
     basis: List[Vector] = []
@@ -352,7 +340,7 @@ def kernel_basis(M: ExactMatrix) -> List[Vector]:
         for (_, c), row in zip(pivots, reduced):
             x[c] = -row[f]
         vec = tuple(x)
-        if any(M.times_vector(vec)):
+        if not _annihilates(M.ints, vec):
             raise CertificateError("kernel vector must verify")
         basis.append(vec)
     return basis
@@ -360,52 +348,41 @@ def kernel_basis(M: ExactMatrix) -> List[Vector]:
 
 def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
     """Decide v in col-span(M) with a re-verified certificate either way."""
-    vv = tuple(_rat(e) for e in v)
-    if len(vv) != M.rows:
-        raise ValueError("vector length does not match row count")
-    aug = M.augment_column(vv)
-    introws, scales = _int_rows(aug)
-    echelon, pivots, tracker, _ = _bareiss_echelon(introws, M.cols, track=True)
-    rank_m = len(pivots)
+    aug = M.augment_column(v)
+    echelon, pivots, tracker, _ = _bareiss_echelon(aug.ints, M.cols, track=True)
     # v lies in the span iff no leftover row has a nonzero entry in v's column.
-    bad_row = None
-    for i in range(rank_m, len(echelon)):
-        if echelon[i][M.cols]:
-            bad_row = i
-            break
+    bad_row = next((i for i in range(len(pivots), M.rows) if echelon[i][M.cols]), None)
     if bad_row is not None:
-        # w_i = t_i * scale_i and introws_i = scale_i * (M | v)_i, so
-        # t @ introws is w @ (M | v): zero on M's columns, nonzero on v's.
+        # w_i = t_i * dens_i and ints_i = dens_i * (M | v)_i, so
+        # t @ ints is w @ (M | v): zero on M's columns, nonzero on v's.
         t = tracker[bad_row]
-        *on_m, pairing = _left_product(t, introws)
+        *on_m, pairing = _left_product(t, aug.ints)
         if any(on_m):
             raise CertificateError("functional must kill M")
         if not pairing:
             raise CertificateError("functional must separate v")
-        w = tuple(Fraction(ti * si) for ti, si in zip(t, scales))
+        w = tuple(Fraction(ti * di) for ti, di in zip(t, aug.dens))
         return Membership(member=False, preimage=None, functional=w)
     x = [_ZERO] * M.cols
     for (_, c), row in zip(pivots, _reduce(echelon, pivots)):
         x[c] = row[M.cols]
     pre = tuple(x)
-    if M.times_vector(pre) != vv:
+    # M @ pre == v exactly when (M | v) @ (pre, -1) == 0.
+    if not _annihilates(aug.ints, pre + (-1,)):
         raise CertificateError("preimage must verify")
     return Membership(member=True, preimage=pre, functional=None)
 
 
 def left_kernel_basis(M: ExactMatrix) -> List[Vector]:
     """Basis of the left kernel (functionals vanishing on the column space)."""
-    if M.rows == 0:
-        return []
-    introws, scales = _int_rows(M)
-    echelon, pivots, tracker, _ = _bareiss_echelon(introws, M.cols, track=True)
+    echelon, pivots, tracker, _ = _bareiss_echelon(M.ints, M.cols, track=True)
     out: List[Vector] = []
     for i in range(len(pivots), M.rows):
-        # As in in_column_space: t @ introws is w @ M.
+        # As in in_column_space: t @ ints is w @ M.
         t = tracker[i]
-        if not any(t) or any(_left_product(t, introws)):
+        if not any(t) or any(_left_product(t, M.ints)):
             raise CertificateError("left kernel vector must be nonzero and kill M")
-        out.append(tuple(Fraction(tj * sj) for tj, sj in zip(t, scales)))
+        out.append(tuple(Fraction(tj * dj) for tj, dj in zip(t, M.dens)))
     return out
 
 
@@ -415,8 +392,7 @@ def rref(M: ExactMatrix) -> Tuple[List[Vector], List[int]]:
     Returns the nonzero rows (pivot entries normalized to 1, pivot columns
     cleared elsewhere) and the pivot column indices, both deterministic.
     """
-    introws, _ = _int_rows(M)
-    echelon, pivots, _, _ = _bareiss_echelon(introws, M.cols)
+    echelon, pivots, _, _ = _bareiss_echelon(M.ints, M.cols)
     return [tuple(row) for row in _reduce(echelon, pivots)], [c for _, c in pivots]
 
 

@@ -66,16 +66,16 @@ class SectionSpace:
         self.ambient_dim = off
 
         # Relation f*row for every monomial f of the row's source degree: one
-        # block of columns per row entry, stacked block by block.
-        columns: List[List[Fraction]] = []
+        # ambient vector per relation, stacked block by block.  Their span is
+        # the row space of the matrix with one relation per row.
+        relations: List[List[Fraction]] = []
         rows = relation_rows(bundle)
         sources = relation_source_degrees(bundle)
         for row, src in zip(rows, sources):
             blocks = [multiple_columns([entry], src + entry.degree) for entry in row]
-            columns.extend(sum(parts, []) for parts in zip(*blocks))
-        self.relation_matrix = ExactMatrix.from_columns(columns, rows=self.ambient_dim)
-        rel_rows, rel_pivots = rref(self.relation_matrix.transpose())
-        if len(rel_rows) != len(columns):
+            relations.extend(sum(parts, []) for parts in zip(*blocks))
+        rel_rows, rel_pivots = rref(ExactMatrix(relations))
+        if len(rel_rows) != len(relations):
             raise CertificateError("defining relations must be independent")
         pivot_set = set(rel_pivots)
         self.free_positions = [i for i in range(self.ambient_dim) if i not in pivot_set]

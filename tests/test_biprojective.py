@@ -16,6 +16,7 @@ from detrep.biprojective import (
 )
 from detrep.linalg import ExactMatrix, rank
 from detrep.polynomials import BigradedPoly, bimono_basis, parse_bipoly
+from products import times
 
 
 def random_biform(rng, a, b):
@@ -111,7 +112,7 @@ def test_dpsi_is_the_linearization():
     fvec = []
     for comp in f.components:
         fvec.extend(comp.coeff_vector())
-    dpsi_f = m.times_vector(tuple(fvec))
+    dpsi_f = times(m, fvec)
     target = bimono_basis(2, 2)
     for t in (Fraction(1), Fraction(-2)):
         moved = QuadSections(
@@ -137,7 +138,7 @@ def test_dpsi_slot_partners():
         vec = []
         for comp in f_comps:
             vec.extend(comp.coeff_vector())
-        image = m.times_vector(tuple(vec))
+        image = times(m, vec)
         got = BigradedPoly((2, 2), {mo: c for mo, c in zip(target, image) if c})
         assert got == partners[slot] * probe
 

@@ -8,6 +8,7 @@ import pytest
 import detrep.cli
 import detrep.ideals
 from detrep.cli import main
+from detrep.linalg import CertificateError
 
 
 def run_json(capsys, argv):
@@ -218,6 +219,18 @@ def test_containment_bad_polynomial(tmp_path, capsys):
 
 def test_unknown_subcommand_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_failed_certificate_is_an_internal_error(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise CertificateError("preimage must verify")
+
+    monkeypatch.setattr(detrep.cli, "diagram_crosscheck", fail)
+    code = main(["mult", "--n", "1", "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == detrep.cli.INTERNAL_ERROR == 3
+    assert captured.err == "internal error: preimage must verify\n"
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------- golden reports
