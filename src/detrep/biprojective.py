@@ -9,9 +9,9 @@ matrix the quadruple fills).  The derivative of psi at F is the linear map
 a bilinear shadow of the product rule; psi(F + t*f) expands exactly as
 psi(F) + t*dpsi_F(f) + t^2*psi(f).  Its matrix is the multiplication-column
 matrix of (F4, -F3, -F2, F1) from bidegree (ma, mb) into (2ma, 2mb), built by
-``multiple_columns``, the same kernel that builds the plane's multiplication
-maps.  The forms are ``HomPoly`` forms whose degree is the pair (a, b);
-``BigradedPoly`` is the same class under its P1 x P1 name.
+``linalg.multiplication_matrix``, the same builder that makes the plane's
+multiplication maps.  The forms are ``HomPoly`` forms whose degree is the
+pair (a, b); ``BigradedPoly`` is the same class under its P1 x P1 name.
 
 At the monomial witness quadruple (X0^ma*Y0^mb, X0^ma*Y1^mb, X1^ma*Y0^mb,
 X1^ma*Y1^mb) surjectivity of dpsi has a combinatorial certificate: every
@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .linalg import ExactMatrix, LinearMapReport, report
-from .polynomials import BigradedPoly, bimono_basis, multiple_columns
+from .linalg import ExactMatrix, LinearMapReport, multiplication_matrix, report
+from .polynomials import BigradedPoly, bimono_basis
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def dpsi_matrix(q: QuadSections) -> ExactMatrix:
     """
     f1, f2, f3, f4 = q.components
     target = (2 * q.m * q.a, 2 * q.m * q.b)
-    return ExactMatrix.from_columns(multiple_columns((f4, -f3, -f2, f1), target))
+    return multiplication_matrix((f4, -f3, -f2, f1), target)
 
 
 def dpsi_report(q: QuadSections) -> LinearMapReport:

@@ -9,8 +9,8 @@ These six forms span the space U.  Multiplying U by all forms of degree n+1
 lands in degree 2n+3, and the image of that multiplication map coincides with
 the image of the tangent map of the degeneracy construction at (f, g), after
 restriction to the curve.  ``diagram_crosscheck`` computes both verdicts and
-compares them.  The two sides share the column kernel
-``polynomials.multiple_columns``: the tangent matrix is a column subset of the
+compares them.  The two sides share the matrix builder
+``linalg.multiplication_matrix``: the tangent matrix is a column subset of the
 multiplication matrix of the cofactor forms, which for T(n) are these minors
 up to sign.  They differ in their index sets (every monomial of degree n+1
 against the lifts of a quotient basis) and in the curve column that augments
@@ -30,8 +30,15 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .bundles import T
 from .detmatrix import GpliError, Section
-from .linalg import CertificateError, ExactMatrix, LinearMapReport, rank, report
-from .polynomials import HomPoly, X, Y, Z, h0_p2, multiple_columns
+from .linalg import (
+    CertificateError,
+    ExactMatrix,
+    LinearMapReport,
+    multiplication_matrix,
+    rank,
+    report,
+)
+from .polynomials import HomPoly, X, Y, Z, h0_p2
 from .tangent import tangent_map
 
 Triple = Tuple[HomPoly, HomPoly, HomPoly]
@@ -87,10 +94,7 @@ def mult_map_matrix(u: USpace) -> ExactMatrix:
     Columns run over (generator, monomial) pairs in that nesting order;
     rows over the degree-(2n+3) monomial basis.
     """
-    target = 2 * u.n + 3
-    return ExactMatrix.from_columns(
-        multiple_columns(u.generators, target), rows=h0_p2(target)
-    )
+    return multiplication_matrix(u.generators, 2 * u.n + 3)
 
 
 def mult_map_report(u: USpace) -> LinearMapReport:
@@ -104,8 +108,7 @@ def mult_map_report(u: USpace) -> LinearMapReport:
 
 def component_matrix(generators: Sequence[HomPoly], k: int) -> ExactMatrix:
     """Matrix whose column space is the degree-k piece of the ideal."""
-    live = [gen for gen in generators if not gen.is_zero() and gen.degree <= k]
-    return ExactMatrix.from_columns(multiple_columns(live, k), rows=h0_p2(k))
+    return multiplication_matrix([gen for gen in generators if not gen.is_zero()], k)
 
 
 def component_dim(generators: Sequence[HomPoly], k: int) -> int:

@@ -3,20 +3,32 @@
 Everything here returns exact answers, from one elimination core:
 fraction-free (Bareiss) elimination over the integers (``_bareiss_echelon``)
 and one back-substitution that turns its echelon form into the reduced one
-(``_reduce``).  An ``ExactMatrix`` clears its rows of denominators once, at
-construction, and stores them in the integer form the core reads.  Ranks,
-kernels, left kernels, membership and ``rref`` all run on it.  Pivoting is
-deterministic (first nonzero entry in column order), so identical inputs give
-bit-identical outputs.  The elimination leaves a row alone while its entry
-in the pivot column is zero and divides its next update by the pivot that
-divided its last one (a lazy divisor, exact by telescoping), so the sparse
-relation and multiplication matrices cost only the updates they need.
+(``_reduce``); membership back-substitutes its preimage on the pivot columns
+and the vector's column alone (``_solve``).  An ``ExactMatrix`` clears its
+rows of denominators once, at construction, and stores them in the integer
+form the core reads.  Ranks, kernels, left kernels, membership and ``rref``
+all run on it.  Pivoting is deterministic (first nonzero entry in column
+order), so identical inputs give bit-identical outputs.  The elimination
+leaves a row alone while its entry in the pivot column is zero and divides
+its next update by the pivot that divided its last one (a lazy divisor,
+exact by telescoping), so the sparse relation and multiplication matrices
+cost only the updates they need.
+
+Multiplication matrices, whose columns are the products m*g of generators g
+with monomials m, come from one builder, ``multiplication_matrix``.  It
+clears each generator's coefficients once and writes the stored integer rows
+straight through the shift table of ``polynomials``; no ``Fraction`` matrix
+is built on the way.
 
 ``rank`` carries one internal shortcut: the matrix is first eliminated modulo
 the prime 2^31 - 1.  A full-rank outcome there exhibits a nonzero minor mod p,
 and an integer minor that is nonzero mod p is nonzero, so that verdict is
 already exact.  Any deficient outcome is recomputed by integer Bareiss, which
-is the sole authority for deficient ranks.
+is the sole authority for deficient ranks.  The sweep reduces the whole
+matrix mod p in one int64 numpy call, and reduces entry by entry in Python
+only when some entry needs more than 63 bits (numpy's ``OverflowError``).  At
+each pivot it updates only the rows below whose pivot-column entry is
+nonzero; the dense update would leave the others unchanged.
 
 Membership and surjectivity verdicts come with certificates (a preimage or a
 cokernel functional) that are re-verified against the original matrix before
@@ -34,7 +46,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .polynomials import _rat
+from .polynomials import HomPoly, _mono_index, _rat, _ring, _shift
 
 Vector = Tuple[Fraction, ...]
 
@@ -73,6 +85,14 @@ class ExactMatrix:
             raise ValueError("ragged rows")
         self.rows, self.cols, self.ints, self.dens = len(ints), cols, tuple(ints), tuple(dens)
 
+    @staticmethod
+    def _of(cols: int, ints: Sequence[Tuple[int, ...]], dens: Sequence[int]) -> ExactMatrix:
+        """A matrix from rows already in stored form; ``cols`` is kept even
+        when there are no rows."""
+        out = ExactMatrix.__new__(ExactMatrix)
+        out._store(cols, ints, dens)
+        return out
+
     @property
     def entries(self) -> Tuple[Vector, ...]:
         return tuple(tuple(Fraction(e, den) for e in row) for row, den in zip(self.ints, self.dens))
@@ -88,11 +108,13 @@ class ExactMatrix:
             rows = len(cols[0])
         elif rows is None:
             raise ValueError("row count is ambiguous for an empty column list")
+        if rows == 0:
+            return ExactMatrix.zero(0, len(cols))
         return ExactMatrix([[col[i] for col in cols] for i in range(rows)])
 
     @staticmethod
     def zero(rows: int, cols: int) -> ExactMatrix:
-        return ExactMatrix([[0] * cols for _ in range(rows)])
+        return ExactMatrix._of(cols, [(0,) * cols] * rows, [1] * rows)
 
     def augment_column(self, v: Sequence) -> ExactMatrix:
         """The matrix (self | v); each row's denominator merges with v_i's."""
@@ -105,9 +127,7 @@ class ExactMatrix:
             scale = merged // den
             ints.append((*(x * scale for x in row), num * (merged // d)))
             dens.append(merged)
-        out = ExactMatrix.__new__(ExactMatrix)
-        out._store(self.cols + 1, ints, dens)
-        return out
+        return ExactMatrix._of(self.cols + 1, ints, dens)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -119,6 +139,56 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
+
+
+def multiplication_matrix(
+    generators: Sequence[HomPoly], degree, keep: Optional[Sequence[Sequence[int]]] = None
+) -> ExactMatrix:
+    """The matrix whose columns are the coefficient vectors of m*g in the
+    degree-``degree`` basis, for every generator g and every monomial m of
+    degree ``degree - g.degree``.
+
+    Columns are generator-major, with m in basis order inside each
+    generator.  ``keep``, when given, holds one list per generator: the
+    positions in its multiplier basis whose columns are kept, in that order.
+    A zero generator gives zero columns, and a generator of degree above
+    ``degree`` gives none.
+
+    The integer rows are written straight through the shift table
+    ``polynomials._shift``.  Each generator's coefficients are cleared once,
+    over the lcm L of every generator's denominators; when L > 1 each row is
+    divided by its gcd with L, which leaves the canonical stored form, so
+    the result equals ``ExactMatrix.from_columns`` of the Fraction columns.
+    """
+    gens = list(generators)
+    keep = [None] * len(gens) if keep is None else list(keep)
+    if len(keep) != len(gens):
+        raise ValueError("keep needs one list per generator")
+    sub = _ring(degree).sub
+    rows = len(_mono_index(degree)[0])
+    blocks = []
+    for gen, kept in zip(gens, keep):
+        width = len(_mono_index(sub(degree, gen.degree))[0])
+        terms = [(_shift(t, degree), *c.as_integer_ratio()) for t, c in gen.terms.items()]
+        blocks.append((kept, width if kept is None else len(kept), terms))
+    scale = math.lcm(*(d for _, _, terms in blocks for _, _, d in terms))
+    cols = sum(width for _, width, _ in blocks)
+    ints = [[0] * cols for _ in range(rows)]
+    start = 0
+    for kept, width, terms in blocks:
+        for pos, num, den in terms:
+            value = num * (scale // den)
+            for col, p in enumerate(pos if kept is None else [pos[m] for m in kept], start):
+                ints[p][col] = value
+        start += width
+    if scale == 1:
+        return ExactMatrix._of(cols, [tuple(row) for row in ints], [1] * rows)
+    gcds = [math.gcd(scale, *row) for row in ints]
+    return ExactMatrix._of(
+        cols,
+        [tuple(e // g for e in row) for row, g in zip(ints, gcds)],
+        [scale // g for g in gcds],
+    )
 
 
 @dataclass(frozen=True)
@@ -261,6 +331,28 @@ def _reduce(echelon: List[List[int]], pivots: List[Tuple[int, int]]) -> List[Lis
     return [out for _, out, _ in reversed(done)]
 
 
+def _solve(echelon: List[List[int]], pivots: List[Tuple[int, int]], col: int) -> List[Fraction]:
+    """The x over the columns before ``col``, zero off the pivot columns, with
+    echelon @ (x, -1) == 0 on the pivot rows, where -1 sits at ``col``.
+
+    Back-substitution on the pivot columns and column ``col`` alone, bottom
+    row first, skipping the zero entries of x.  It solves the whole system
+    when every echelon row below the pivots is zero at ``col``.
+    """
+    x = [_ZERO] * col
+    known: List[Tuple[int, Fraction]] = []
+    for r, c in reversed(pivots):
+        row = echelon[r]
+        acc = Fraction(row[col])
+        for j, xj in known:
+            if row[j]:
+                acc -= row[j] * xj
+        if acc:
+            x[c] = acc / row[c]
+            known.append((c, x[c]))
+    return x
+
+
 def _left_product(t: Sequence[int], rows: Sequence[Sequence[int]]) -> List[int]:
     """The integer row vector t @ rows, skipping zero factors and entries."""
     acc = [0] * len(rows[0])
@@ -279,28 +371,39 @@ def _annihilates(rows: Sequence[Sequence[int]], x: Sequence[Fraction]) -> bool:
 
 
 def _modp_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix modulo 2^31 - 1 (a lower bound on the rank)."""
+    """Rank of an integer matrix modulo 2^31 - 1 (a lower bound on the rank).
+
+    The matrix is reduced mod p in one numpy call; only when some entry does
+    not fit in int64 (``OverflowError``) is each entry reduced in Python.
+    Each pivot step updates only the rows below the pivot whose entry in the
+    pivot column is nonzero: for any other row the dense update subtracts 0.
+    """
     p = _FAST_PRIME
     n = len(rows)
     if n == 0:
         return 0
-    arr = np.array([[e % p for e in row] for row in rows], dtype=np.int64)
+    try:
+        arr = np.array(rows, dtype=np.int64) % p
+    except OverflowError:
+        arr = np.array([[e % p for e in row] for row in rows], dtype=np.int64)
     width = arr.shape[1]
     r = 0
     for col in range(width):
         if r == n:
             break
-        nz = np.nonzero(arr[r:, col])[0]
+        nz = np.flatnonzero(arr[r:, col])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
+            # The old row r moves to i; it is zero in this column.
             arr[[r, i]] = arr[[i, r]]
-        inv = pow(int(arr[r, col]), p - 2, p)
-        if r + 1 < n:
-            factors = (arr[r + 1 :, col] * inv) % p
+        below = r + nz[1:]
+        if below.size:
+            inv = pow(int(arr[r, col]), p - 2, p)
+            factors = (arr[below, col] * inv) % p
             # entries < p and factors < p, so products stay below 2^62 < int64 max
-            arr[r + 1 :, col:] = (arr[r + 1 :, col:] - factors[:, None] * arr[r, col:]) % p
+            arr[below, col:] = (arr[below, col:] - factors[:, None] * arr[r, col:]) % p
         r += 1
     return r
 
@@ -363,10 +466,7 @@ def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
             raise CertificateError("functional must separate v")
         w = tuple(Fraction(ti * di) for ti, di in zip(t, aug.dens))
         return Membership(member=False, preimage=None, functional=w)
-    x = [_ZERO] * M.cols
-    for (_, c), row in zip(pivots, _reduce(echelon, pivots)):
-        x[c] = row[M.cols]
-    pre = tuple(x)
+    pre = tuple(_solve(echelon, pivots, M.cols))
     # M @ pre == v exactly when (M | v) @ (pre, -1) == 0.
     if not _annihilates(aug.ints, pre + (-1,)):
         raise CertificateError("preimage must verify")

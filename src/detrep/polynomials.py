@@ -18,11 +18,12 @@ giving a result.  ``derivative``, ``evaluate``, ``compose_linear`` and
 ``divide_exact`` are plane-only and refuse a bidegree form with a
 ``TypeError``; so does ``detmatrix.PolyMatrix``.
 
-Products and multiplication columns share one private primitive, ``_shift``:
-a cached table of the positions of t*m in the degree-D basis, for a monomial
-t and a target degree D, with m running over the basis of the complementary
-degree.  ``HomPoly.__mul__`` accumulates through it into a sparse map keyed
-by position, and ``multiple_columns`` writes its columns through it.
+Products and multiplication matrices share one private primitive,
+``_shift``: a cached table of the positions of t*m in the degree-D basis, for
+a monomial t and a target degree D, with m running over the basis of the
+complementary degree.  ``HomPoly.__mul__`` accumulates through it into a
+sparse map keyed by position, and ``linalg.multiplication_matrix`` writes
+the integer rows of its matrices through it.
 
 All coefficient arithmetic is exact (``fractions.Fraction``); nothing in this
 package ever touches floating point.  Monomial bases are enumerated in
@@ -37,7 +38,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 Mono3 = Tuple[int, int, int]
 Mono22 = Tuple[int, int, int, int]
@@ -144,28 +145,6 @@ def _shift(t: tuple, degree) -> Tuple[int, ...]:
     index = _mono_index(degree)[1]
     cofactors = _mono_index(ring.sub(degree, ring.grade(t)))[0]
     return tuple(index[tuple(map(operator.add, t, m))] for m in cofactors)
-
-
-def multiple_columns(generators: Iterable[HomPoly], degree) -> List[List[Fraction]]:
-    """Coefficient columns of m*g for every generator g and every monomial m
-    of degree ``degree - g.degree``.
-
-    Columns are generator-major, with m in basis order inside each generator;
-    each is ``(HomPoly.monomial(m) * g).coeff_vector()`` in the
-    degree-``degree`` basis, written term by term through the shift table
-    without building a product.  A zero generator gives zero columns, and a
-    generator of degree above ``degree`` gives none.
-    """
-    width = len(_mono_index(degree)[0])
-    sub = _ring(degree).sub
-    columns: List[List[Fraction]] = []
-    for gen in generators:
-        block = [[_ZERO] * width for _ in _mono_index(sub(degree, gen.degree))[0]]
-        for t, coeff in gen.terms.items():
-            for col, pos in zip(block, _shift(t, degree)):
-                col[pos] = coeff
-        columns.extend(block)
-    return columns
 
 
 class HomPoly:

@@ -47,8 +47,8 @@ from .bundles import (
     relation_source_degrees,
 )
 from .detmatrix import GpliError, Section, wedge_curve
-from .linalg import CertificateError, ExactMatrix, Vector, rank, rref
-from .polynomials import HomPoly, h0_p2, multiple_columns
+from .linalg import CertificateError, ExactMatrix, Vector, multiplication_matrix, rank, rref
+from .polynomials import HomPoly, h0_p2
 
 
 class SectionSpace:
@@ -66,14 +66,19 @@ class SectionSpace:
         self.ambient_dim = off
 
         # Relation f*row for every monomial f of the row's source degree: one
-        # ambient vector per relation, stacked block by block.  Their span is
-        # the row space of the matrix with one relation per row.
-        relations: List[List[Fraction]] = []
+        # ambient vector per relation, stacked block by block, which is the
+        # column f of the row's multiplication matrices stacked.  Their span
+        # is the row space of the matrix with one relation per row.
+        relations: List[Vector] = []
         rows = relation_rows(bundle)
         sources = relation_source_degrees(bundle)
         for row, src in zip(rows, sources):
-            blocks = [multiple_columns([entry], src + entry.degree) for entry in row]
-            relations.extend(sum(parts, []) for parts in zip(*blocks))
+            stack = [
+                line
+                for entry in row
+                for line in multiplication_matrix([entry], src + entry.degree).entries
+            ]
+            relations.extend(zip(*stack))
         rel_rows, rel_pivots = rref(ExactMatrix(relations))
         if len(rel_rows) != len(relations):
             raise CertificateError("defining relations must be independent")
@@ -248,18 +253,14 @@ def tangent_map(bundle: BundleSpec, v1: Section, v2: Section) -> TangentReport:
     for pos in quot.lift_positions:
         j = bisect_right(space.block_offsets, pos) - 1
         block_lifts[j].append(pos - space.block_offsets[j])
-    columns: List[List[Fraction]] = []
-    for v, sign in ((v2, -1), (v1, 1)):
-        for form, local in zip(cofactor_forms(v), block_lifts):
-            block_columns = multiple_columns([form.scale(sign)], degree)
-            columns.extend(block_columns[i] for i in local)
-    matrix = ExactMatrix.from_columns(columns, rows=h0_p2(degree))
+    forms = [-form for form in cofactor_forms(v2)] + list(cofactor_forms(v1))
+    matrix = multiplication_matrix(forms, degree, keep=block_lifts * 2)
     augmented = matrix.augment_column(curve.coeff_vector())
     aug_rank = rank(augmented)
     return TangentReport(
         bundle=bundle,
         matrix=matrix,
-        hom_dim=len(columns),
+        hom_dim=matrix.cols,
         curve=curve,
         target_dim=h0_p2(degree) - 1,
         augmented_rank=aug_rank,
@@ -285,5 +286,4 @@ def smoothness_check(F: HomPoly) -> bool:
         return False
     k = max(1, 3 * F.degree - 5)
     partials = [g for g in (F.derivative(v) for v in range(3)) if not g.is_zero()]
-    matrix = ExactMatrix.from_columns(multiple_columns(partials, k), rows=h0_p2(k))
-    return rank(matrix) == h0_p2(k)
+    return rank(multiplication_matrix(partials, k)) == h0_p2(k)

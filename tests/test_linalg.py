@@ -10,6 +10,7 @@ import textwrap
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,8 @@ from detrep.linalg import (
     report,
     rref,
 )
-from detrep.polynomials import HomPoly
+from columns import multiple_columns
+from detrep.polynomials import BigradedPoly, HomPoly, bimono_basis, h0_p2, mono_basis
 from products import left_times, times
 
 
@@ -219,6 +221,22 @@ def test_stored_rows_are_the_canonical_cleared_rows():
     assert (empty.rows, empty.cols, empty.ints) == (3, 0, ((), (), ()))
     with pytest.raises(TypeError):
         ExactMatrix([[1, 0.5]])
+
+
+def test_matrices_without_rows_keep_their_columns():
+    empty = ExactMatrix.zero(0, 3)
+    assert (empty.rows, empty.cols, empty.ints, empty.dens) == (0, 3, (), ())
+    assert repr(empty) == "ExactMatrix(0x3)"
+    assert ExactMatrix.from_columns([(), ()]) == ExactMatrix.zero(0, 2)
+    assert ExactMatrix.zero(2, 3) == frac_matrix([[0, 0, 0], [0, 0, 0]])
+    # Every vector of Q^3 is in the kernel of the map to Q^0.
+    assert rank(empty) == 0 and len(kernel_basis(empty)) == 3
+    assert in_column_space(empty, []).preimage == (0, 0, 0)
+    # Target bases with no monomials: degree -1, bidegree (2, -1).
+    for gen, degree, cols in ((HomPoly.zero(-1), -1, 2), (BigradedPoly.zero((1, -1)), (2, -1), 4)):
+        built = la.multiplication_matrix([gen, gen], degree)
+        assert (built.rows, built.cols) == (0, cols)
+        assert built == ExactMatrix.from_columns(multiple_columns([gen, gen], degree))
 
 
 entry = st.integers(min_value=-7, max_value=7)
@@ -419,6 +437,7 @@ CHECKS_UNDER_O = textwrap.dedent(
 
     real = la._bareiss_echelon
     real_reduce = la._reduce
+    real_solve = la._solve
 
     def corrupt(rows, pivot_cols, track=False):
         echelon, pivots, tracker, sign = real(rows, pivot_cols, track)
@@ -431,6 +450,11 @@ CHECKS_UNDER_O = textwrap.dedent(
         reduced[0][-1] += 1
         return reduced
 
+    def corrupt_solve(echelon, pivots, col):
+        x = real_solve(echelon, pivots, col)
+        x[0] += 1
+        return x
+
     checks = {
         "bareiss": lambda: la._combine([1], [0], 1, 0, 2, 0),
         "kronecker": lambda: _unpack(1 << 12, 4, 1, 1),
@@ -441,6 +465,7 @@ CHECKS_UNDER_O = textwrap.dedent(
     }
     la._bareiss_echelon = corrupt
     la._reduce = corrupt_reduce
+    la._solve = corrupt_solve
     raised = []
     for name, check in checks.items():
         try:
@@ -460,3 +485,122 @@ def test_certificate_checks_raise_under_python_O():
         env=env, capture_output=True, text=True, timeout=60, check=True,
     ).stdout.split()
     assert out == ["1", "bareiss", "kronecker", "membership", "left_kernel", "preimage", "kernel"]
+
+
+# ------------------------------------------------- builder and mod-p sweep
+#
+# multiplication_matrix against Fraction columns, and the row-sparse mod-p
+# sweep against the dense one it replaces.
+
+
+def random_form(rng, degree, basis):
+    """A form with rational coefficients of mixed denominators, or zero."""
+    if rng.random() < 0.15:
+        return HomPoly.zero(degree)
+    return HomPoly(degree, {
+        m: Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 35]))
+        for m in basis if rng.random() < 0.5
+    })
+
+
+def reference_matrix(gens, degree, keep=None):
+    """from_columns of the Fraction columns, keeping the chosen ones."""
+    columns = []
+    for i, gen in enumerate(gens):
+        block = multiple_columns([gen], degree)
+        kept = range(len(block)) if keep is None else keep[i]
+        columns.extend(block[m] for m in kept)
+    return ExactMatrix.from_columns(columns, rows=len(la._mono_index(degree)[0]))
+
+
+def test_multiplication_matrix_matches_fraction_columns_on_the_plane():
+    rng = random.Random("builder-plane")
+    for _ in range(60):
+        degree = rng.randint(0, 7)
+        gens = [random_form(rng, d, mono_basis(d)) for d in rng.choices(range(9), k=rng.randint(1, 5))]
+        built = la.multiplication_matrix(gens, degree)
+        assert built == reference_matrix(gens, degree)
+        assert (built.rows, built.cols) == (
+            h0_p2(degree), sum(h0_p2(degree - g.degree) for g in gens)
+        )
+    # degree-0 generators, and one of degree above the target
+    gens = [HomPoly(0, {(0, 0, 0): Fraction(5, 3)}), HomPoly.zero(0), HomPoly.monomial((3, 0, 0))]
+    for degree in (0, 1, 2, 3):
+        assert la.multiplication_matrix(gens, degree) == reference_matrix(gens, degree)
+
+
+def test_multiplication_matrix_matches_fraction_columns_on_p1p1():
+    rng = random.Random("builder-p1p1")
+    for _ in range(40):
+        target = (rng.randint(0, 4), rng.randint(0, 4))
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            d = (rng.randint(0, 3), rng.randint(0, 3))
+            gens.append(random_form(rng, d, bimono_basis(*d)))
+        assert la.multiplication_matrix(gens, target) == reference_matrix(gens, target)
+
+
+def test_multiplication_matrix_keeps_chosen_columns():
+    # Shaped like tangent_map's lift columns: three signed forms, each keeping
+    # an increasing subset of its block, twice over, some blocks empty.
+    rng = random.Random("builder-keep")
+    for _ in range(40):
+        degree = rng.randint(2, 7)
+        forms = [random_form(rng, d, mono_basis(d)) for d in rng.choices(range(1, degree + 1), k=3)]
+        gens = [-f for f in forms] + forms
+        lifts = [sorted(rng.sample(range(h0_p2(degree - f.degree)), rng.randint(0, h0_p2(degree - f.degree))))
+                 for f in forms]
+        keep = lifts * 2
+        assert la.multiplication_matrix(gens, degree, keep=keep) == reference_matrix(gens, degree, keep)
+    with pytest.raises(ValueError):
+        la.multiplication_matrix([HomPoly.monomial((1, 0, 0))], 2, keep=[])
+
+
+def dense_modp_rank(rows):
+    """Reference: reduce each entry in Python, update every row below the pivot."""
+    p = la._FAST_PRIME
+    arr = np.array([[e % p for e in row] for row in rows], dtype=np.int64)
+    n, width = arr.shape
+    r = 0
+    for col in range(width):
+        if r == n:
+            break
+        nz = np.nonzero(arr[r:, col])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        arr[[r, i]] = arr[[i, r]]
+        inv = pow(int(arr[r, col]), p - 2, p)
+        factors = (arr[r + 1:, col] * inv) % p
+        arr[r + 1:, col:] = (arr[r + 1:, col:] - factors[:, None] * arr[r, col:]) % p
+        r += 1
+    return r
+
+
+WIDE = [2**63 - 1, -(2**63 - 1), -(2**63), 2**63, 2**70, -(2**70)]
+
+
+def test_sparse_modp_sweep_matches_dense_sweep():
+    rng = random.Random("modp-sweep")
+    for trial in range(300):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        if trial % 3 == 0:
+            m = [[rng.randint(-10**6, 10**6) for _ in range(cols)] for _ in range(rows)]
+        else:
+            m = [[rng.choice([0, 0, 0, 0, 1, -1]) for _ in range(cols)] for _ in range(rows)]
+        if trial % 4 == 1:
+            m[rng.randrange(rows)] = list(m[rng.randrange(rows)])  # a repeated row
+        if trial % 5 == 2:
+            # entries at and past the int64 limits: the second half overflow
+            wide = WIDE[:3] if trial % 2 else WIDE
+            for _ in range(rng.randint(1, 4)):
+                m[rng.randrange(rows)][rng.randrange(cols)] = rng.choice(wide)
+        assert la._modp_rank(m) == dense_modp_rank(m)
+    # 2^63 - 1 and -2^63 convert in one numpy call; 2^63 and 2^70 overflow it.
+    np.array([WIDE[:3]], dtype=np.int64)
+    for big in WIDE[3:]:
+        with pytest.raises(OverflowError):
+            np.array([[big]], dtype=np.int64)
+    p = la._FAST_PRIME
+    assert la._modp_rank([[2**70, 2**70 + p], [1, 1]]) == dense_modp_rank([[2**70, 2**70 + p], [1, 1]]) == 1
+    assert la._modp_rank([[2**63 - 1, 0], [0, -(2**63)]]) == 2

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from columns import multiple_columns
 from detrep.polynomials import (
     BigradedPoly,
     HomPoly,
@@ -20,7 +21,6 @@ from detrep.polynomials import (
     divide_exact,
     h0_p2,
     mono_basis,
-    multiple_columns,
     parse_bipoly,
     parse_hompoly,
 )
