@@ -43,9 +43,9 @@ VERDICT_ERROR = 1
 INTERNAL_ERROR = 3
 
 # The largest --n that mult and tangent accept.  `detrep mult --seed 1` on a
-# 2-core machine took 0.8 s at n = 11 and 52 s at n = 9, where 2n + 3 is a
+# 2-core machine took 0.8 s at n = 11 and 28 s at n = 9, where 2n + 3 is a
 # multiple of 3 and the membership probes run; at n = 12, with the probes, it
-# took 455 s.  `detrep tangent` stayed under 2 s up to n = 16.
+# took 242 s.  `detrep tangent` stayed under 2 s up to n = 16.
 MAX_N = 11
 
 

@@ -2,17 +2,16 @@
 
 Everything here returns exact answers, from one elimination core:
 fraction-free (Bareiss) elimination over the integers (``_bareiss_echelon``)
-and one back-substitution that turns its echelon form into the reduced one
-(``_reduce``); membership back-substitutes its preimage on the pivot columns
-and the vector's column alone (``_solve``).  An ``ExactMatrix`` clears its
+and back-substitution on its echelon form.  ``_solve`` back-substitutes one
+column: a preimage, a kernel vector, or a cokernel functional solved on the
+transposed rows; ``_reduce`` gives ``rref``.  An ``ExactMatrix`` clears its
 rows of denominators once, at construction, and stores them in the integer
-form the core reads.  Ranks, kernels, left kernels, membership and ``rref``
-all run on it.  Pivoting is deterministic (first nonzero entry in column
-order), so identical inputs give bit-identical outputs.  The elimination
-leaves a row alone while its entry in the pivot column is zero and divides
-its next update by the pivot that divided its last one (a lazy divisor,
-exact by telescoping), so the sparse relation and multiplication matrices
-cost only the updates they need.
+form the core reads.  Pivoting is deterministic (first nonzero entry in
+column order), so identical inputs give bit-identical outputs.  The
+elimination leaves a row alone while its entry in the pivot column is zero
+and divides its next update by the pivot that divided its last one (a lazy
+divisor, exact by telescoping), so the sparse relation and multiplication
+matrices cost only the updates they need.
 
 Multiplication matrices, whose columns are the products m*g of generators g
 with monomials m, come from one builder, ``multiplication_matrix``.  It
@@ -32,9 +31,9 @@ nonzero; the dense update would leave the others unchanged.
 
 Membership and surjectivity verdicts come with certificates (a preimage or a
 cokernel functional) that are re-verified against the original matrix before
-being returned, and so are kernel vectors.  Every re-check runs in integers,
-against the stored cleared rows.  A failed re-check raises
-``CertificateError``, which ``python -O`` does not strip.
+being returned, and so are kernel vectors.  Every re-check is one integer
+product with the stored cleared rows (``_annihilates``).  A failed re-check
+raises ``CertificateError``, which ``python -O`` does not strip.
 """
 
 from __future__ import annotations
@@ -235,16 +234,15 @@ def _combine(row: List[int], other: List[int], a: int, b: int, d: int, start: in
 
 
 def _bareiss_echelon(
-    rows: List[List[int]], pivot_cols: int, track: bool = False
-) -> Tuple[List[List[int]], List[Tuple[int, int]], Optional[List[List[int]]], int]:
+    rows: List[List[int]], pivot_cols: int
+) -> Tuple[List[List[int]], List[Tuple[int, int]], int]:
     """Fraction-free row echelon form: the one elimination routine.
 
     Only the first ``pivot_cols`` columns are eligible to host pivots; all
     columns (including any caller-appended ones) are updated.  Returns the
-    echelon rows, the (row, col) pivot list, when ``track`` is set the
-    integer row-operation tracker T with T @ input == echelon (else None),
-    and the sign (+1 or -1) of the row permutation.  On a nonsingular square
-    input the last pivot times that sign is the determinant.
+    echelon rows, the (row, col) pivot list and the sign (+1 or -1) of the
+    row permutation.  On a nonsingular square input the last pivot times
+    that sign is the determinant.
 
     Classic Bareiss updates every row below the pivot at every step; for a
     row whose entry in the pivot column is already zero that update is only
@@ -254,25 +252,22 @@ def _bareiss_echelon(
     the row's next update (piv * row_i - f * row_r) / div[i] is the classic
     one, and its division is exact because the classic entries are minors
     of the input.  A lagging row is brought up to date by prev/div[i] when it
-    becomes the pivot row, and the rows left below the last pivot are brought
-    up to date at the end, so pivots, echelon and tracker are exactly classic
-    Bareiss's.  Tracker rows take the same steps as their rows.
+    becomes the pivot row, and the rows left below the last pivot, which are
+    zero on the first ``pivot_cols`` columns, are brought up to date on the
+    others at the end, so pivots and echelon are exactly classic Bareiss's.
     """
     work = [list(r) for r in rows]
     n = len(work)
     width = len(work[0]) if work else 0
-    tracker = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track else None
     div = [1] * n
     pivots: List[Tuple[int, int]] = []
     prev = 1
     sign = 1
 
     def catch_up(i: int, start: int) -> None:
-        # Scale a lagging row (and its tracker row) by prev/div[i].
+        # Scale a lagging row by prev/div[i].
         if div[i] != prev:
             _combine(work[i], work[i], prev, 0, div[i], start)
-            if tracker is not None:
-                _combine(tracker[i], tracker[i], prev, 0, div[i], 0)
             div[i] = prev
 
     r = 0
@@ -286,8 +281,6 @@ def _bareiss_echelon(
             work[r], work[piv_row] = work[piv_row], work[r]
             div[r], div[piv_row] = div[piv_row], div[r]
             sign = -sign
-            if tracker is not None:
-                tracker[r], tracker[piv_row] = tracker[piv_row], tracker[r]
         catch_up(r, col)
         row_r = work[r]
         piv = row_r[col]
@@ -298,15 +291,13 @@ def _bareiss_echelon(
                 continue
             _combine(row_i, row_r, piv, f, div[i], col + 1)
             row_i[col] = 0
-            if tracker is not None:
-                _combine(tracker[i], tracker[r], piv, f, div[i], 0)
             div[i] = piv
         prev = piv
         pivots.append((r, col))
         r += 1
     for i in range(r, n):
-        catch_up(i, 0)
-    return work, pivots, tracker, sign
+        catch_up(i, pivot_cols)
+    return work, pivots, sign
 
 
 def _reduce(echelon: List[List[int]], pivots: List[Tuple[int, int]]) -> List[List[Fraction]]:
@@ -351,17 +342,6 @@ def _solve(echelon: List[List[int]], pivots: List[Tuple[int, int]], col: int) ->
             x[c] = acc / row[c]
             known.append((c, x[c]))
     return x
-
-
-def _left_product(t: Sequence[int], rows: Sequence[Sequence[int]]) -> List[int]:
-    """The integer row vector t @ rows, skipping zero factors and entries."""
-    acc = [0] * len(rows[0])
-    for ti, row in zip(t, rows):
-        if ti:
-            for j, e in enumerate(row):
-                if e:
-                    acc[j] += ti * e
-    return acc
 
 
 def _annihilates(rows: Sequence[Sequence[int]], x: Sequence[Fraction]) -> bool:
@@ -421,51 +401,67 @@ def rank(M: ExactMatrix) -> int:
         fast = _modp_rank(M.ints)
         if fast == min(M.rows, M.cols):
             return fast
-    _, pivots, _, _ = _bareiss_echelon(M.ints, M.cols)
+    _, pivots, _ = _bareiss_echelon(M.ints, M.cols)
     return len(pivots)
 
 
-def kernel_basis(M: ExactMatrix) -> List[Vector]:
-    """Deterministic basis of the right kernel, each vector verified.
+def _kernel(rows: Sequence[Sequence[int]], cols: int) -> List[Vector]:
+    """Re-checked right kernel basis of integer rows with ``cols`` columns.
 
-    The vector of free column f has x_f = 1, every other free entry 0, and
-    x_c = -R_c[f] for the reduced row R_c with pivot column c.
+    Free column f gives x_f = 1, 0 on the other free columns, and -y on the
+    pivot columns left of f, where ``_solve`` writes column f as y @ those.
     """
-    echelon, pivots, _, _ = _bareiss_echelon(M.ints, M.cols)
-    reduced = _reduce(echelon, pivots)
-    pivot_cols = {c for _, c in pivots}
+    echelon, pivots, _ = _bareiss_echelon(rows, cols)
     basis: List[Vector] = []
-    for f in range(M.cols):
-        if f in pivot_cols:
+    left = 0  # pivots[:left] are the pivots left of f
+    for f in range(cols):
+        if left < len(pivots) and pivots[left][1] == f:
+            left += 1
             continue
-        x = [_ZERO] * M.cols
-        x[f] = Fraction(1)
-        for (_, c), row in zip(pivots, reduced):
-            x[c] = -row[f]
-        vec = tuple(x)
-        if not _annihilates(M.ints, vec):
+        y = _solve(echelon, pivots[:left], f)
+        vec = (*(-e for e in y), Fraction(1), *[_ZERO] * (cols - f - 1))
+        if not _annihilates(rows, vec):
             raise CertificateError("kernel vector must verify")
         basis.append(vec)
     return basis
 
 
+def kernel_basis(M: ExactMatrix) -> List[Vector]:
+    """Deterministic basis of the right kernel, each vector verified; the
+    vector of free column f is 1 there and 0 on the other free columns."""
+    return _kernel(M.ints, M.cols)
+
+
+def _functional(aug: ExactMatrix, pivots: List[Tuple[int, int]]) -> Vector:
+    """The w with w @ aug == e_last, for aug = (M | v), v outside M's span.
+
+    t @ aug.ints == e_last is solved on M's ``pivots`` columns and v's alone
+    (rank(M) + 1 equations); t then kills M's other columns too, and the
+    re-check, against every column, also catches a system with no solution.
+    Row i of aug.ints is dens_i times row i of aug, so w_i = t_i * dens_i.
+    """
+    last = aug.cols - 1
+    # Equation j: column j of aug.ints, right-hand side 1 at v's column, else 0.
+    system = [(*col, int(j == last)) for j, col in enumerate(zip(*aug.ints))]
+    chosen = [system[c] for _, c in pivots] + [system[last]]
+    echelon, chosen_pivots, _ = _bareiss_echelon(chosen, aug.rows)
+    t = tuple(_solve(echelon, chosen_pivots, aug.rows))
+    if not _annihilates(system, t + (-1,)):
+        raise CertificateError("functional must kill M and pair to 1 with v")
+    return tuple(ti * di for ti, di in zip(t, aug.dens))
+
+
 def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
-    """Decide v in col-span(M) with a re-verified certificate either way."""
+    """Decide v in col-span(M) with a re-verified certificate either way.
+
+    One elimination of (M | v) decides and gives a member's preimage; a
+    non-member's functional (w @ v == 1) costs one of rank(M) + 1 rows.
+    """
     aug = M.augment_column(v)
-    echelon, pivots, tracker, _ = _bareiss_echelon(aug.ints, M.cols, track=True)
+    echelon, pivots, _ = _bareiss_echelon(aug.ints, M.cols)
     # v lies in the span iff no leftover row has a nonzero entry in v's column.
-    bad_row = next((i for i in range(len(pivots), M.rows) if echelon[i][M.cols]), None)
-    if bad_row is not None:
-        # w_i = t_i * dens_i and ints_i = dens_i * (M | v)_i, so
-        # t @ ints is w @ (M | v): zero on M's columns, nonzero on v's.
-        t = tracker[bad_row]
-        *on_m, pairing = _left_product(t, aug.ints)
-        if any(on_m):
-            raise CertificateError("functional must kill M")
-        if not pairing:
-            raise CertificateError("functional must separate v")
-        w = tuple(Fraction(ti * di) for ti, di in zip(t, aug.dens))
-        return Membership(member=False, preimage=None, functional=w)
+    if any(echelon[i][M.cols] for i in range(len(pivots), M.rows)):
+        return Membership(member=False, preimage=None, functional=_functional(aug, pivots))
     pre = tuple(_solve(echelon, pivots, M.cols))
     # M @ pre == v exactly when (M | v) @ (pre, -1) == 0.
     if not _annihilates(aug.ints, pre + (-1,)):
@@ -474,16 +470,10 @@ def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
 
 
 def left_kernel_basis(M: ExactMatrix) -> List[Vector]:
-    """Basis of the left kernel (functionals vanishing on the column space)."""
-    echelon, pivots, tracker, _ = _bareiss_echelon(M.ints, M.cols, track=True)
-    out: List[Vector] = []
-    for i in range(len(pivots), M.rows):
-        # As in in_column_space: t @ ints is w @ M.
-        t = tracker[i]
-        if not any(t) or any(_left_product(t, M.ints)):
-            raise CertificateError("left kernel vector must be nonzero and kill M")
-        out.append(tuple(Fraction(tj * dj) for tj, dj in zip(t, M.dens)))
-    return out
+    """Basis of the left kernel (functionals vanishing on the column space):
+    the kernel of the integer transpose, t_i scaled to w_i = t_i * dens_i."""
+    kernel = _kernel(list(zip(*M.ints)), M.rows)
+    return [tuple(ti * di for ti, di in zip(t, M.dens)) for t in kernel]
 
 
 def rref(M: ExactMatrix) -> Tuple[List[Vector], List[int]]:
@@ -492,7 +482,7 @@ def rref(M: ExactMatrix) -> Tuple[List[Vector], List[int]]:
     Returns the nonzero rows (pivot entries normalized to 1, pivot columns
     cleared elsewhere) and the pivot column indices, both deterministic.
     """
-    echelon, pivots, _, _ = _bareiss_echelon(M.ints, M.cols)
+    echelon, pivots, _ = _bareiss_echelon(M.ints, M.cols)
     return [tuple(row) for row in _reduce(echelon, pivots)], [c for _, c in pivots]
 
 

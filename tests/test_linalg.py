@@ -320,6 +320,8 @@ def test_certificates_verify_with_sympy_dimensions(sympy):
         assert rank(M) == r
         kernel = kernel_basis(M)
         assert len(kernel) == len(S.nullspace()) == M.cols - r
+        # Both normalise each vector to 1 on its free column, 0 on the others.
+        assert kernel == [tuple(Fraction(int(e.p), int(e.q)) for e in x) for x in S.nullspace()]
         for x in kernel:
             assert all(e == 0 for e in times(M, x))
         left = left_kernel_basis(M)
@@ -344,7 +346,6 @@ def classic_bareiss(rows, pivot_cols):
     work = [list(r) for r in rows]
     n = len(work)
     width = len(work[0]) if work else 0
-    tracker = [[int(i == j) for j in range(n)] for i in range(n)]
     pivots = []
     prev, r, sign = 1, 0, 1
     for col in range(min(pivot_cols, width)):
@@ -356,23 +357,19 @@ def classic_bareiss(rows, pivot_cols):
         if piv_row != r:
             sign = -sign
         work[r], work[piv_row] = work[piv_row], work[r]
-        tracker[r], tracker[piv_row] = tracker[piv_row], tracker[r]
         piv = work[r][col]
         for i in range(r + 1, n):
             f = work[i][col]
             work[i] = [(piv * a - f * b) // prev for a, b in zip(work[i], work[r])]
-            tracker[i] = [(piv * a - f * b) // prev for a, b in zip(tracker[i], tracker[r])]
         prev = piv
         pivots.append((r, col))
         r += 1
-    return work, pivots, tracker, sign
+    return work, pivots, sign
 
 
 def check_against_classic(m, pivot_cols):
-    echelon, pivots, tracker, sign = la._bareiss_echelon(m, pivot_cols, track=True)
-    assert (echelon, pivots, tracker, sign) == classic_bareiss(m, pivot_cols)
-    for t_row, e_row in zip(tracker, echelon):
-        assert [sum(t * m[i][j] for i, t in enumerate(t_row)) for j in range(len(m[0]))] == e_row
+    echelon, pivots, sign = la._bareiss_echelon(m, pivot_cols)
+    assert (echelon, pivots, sign) == classic_bareiss(m, pivot_cols)
     return pivots
 
 
@@ -383,7 +380,7 @@ def test_lagging_row_becomes_pivot_row():
     assert check_against_classic(m, 4) == [(0, 0), (1, 1), (2, 2)]
 
 
-def test_skipped_rows_match_classic_bareiss_and_tracker():
+def test_skipped_rows_match_classic_bareiss():
     # Row 0 hosts the first pivot, row 1 the second, and the last row is zero
     # in both pivot columns, so it skips at least two pivot steps.
     rng = random.Random("lazy-divisor")
@@ -397,21 +394,38 @@ def test_skipped_rows_match_classic_bareiss_and_tracker():
             assert check_against_classic(m, pivot_cols)[:2] == [(0, 0), (1, 1)]
 
 
-def test_special_pair_k3_verdicts():
-    k, n = 3, 3
-    zero = HomPoly.zero(n + 1)
-    f = (HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((n + 1, 0, 0)), zero)
-    g = (zero, HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((0, n + 1, 0)))
-    matrix = mult_map_matrix(u_generators(f, g, n=n))
-    assert (matrix.rows, rank(matrix)) == (55, 54)
-    balanced = HomPoly.monomial((k, k, k)).coeff_vector()
-    shifted = HomPoly.monomial((k + 1, k, k - 1)).coeff_vector()
-    res = in_column_space(matrix, balanced)
-    assert not res.member
-    assert all(e == 0 for e in left_times(res.functional, matrix))
-    res = in_column_space(matrix, shifted)
-    assert res.member
-    assert times(matrix, res.preimage) == shifted
+def test_special_pair_k3_verdicts(monkeypatch):
+    # The monomial special pair at k = 3 (n = 3) and k = 5 (n = 6), mapped
+    # into degree 3k.  x^k y^k z^k is never in the image; x^(k+1) y^k z^(k-1)
+    # is at k = 3 only.  A member costs one elimination, of (M | v); a
+    # non-member's functional costs a second one, of at most rank(M) + 1 rows.
+    heights = []
+    real = la._bareiss_echelon
+
+    def counted(rows, pivot_cols):
+        heights.append(len(rows))
+        return real(rows, pivot_cols)
+
+    monkeypatch.setattr(la, "_bareiss_echelon", counted)
+    for k, rows, r, shifted_member in ((3, 55, 54, True), (5, 136, 126, False)):
+        n = (3 * k - 3) // 2
+        zero = HomPoly.zero(n + 1)
+        f = (HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((n + 1, 0, 0)), zero)
+        g = (zero, HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((0, n + 1, 0)))
+        matrix = mult_map_matrix(u_generators(f, g, n=n))
+        assert (matrix.rows, rank(matrix)) == (rows, r)
+        for mono, member in (((k, k, k), False), ((k + 1, k, k - 1), shifted_member)):
+            v = HomPoly.monomial(mono).coeff_vector()
+            heights.clear()
+            res = in_column_space(matrix, v)
+            assert res.member == member
+            if member:
+                assert heights == [rows]
+                assert times(matrix, res.preimage) == v
+            else:
+                assert len(heights) == 2 and heights[0] == rows and heights[1] <= r + 1
+                assert all(e == 0 for e in left_times(res.functional, matrix))
+                assert sum(wi * vi for wi, vi in zip(res.functional, v)) != 0
 
 
 def test_bareiss_last_pivot_is_the_determinant():
@@ -425,7 +439,7 @@ def test_bareiss_last_pivot_is_the_determinant():
                 * (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
                 for p in itertools.permutations(range(n))
             )
-            echelon, pivots, _, sign = la._bareiss_echelon(m, n)
+            echelon, pivots, sign = la._bareiss_echelon(m, n)
             assert (sign * echelon[-1][-1] if len(pivots) == n else 0) == det
 
 
@@ -435,20 +449,7 @@ CHECKS_UNDER_O = textwrap.dedent(
     import detrep.linalg as la
     from detrep.detmatrix import _unpack
 
-    real = la._bareiss_echelon
-    real_reduce = la._reduce
     real_solve = la._solve
-
-    def corrupt(rows, pivot_cols, track=False):
-        echelon, pivots, tracker, sign = real(rows, pivot_cols, track)
-        if track:
-            tracker[-1][0] += 1
-        return echelon, pivots, tracker, sign
-
-    def corrupt_reduce(echelon, pivots):
-        reduced = real_reduce(echelon, pivots)
-        reduced[0][-1] += 1
-        return reduced
 
     def corrupt_solve(echelon, pivots, col):
         x = real_solve(echelon, pivots, col)
@@ -463,8 +464,6 @@ CHECKS_UNDER_O = textwrap.dedent(
         "preimage": lambda: la.in_column_space(la.ExactMatrix([[1, 0], [0, 0]]), [1, 0]),
         "kernel": lambda: la.kernel_basis(la.ExactMatrix([[1, 1]])),
     }
-    la._bareiss_echelon = corrupt
-    la._reduce = corrupt_reduce
     la._solve = corrupt_solve
     raised = []
     for name, check in checks.items():
