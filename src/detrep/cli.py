@@ -31,7 +31,7 @@ from .bundles import (
     select_E_d,
 )
 from .detmatrix import GpliError, Section
-from .ideals import containment_degree, diagram_crosscheck, mult_map_matrix, u_generators
+from .ideals import containment_degree, diagram_crosscheck
 from .linalg import CertificateError, in_column_space
 from .biprojective import dpsi_report, monomial_cover_check, witness_quad
 from .polynomials import HomPoly, ParseError, h0_p2, parse_hompoly
@@ -47,6 +47,12 @@ INTERNAL_ERROR = 3
 # multiple of 3 and the membership probes run; at n = 12, with the probes, it
 # took 242 s.  `detrep tangent` stayed under 2 s up to n = 16.
 MAX_N = 11
+
+# The largest m*a and m*b that p1p1 accepts; dpsi_matrix is dense, with
+# (2ma+1)(2mb+1) x 4(ma+1)(mb+1) cells.  `detrep p1p1` at ma = mb = 16, 20 and
+# 24 on a 2-core machine took 0.1, 0.3 and 0.5 s with a maximum RSS of 58, 97
+# and 167 MB.
+MAX_P1P1_DEGREE = 20
 
 
 @dataclass
@@ -213,12 +219,11 @@ def cmd_mult(args) -> RunReport:
         data["mult_rank"] = cross.mult_rank
         data["target_dim"] = h0_p2(2 * n + 3)
         if (2 * n + 3) % 3 == 0:
-            matrix = mult_map_matrix(u_generators(f, g, n=n))
             k = (2 * n + 3) // 3
             probe1 = HomPoly.monomial((k, k, k))
             probe2 = HomPoly.monomial((k + 1, k, k - 1))
-            m1 = in_column_space(matrix, probe1.coeff_vector())
-            m2 = in_column_space(matrix, probe2.coeff_vector())
+            m1 = in_column_space(cross.mult_matrix, probe1.coeff_vector())
+            m2 = in_column_space(cross.mult_matrix, probe2.coeff_vector())
             data["probe_balanced"] = str(probe1)
             data["probe_balanced_member"] = m1.member
             data["probe_shifted"] = str(probe2)
@@ -235,6 +240,9 @@ def cmd_mult(args) -> RunReport:
 def cmd_p1p1(args) -> RunReport:
     if args.a < 1 or args.b < 1 or args.m < 1:
         raise ValueError("a, b, m must all be at least 1")
+    ma, mb = args.m * args.a, args.m * args.b
+    if max(ma, mb) > MAX_P1P1_DEGREE:
+        raise ValueError(f"m*a and m*b must be at most {MAX_P1P1_DEGREE}, got {ma} and {mb}")
     cover = monomial_cover_check(args.a, args.b, args.m)
     quad = witness_quad(args.a, args.b, args.m)
     rep = dpsi_report(quad)

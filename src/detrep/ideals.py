@@ -1,21 +1,22 @@
 """The multiplication-map side of the surjectivity story.
 
-A pair of ambient triples (f, g) of degree n+1 determines six forms of
-degree n+2 (the 2x2 minors of each triple against the coordinate row):
+A pair of ambient triples of degree n+1 determines six forms of degree n+2,
+the 2x2 minors of each triple (a, b, c) against the coordinate row:
 
-    f1*y - f2*x,  f1*z - f3*x,  f2*z - f3*y,  and the same for g.
+    c*y - b*z,  a*z - c*x,  b*x - a*y,  and the same for the other triple.
 
-These six forms span the space U.  Multiplying U by all forms of degree n+1
-lands in degree 2n+3, and the image of that multiplication map coincides with
-the image of the tangent map of the degeneracy construction at (f, g), after
-restriction to the curve.  ``diagram_crosscheck`` computes both verdicts and
+They are the cofactor forms of the triples as sections of T(n), and
+``tangent.cofactor_forms`` is their one definition.  They span the space U.
+Multiplying U by all forms of degree n+1 lands in degree 2n+3, and the image
+of that multiplication map coincides with the image of the tangent map of the
+degeneracy construction at the pair, after restriction to the curve.
+``diagram_crosscheck`` computes both verdicts from one build of the minors and
 compares them.  The two sides share the matrix builder
 ``linalg.multiplication_matrix``: the tangent matrix is a column subset of the
-multiplication matrix of the cofactor forms, which for T(n) are these minors
-up to sign.  They differ in their index sets (every monomial of degree n+1
-against the lifts of a quotient basis) and in the curve column that augments
-the tangent matrix.  What tests them independently is the determinant-based
-oracle ``tangent.tangent_column``.
+multiplication matrix of the same six forms, signed.  They differ in their
+index sets (every monomial of degree n+1 against the lifts of a quotient
+basis) and in the curve column that augments the tangent matrix.  What tests
+them independently is the determinant-based oracle ``tangent.tangent_column``.
 
 The same graded machinery decides ideal containment: the power of the
 irrelevant maximal ideal sits inside the ideal generated by given forms as
@@ -38,22 +39,8 @@ from .linalg import (
     rank,
     report,
 )
-from .polynomials import HomPoly, X, Y, Z, h0_p2
-from .tangent import tangent_map
-
-Triple = Tuple[HomPoly, HomPoly, HomPoly]
-
-
-def _triple(obj: Union[Section, Sequence[HomPoly]]) -> Triple:
-    comps = obj.components if isinstance(obj, Section) else tuple(obj)
-    if len(comps) != 3:
-        raise ValueError("need exactly three components")
-    d = comps[0].degree
-    for c in comps:
-        if c.degree != d:
-            raise ValueError("components must share one degree")
-    return comps  # type: ignore[return-value]
-
+from .polynomials import HomPoly, h0_p2
+from .tangent import _tangent_report, cofactor_forms
 
 @dataclass(frozen=True)
 class USpace:
@@ -61,8 +48,8 @@ class USpace:
 
     n: int
     generators: Tuple[HomPoly, ...]
-    f: Triple
-    g: Triple
+    f: Tuple[HomPoly, ...]
+    g: Tuple[HomPoly, ...]
 
 
 def u_generators(
@@ -70,22 +57,19 @@ def u_generators(
     g: Union[Section, Sequence[HomPoly]],
     n: Optional[int] = None,
 ) -> USpace:
-    """The six degree-(n+2) minors of two degree-(n+1) triples."""
-    ft = _triple(f)
-    gt = _triple(g)
-    inferred = ft[0].degree - 1
-    if gt[0].degree != inferred + 1:
-        raise ValueError("the two triples must share one degree")
-    if n is not None and n != inferred:
-        raise ValueError(f"declared n={n} but triples have degree {inferred + 1}")
-    if inferred < -1:
-        raise ValueError("triple degree must be at least 0")
-    gens = []
-    for t1, t2, t3 in (ft, gt):
-        gens.append(t1 * Y - t2 * X)
-        gens.append(t1 * Z - t3 * X)
-        gens.append(t2 * Z - t3 * Y)
-    return USpace(n=inferred, generators=tuple(gens), f=ft, g=gt)
+    """The six degree-(n+2) minors of two degree-(n+1) triples.
+
+    They are ``cofactor_forms`` of f, then of g, as sections of T(n):
+    C1 = c*y - b*z, C2 = a*z - c*x, C3 = b*x - a*y for (a, b, c).  n defaults
+    to the triples' degree minus one; ``Section`` and ``BundleSpec`` raise
+    ``ValueError`` on a wrong component count, unequal degrees or n < -1.
+    """
+    ft = f.components if isinstance(f, Section) else tuple(f)
+    gt = g.components if isinstance(g, Section) else tuple(g)
+    if n is None:
+        n = max((comp.degree for comp in ft), default=0) - 1
+    gens = cofactor_forms(Section(T(n), ft)) + cofactor_forms(Section(T(n), gt))
+    return USpace(n=n, generators=gens, f=ft, g=gt)
 
 
 def mult_map_matrix(u: USpace) -> ExactMatrix:
@@ -177,6 +161,7 @@ class CrosscheckReport:
     tangent_surjective: bool
     agree: bool
     mult_rank: int
+    mult_matrix: ExactMatrix
 
 
 def diagram_crosscheck(
@@ -188,16 +173,18 @@ def diagram_crosscheck(
 
     The two must agree whenever the pair is generically independent; a
     degenerate pair cuts no curve, and both sides then count as
-    non-surjective.  The tangent map builds the one wedge curve and raises
-    ``GpliError`` when it vanishes, which is what marks the pair degenerate.
+    non-surjective.  The minors are built once and feed both matrices.  The
+    tangent side builds the one wedge curve and raises ``GpliError`` when it
+    vanishes, which is what marks the pair degenerate.
     """
     u = u_generators(f, g, n)
     bundle = T(u.n)
     s1 = Section(bundle, u.f)
     s2 = Section(bundle, u.g)
-    mult = mult_map_report(u)
+    matrix = mult_map_matrix(u)
+    mult = report(matrix)
     try:
-        tangent_surj = tangent_map(bundle, s1, s2).surjective
+        tangent_surj = _tangent_report(bundle, s1, s2, u.generators[:3], u.generators[3:]).surjective
         gpli = True
     except GpliError:
         gpli = False
@@ -209,6 +196,7 @@ def diagram_crosscheck(
         tangent_surjective=tangent_surj,
         agree=agree,
         mult_rank=mult.rank,
+        mult_matrix=matrix,
     )
 
 

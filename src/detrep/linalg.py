@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -405,14 +405,14 @@ def rank(M: ExactMatrix) -> int:
     return len(pivots)
 
 
-def _kernel(rows: Sequence[Sequence[int]], cols: int) -> List[Vector]:
-    """Re-checked right kernel basis of integer rows with ``cols`` columns.
+def _kernel(rows: Sequence[Sequence[int]], cols: int) -> Iterator[Vector]:
+    """Right kernel basis of integer rows with ``cols`` columns, each vector
+    re-checked as it is yielded: a caller pays only for the vectors it takes.
 
     Free column f gives x_f = 1, 0 on the other free columns, and -y on the
     pivot columns left of f, where ``_solve`` writes column f as y @ those.
     """
     echelon, pivots, _ = _bareiss_echelon(rows, cols)
-    basis: List[Vector] = []
     left = 0  # pivots[:left] are the pivots left of f
     for f in range(cols):
         if left < len(pivots) and pivots[left][1] == f:
@@ -422,14 +422,13 @@ def _kernel(rows: Sequence[Sequence[int]], cols: int) -> List[Vector]:
         vec = (*(-e for e in y), Fraction(1), *[_ZERO] * (cols - f - 1))
         if not _annihilates(rows, vec):
             raise CertificateError("kernel vector must verify")
-        basis.append(vec)
-    return basis
+        yield vec
 
 
 def kernel_basis(M: ExactMatrix) -> List[Vector]:
     """Deterministic basis of the right kernel, each vector verified; the
     vector of free column f is 1 there and 0 on the other free columns."""
-    return _kernel(M.ints, M.cols)
+    return list(_kernel(M.ints, M.cols))
 
 
 def _functional(aug: ExactMatrix, pivots: List[Tuple[int, int]]) -> Vector:
@@ -469,11 +468,15 @@ def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
     return Membership(member=True, preimage=pre, functional=None)
 
 
+def _left_kernel(M: ExactMatrix) -> Iterator[Vector]:
+    """The kernel of the integer transpose, t_i scaled to w_i = t_i * dens_i."""
+    for t in _kernel(list(zip(*M.ints)), M.rows):
+        yield tuple(ti * di for ti, di in zip(t, M.dens))
+
+
 def left_kernel_basis(M: ExactMatrix) -> List[Vector]:
-    """Basis of the left kernel (functionals vanishing on the column space):
-    the kernel of the integer transpose, t_i scaled to w_i = t_i * dens_i."""
-    kernel = _kernel(list(zip(*M.ints)), M.rows)
-    return [tuple(ti * di for ti, di in zip(t, M.dens)) for t in kernel]
+    """Basis of the left kernel (functionals vanishing on the column space)."""
+    return list(_left_kernel(M))
 
 
 def rref(M: ExactMatrix) -> Tuple[List[Vector], List[int]]:
@@ -490,13 +493,13 @@ def report(M: ExactMatrix) -> LinearMapReport:
     """Surjectivity report for the linear map with matrix M.
 
     The map goes from Q^cols to Q^rows; surjectivity means full row rank.
-    Non-surjective maps come with a cokernel functional, re-verified.
+    Non-surjective maps come with one re-verified cokernel functional.
     """
     r = rank(M)
     surjective = r == M.rows
     witness: Optional[Vector] = None
     if not surjective:
-        witness = left_kernel_basis(M)[0]
+        witness = next(_left_kernel(M))
     return LinearMapReport(
         domain_dim=M.cols,
         target_dim=M.rows,

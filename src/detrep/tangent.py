@@ -23,11 +23,11 @@ of v = (a, b, c).  Every canonical lift of a quotient basis vector is one
 monomial m in one ambient block j, so the column of phi: v1 -> m is
 -m*C_j(v2) and that of phi: v2 -> m is m*C_j(v1): the tangent matrix is a
 column subset of the multiplication matrix of the cofactor forms, and no
-polynomial determinant is taken per column.  For T(n) the C_j are, up to
-sign, the minors that ``ideals.u_generators`` calls U.  Surjectivity onto
-sections of the curve is decided by ranking the matrix augmented with the
-curve's own coefficient vector, since the curve spans the kernel of
-restriction.
+polynomial determinant is taken per column.  For T(n) the C_j of the two
+sections are exactly the minors that ``ideals.u_generators`` calls U.
+Surjectivity onto sections of the curve is decided by ranking the matrix
+augmented with the curve's own coefficient vector, since the curve spans the
+kernel of restriction.
 """
 
 from __future__ import annotations
@@ -195,7 +195,8 @@ def cofactor_forms(v: Section) -> Tuple[HomPoly, HomPoly, HomPoly]:
     """The forms C_j(v) with v ^ q = sum_j q_j * C_j(v) for every q.
 
     They are the signed 2x2 minors of v over the relation row r of a rank-2
-    family: C1 = c*r2 - b*r3, C2 = a*r3 - c*r1, C3 = b*r1 - a*r2.
+    family: C1 = c*r2 - b*r3, C2 = a*r3 - c*r1, C3 = b*r1 - a*r2.  On T(n),
+    r = (x, y, z), and this is the one definition of the minors that span U.
     """
     [(r1, r2, r3)] = relation_rows(v.bundle)
     a, b, c = v.components
@@ -242,6 +243,14 @@ def tangent_map(bundle: BundleSpec, v1: Section, v2: Section) -> TangentReport:
         raise ValueError("tangent map is defined for the rank-2 families N and T")
     if v1.bundle != bundle or v2.bundle != bundle:
         raise ValueError("sections do not live on the stated bundle")
+    return _tangent_report(bundle, v1, v2, cofactor_forms(v1), cofactor_forms(v2))
+
+
+def _tangent_report(
+    bundle: BundleSpec, v1: Section, v2: Section, c1: Sequence[HomPoly], c2: Sequence[HomPoly]
+) -> TangentReport:
+    """``tangent_map`` on validated input, given c1 and c2, the cofactor
+    forms of v1 and v2, so that a caller holding them builds them once."""
     curve = wedge_curve(v1, v2)
     if curve.is_zero():
         raise GpliError("sections are generically dependent; no curve is cut")
@@ -253,7 +262,7 @@ def tangent_map(bundle: BundleSpec, v1: Section, v2: Section) -> TangentReport:
     for pos in quot.lift_positions:
         j = bisect_right(space.block_offsets, pos) - 1
         block_lifts[j].append(pos - space.block_offsets[j])
-    forms = [-form for form in cofactor_forms(v2)] + list(cofactor_forms(v1))
+    forms = [-form for form in c2] + list(c1)
     matrix = multiplication_matrix(forms, degree, keep=block_lifts * 2)
     augmented = matrix.augment_column(curve.coeff_vector())
     aug_rank = rank(augmented)

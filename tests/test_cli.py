@@ -134,10 +134,10 @@ def test_mult_membership_probes_at_multiple_of_three(capsys):
     assert rep["verdicts"]["crosscheck_agree"] is True
 
 
-@pytest.mark.parametrize("n, builds", [(2, 1), (0, 2)])
-def test_mult_builds_the_mult_side_once(n, builds, monkeypatch, capsys):
-    # The cross-check builds the minors and their matrix and reports the
-    # rank; only the membership probes (2n+3 divisible by 3) build them again.
+@pytest.mark.parametrize("n", [2, 0])
+def test_mult_builds_the_mult_side_once(n, monkeypatch, capsys):
+    # The cross-check builds the minors and their matrix and reports both;
+    # the membership probes (2n+3 divisible by 3) read its matrix.
     calls = {"u_generators": 0, "mult_map_matrix": 0}
     for name in calls:
         original = getattr(detrep.ideals, name)
@@ -146,12 +146,11 @@ def test_mult_builds_the_mult_side_once(n, builds, monkeypatch, capsys):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in (detrep.cli, detrep.ideals):
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(detrep.ideals, name, counted)
     code, rep = run_json(capsys, ["mult", "--n", str(n), "--seed", "1"])
     assert code == 0
     assert "mult_rank" in rep["data"]
-    assert calls == {"u_generators": builds, "mult_map_matrix": builds}
+    assert calls == {"u_generators": 1, "mult_map_matrix": 1}
 
 
 # ---------------------------------------------------------------- others
@@ -165,6 +164,17 @@ def test_p1p1_small_case(capsys):
 
 def test_p1p1_rejects_zero(capsys):
     assert main(["p1p1", "--a", "0", "--b", "1", "--m", "1"]) == 2
+
+
+def test_p1p1_degree_bound(capsys):
+    # ma = bound with mb = 1 keeps the matrix small; one over is refused
+    # before anything is built.
+    bound = detrep.cli.MAX_P1P1_DEGREE
+    code, rep = run_json(capsys, ["p1p1", "--a", str(bound), "--b", "1", "--m", "1"])
+    assert code == 0
+    assert rep["data"]["target_dim"] == (2 * bound + 1) * 3
+    assert main(["p1p1", "--a", "1", "--b", str(bound + 1), "--m", "1"]) == 2
+    assert "must be at most" in capsys.readouterr().err
 
 
 def test_audit_table(capsys):

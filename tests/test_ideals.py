@@ -15,9 +15,11 @@ from detrep.ideals import (
     u_generators,
 )
 from detrep.bundles import T
-from detrep.linalg import ExactMatrix, in_column_space, rank
+from detrep.detmatrix import Section
+from detrep.linalg import ExactMatrix, in_column_space, multiplication_matrix, rank
 from detrep.polynomials import HomPoly, X, Y, Z, h0_p2, mono_basis, parse_hompoly
 from detrep.sampling import derive_rng, random_hompoly, random_pair
+from detrep.tangent import cofactor_forms
 
 
 def triple(*texts):
@@ -33,14 +35,16 @@ def test_u_generators_hand_expansion():
     u = u_generators(f, g)
     assert u.n == 0
     assert len(u.generators) == 6
-    # minors of f against the coordinate row
-    assert u.generators[0] == parse_hompoly("-x*y")        # x*y - 2*y*x
+    # cofactor forms C1 = c*y - b*z, C2 = a*z - c*x, C3 = b*x - a*y of f
+    assert u.generators[0] == parse_hompoly("y*z")         # 3*z*y - 2*y*z
     assert u.generators[1] == parse_hompoly("-2*x*z")      # x*z - 3*z*x
-    assert u.generators[2] == parse_hompoly("-y*z")        # 2*y*z - 3*z*y
-    # minors of g
-    assert u.generators[3] == parse_hompoly("y^2 - x*z")
+    assert u.generators[2] == parse_hompoly("x*y")         # 2*y*x - x*y
+    # and of g
+    assert u.generators[3] == parse_hompoly("x*y - z^2")
     assert u.generators[4] == parse_hompoly("y*z - x^2")
-    assert u.generators[5] == parse_hompoly("z^2 - x*y")
+    assert u.generators[5] == parse_hompoly("x*z - y^2")
+    s_f, s_g = Section(T(0), f), Section(T(0), g)
+    assert u.generators == cofactor_forms(s_f) + cofactor_forms(s_g)
 
 
 def test_u_generators_degree_checks():
@@ -208,22 +212,31 @@ def test_crosscheck_equal_triples_degenerate():
 
 
 def test_crosscheck_builds_one_wedge_curve(monkeypatch):
+    # One wedge curve, and the pair's minors built once: the cofactor forms
+    # of each section feed both the multiplication and the tangent matrix.
     import detrep.detmatrix
+    import detrep.ideals
     import detrep.tangent
 
-    calls = []
-    original = detrep.detmatrix.wedge_curve
+    results = {"wedge_curve": [], "cofactor_forms": []}
+    for name, owner, sites in (
+        ("wedge_curve", detrep.detmatrix, (detrep.detmatrix, detrep.tangent)),
+        ("cofactor_forms", detrep.tangent, (detrep.tangent, detrep.ideals)),
+    ):
+        original = getattr(owner, name)
 
-    def counting_wedge_curve(*sections):
-        calls.append(sections)
-        return original(*sections)
+        def counted(*args, _name=name, _original=original):
+            results[_name].append(_original(*args))
+            return results[_name][-1]
 
-    monkeypatch.setattr(detrep.detmatrix, "wedge_curve", counting_wedge_curve)
-    monkeypatch.setattr(detrep.tangent, "wedge_curve", counting_wedge_curve)
+        for module in sites:
+            monkeypatch.setattr(module, name, counted)
     s1, s2 = random_pair(derive_rng(31, "cross-count", 0), T(1))
     rep = diagram_crosscheck(s1, s2)
     assert rep.gpli and rep.agree
-    assert len(calls) == 1
+    assert {name: len(out) for name, out in results.items()} == {"wedge_curve": 1, "cofactor_forms": 2}
+    c1, c2 = results["cofactor_forms"]
+    assert rep.mult_matrix == multiplication_matrix(c1 + c2, 5)
 
 
 def test_disjointness_of_the_special_pair():

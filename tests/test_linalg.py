@@ -152,7 +152,7 @@ def test_rref_pivots_normalized():
                 assert rows[other][c] == 0
 
 
-def test_report_surjective_and_witness():
+def test_report_surjective_and_witness(monkeypatch):
     wide = frac_matrix([[1, 0, 2], [0, 1, 1]])
     rep = report(wide)
     assert rep.surjective
@@ -163,6 +163,21 @@ def test_report_surjective_and_witness():
     w = rep2.cokernel_witness
     assert w is not None
     assert all(e == 0 for e in left_times(w, tall))
+    # With a left kernel of dimension 2, only the one witness is solved for.
+    taller = frac_matrix([[1, 0], [0, 1], [1, 1], [2, 3]])
+    assert len(left_kernel_basis(taller)) == 2
+    solves = []
+    original = la._solve
+
+    def counting_solve(*args):
+        solves.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(la, "_solve", counting_solve)
+    rep3 = report(taller)
+    assert len(solves) == 1
+    assert all(e == 0 for e in left_times(rep3.cokernel_witness, taller))
+    assert rep3.cokernel_witness == left_kernel_basis(taller)[0]
 
 
 def test_left_kernel_annihilates_rows():
