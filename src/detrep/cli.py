@@ -54,6 +54,18 @@ MAX_N = 11
 # and 167 MB.
 MAX_P1P1_DEGREE = 20
 
+# The largest generator degree D that containment accepts; its ladder climbs to
+# 3D - 2.  With three dense random degree-D forms on a 2-core machine it took
+# 0.4, 1.3 and 16 s at D = 4, 6 and 8 (maximum RSS under 40 MB); an earlier
+# run at D = 10 took 133 s.
+MAX_CONTAINMENT_DEGREE = 8
+
+# The most twists one audit accepts, hi - lo + 1.  `detrep audit --family N
+# --json` on a 2-core machine took 0.5, 1.9 and 3.4 s for 10^4, 10^5 and
+# 2 * 10^5 twists, printing 1.1, 11 and 23 MB with a maximum RSS of 43, 170
+# and 312 MB.
+MAX_AUDIT_TWISTS = 10_000
+
 
 @dataclass
 class RunReport:
@@ -291,6 +303,9 @@ def _parse_range(text: str):
         raise ValueError(f"--m-range: expected integers lo:hi, got {text!r}") from None
     if not m_range:
         raise ValueError(f"empty range {text!r}, expected lo <= hi")
+    width = m_range.stop - m_range.start
+    if width > MAX_AUDIT_TWISTS:
+        raise ValueError(f"--m-range must span at most {MAX_AUDIT_TWISTS} twists, got {width}")
     return m_range
 
 
@@ -338,6 +353,9 @@ def cmd_containment(args) -> RunReport:
     gens = [parse_hompoly(line) for line in lines if line and not line.startswith("#")]
     if not gens:
         raise ValueError("no generators in file")
+    top = max(gen.degree for gen in gens)
+    if top > MAX_CONTAINMENT_DEGREE:
+        raise ValueError(f"generator degrees must be at most {MAX_CONTAINMENT_DEGREE}, got {top}")
     result = containment_degree(gens)
     return RunReport(
         subcommand="containment",

@@ -33,7 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .bundles import (
     BundleSpec,
@@ -43,7 +43,7 @@ from .bundles import (
     relation_rows,
     relation_source_degrees,
 )
-from .linalg import CertificateError, ExactMatrix, _bareiss_echelon, rank
+from .linalg import CertificateError, ExactMatrix, _bareiss_echelon, rank, rref
 from .polynomials import HomPoly, ParseError, _plane_only, divide_exact, parse_hompoly
 
 
@@ -344,21 +344,6 @@ class ReductionResult:
     scale: Fraction
 
 
-def _inverse3(rows: List[List[Fraction]]) -> List[List[Fraction]]:
-    a, b, c = rows[0]
-    d, e, f = rows[1]
-    g, h, i = rows[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if det == 0:
-        raise ValueError("singular matrix")
-    adj = [
-        [e * i - f * h, c * h - b * i, b * f - c * e],
-        [f * g - d * i, a * i - c * g, c * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ]
-    return [[x / det for x in row] for row in adj]
-
-
 def column_reduce_normalize(M: PolyMatrix) -> ReductionResult:
     """Bring a 3x3 matrix with last row (l, m, Q) to last row (x, y, z^2).
 
@@ -372,22 +357,18 @@ def column_reduce_normalize(M: PolyMatrix) -> ReductionResult:
     if [e.degree for e in last] != [1, 1, 2]:
         raise ValueError("last row must have degrees (1, 1, 2)")
     l, m, q = last
-    lc = l.coeff_vector()
-    mc = m.coeff_vector()
-    if rank(ExactMatrix([lc, mc])) != 2:
-        raise ValueError("the two linear forms are dependent")
-    # Deterministic completion of (l, m) to a coordinate frame.
-    frame = None
+    # Deterministic completion of (l, m) to a coordinate frame: the first unit
+    # row e_t with A = (l; m; e_t) invertible, so that rref(A | I) = (I | A^-1).
+    # No e_t completes it exactly when l and m are dependent.
+    lc, mc = l.coeff_vector(), m.coeff_vector()
+    unit = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     for t in range(3):
-        unit = [Fraction(1 if j == t else 0) for j in range(3)]
-        candidate = [list(lc), list(mc), unit]
-        try:
-            frame = _inverse3(candidate)
+        reduced, pivots = rref(ExactMatrix([lc + unit[0], mc + unit[1], unit[t] + unit[2]]))
+        if pivots == [0, 1, 2]:
             break
-        except ValueError:
-            continue
-    if frame is None:
-        raise CertificateError("two independent linear forms must extend to a frame")
+    else:
+        raise ValueError("the two linear forms are dependent")
+    frame = [row[3:] for row in reduced]
     images = [
         HomPoly(1, {(1, 0, 0): frame[i][0], (0, 1, 0): frame[i][1], (0, 0, 1): frame[i][2]})
         for i in range(3)

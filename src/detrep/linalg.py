@@ -4,7 +4,10 @@ Everything here returns exact answers, from one elimination core:
 fraction-free (Bareiss) elimination over the integers (``_bareiss_echelon``)
 and back-substitution on its echelon form.  ``_solve`` back-substitutes one
 column: a preimage, a kernel vector, or a cokernel functional solved on the
-transposed rows; ``_reduce`` gives ``rref``.  An ``ExactMatrix`` clears its
+transposed rows; ``_reduce`` gives ``rref``, whose one library caller is the
+3x3 frame inverse of ``detmatrix.column_reduce_normalize``.  Section spaces
+and their quotients read pivot columns off ``_bareiss_echelon`` directly,
+since those depend only on the row span.  An ``ExactMatrix`` clears its
 rows of denominators once, at construction, and stores them in the integer
 form the core reads.  Pivoting is deterministic (first nonzero entry in
 column order), so identical inputs give bit-identical outputs.  The

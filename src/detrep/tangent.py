@@ -3,9 +3,11 @@ Jacobian smoothness certificate.
 
 The space of global sections of each bundle is realized concretely: an
 ambient direct sum of form spaces modulo the image of the defining relation.
-Reduction to canonical coset representatives is by echelon elimination, so
-every class has one distinguished ambient tuple and ``reduce`` is idempotent
-with kernel exactly the relation span.
+One fraction-free echelon form of the relations is kept per bundle.  The
+quotient by a pair is read from the pivots of that echelon with the pair's
+two ambient vectors appended: the pivot columns of an echelon form depend
+only on the row span, so the columns left without a pivot index monomials
+whose classes form a basis of H0 / <v1, v2>.
 
 For a pair of sections (v1, v2) spanning V, the derivative of the map
 "pair of sections -> degeneracy curve" sends a homomorphism phi in
@@ -47,7 +49,7 @@ from .bundles import (
     relation_source_degrees,
 )
 from .detmatrix import GpliError, Section, wedge_curve
-from .linalg import CertificateError, ExactMatrix, Vector, multiplication_matrix, rank, rref
+from .linalg import CertificateError, ExactMatrix, Vector, _bareiss_echelon, multiplication_matrix, rank
 from .polynomials import HomPoly, h0_p2
 
 
@@ -69,30 +71,22 @@ class SectionSpace:
         # ambient vector per relation, stacked block by block, which is the
         # column f of the row's multiplication matrices stacked.  Their span
         # is the row space of the matrix with one relation per row.
-        relations: List[Vector] = []
-        rows = relation_rows(bundle)
-        sources = relation_source_degrees(bundle)
-        for row, src in zip(rows, sources):
-            stack = [
-                line
-                for entry in row
-                for line in multiplication_matrix([entry], src + entry.degree).entries
-            ]
-            relations.extend(zip(*stack))
-        rel_rows, rel_pivots = rref(ExactMatrix(relations))
-        if len(rel_rows) != len(relations):
+        relations: List[Tuple[int, ...]] = []
+        for row, src in zip(relation_rows(bundle), relation_source_degrees(bundle)):
+            blocks = [multiplication_matrix([entry], src + entry.degree) for entry in row]
+            if any(den != 1 for block in blocks for den in block.dens):
+                raise CertificateError("relation rows must have integer coefficients")
+            relations.extend(zip(*(line for block in blocks for line in block.ints)))
+        echelon, pivots, _ = _bareiss_echelon(relations, self.ambient_dim)
+        if len(pivots) != len(relations):
             raise CertificateError("defining relations must be independent")
-        pivot_set = set(rel_pivots)
+        # The fraction-free echelon of the relations, which each pair extends.
+        self.relation_echelon = tuple(tuple(row) for row in echelon)
+        pivot_set = {c for _, c in pivots}
         self.free_positions = [i for i in range(self.ambient_dim) if i not in pivot_set]
         self.dim = len(self.free_positions)
         if self.dim != h0_bundle(bundle):
             raise CertificateError("rank-computed dimension must match")
-        # Each reduced relation row is 1 at its pivot and 0 at every other
-        # pivot, so only its free entries matter: (free index, value) pairs.
-        self._rel_terms = [
-            (piv, [(q, row[pos]) for q, pos in enumerate(self.free_positions) if row[pos]])
-            for row, piv in zip(rel_rows, rel_pivots)
-        ]
 
     # -- ambient packing ------------------------------------------------
 
@@ -104,44 +98,11 @@ class SectionSpace:
             vec.extend(comp.coeff_vector())
         return tuple(vec)
 
-    def components(self, vec: Sequence[Fraction]) -> Tuple[HomPoly, ...]:
+    def components(self, vec: Sequence) -> Tuple[HomPoly, ...]:
         out = []
         for off, d in zip(self.block_offsets, self.ambient_degrees):
             out.append(HomPoly.from_coeff_vector(d, vec[off : off + h0_p2(d)]))
         return tuple(out)
-
-    # -- quotient structure ----------------------------------------------
-
-    def reduce(self, vec: Sequence[Fraction]) -> Vector:
-        """Coordinates of the class of an ambient vector, canonical and
-        idempotent; the relation span reduces to zero.
-
-        Subtracting a reduced relation row leaves every other pivot entry
-        alone, so each row's coefficient is the vector's own pivot entry and
-        only the free coordinates change.
-        """
-        work = [Fraction(e) for e in vec]
-        if len(work) != self.ambient_dim:
-            raise ValueError("ambient vector has wrong length")
-        out = [work[i] for i in self.free_positions]
-        for piv, terms in self._rel_terms:
-            f = work[piv]
-            if f:
-                for q, value in terms:
-                    out[q] -= f * value
-        return tuple(out)
-
-    def embed(self, coords: Sequence[Fraction]) -> Vector:
-        """Canonical ambient representative with the given coordinates."""
-        if len(coords) != self.dim:
-            raise ValueError("coordinate vector has wrong length")
-        vec = [Fraction(0)] * self.ambient_dim
-        for pos, c in zip(self.free_positions, coords):
-            vec[pos] = Fraction(c)
-        return tuple(vec)
-
-    def reduce_section(self, sec: Section) -> Vector:
-        return self.reduce(self.ambient_vector(sec.components))
 
 
 @lru_cache(maxsize=None)
@@ -153,13 +114,12 @@ def section_space(bundle: BundleSpec) -> SectionSpace:
 class SectionQuotient:
     """H0(bundle) / <v1, v2> with canonical lifts of a quotient basis.
 
-    Each canonical lift is the ambient unit vector at one free position, i.e.
-    one monomial in one ambient block; ``lift_positions`` lists those ambient
-    positions in increasing order.
+    Each canonical lift is the ambient unit vector at one position without a
+    pivot, i.e. one monomial in one ambient block; ``lift_positions`` lists
+    those ambient positions in increasing order.
     """
 
     space: SectionSpace
-    v_coords: Tuple[Vector, Vector]
     lift_positions: Tuple[int, ...]
 
     @property
@@ -172,23 +132,23 @@ class SectionQuotient:
         space = self.space
         out = []
         for pos in self.lift_positions:
-            ambient = [Fraction(0)] * space.ambient_dim
-            ambient[pos] = Fraction(1)
+            ambient = [0] * space.ambient_dim
+            ambient[pos] = 1
             out.append(Section(space.bundle, space.components(ambient)))
         return tuple(out)
 
 
 def quotient_by_pair(space: SectionSpace, v1: Section, v2: Section) -> SectionQuotient:
-    w1 = space.reduce_section(v1)
-    w2 = space.reduce_section(v2)
-    rows, pivots = rref(ExactMatrix([w1, w2]))
-    if len(rows) != 2:
+    """The quotient by <v1, v2>, from one elimination of the relation echelon
+    with the pair's two cleared ambient vectors appended."""
+    pair = ExactMatrix([space.ambient_vector(v.components) for v in (v1, v2)])
+    rows = space.relation_echelon + pair.ints
+    _, pivots, _ = _bareiss_echelon(rows, space.ambient_dim)
+    if len(pivots) != len(rows):
         raise GpliError("the two sections do not span a two-dimensional subspace")
-    pivot_set = set(pivots)
-    positions = tuple(
-        pos for q, pos in enumerate(space.free_positions) if q not in pivot_set
-    )
-    return SectionQuotient(space=space, v_coords=(w1, w2), lift_positions=positions)
+    pivot_set = {c for _, c in pivots}
+    positions = tuple(pos for pos in range(space.ambient_dim) if pos not in pivot_set)
+    return SectionQuotient(space=space, lift_positions=positions)
 
 
 def cofactor_forms(v: Section) -> Tuple[HomPoly, HomPoly, HomPoly]:

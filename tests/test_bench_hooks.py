@@ -1,14 +1,16 @@
 """The benchmark's hooks into the package still resolve.
 
-``bench/run.py`` traces the functions named in its ``TRACE_TARGETS`` and
-refuses to run unless ``linalg.USE_MODP_FAST_PATH`` is at its default.  A
-rename in ``src/detrep`` would break the tracer silently, so this imports the
-script (without writing bytecode next to it) and resolves every hook the way
-its tracer does.
+``bench/run.py`` traces the functions named in its ``TRACE_TARGETS``, calls
+the package as ``lib.<name>`` and refuses to run unless
+``linalg.USE_MODP_FAST_PATH`` is at its default.  A rename in ``src/detrep``
+would break the tracer silently or the benchmark only when it runs, so this
+imports the script (without writing bytecode next to it) and resolves every
+hook the way its tracer does, and every ``lib.<name>`` it reads.
 """
 
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -45,3 +47,14 @@ def test_fast_path_switch_resolves():
     import detrep.linalg
 
     assert detrep.linalg.USE_MODP_FAST_PATH is True
+
+
+def test_every_library_name_resolves():
+    import detrep
+    import detrep.cli  # noqa: F401  (the benchmark imports it too)
+
+    names = set(re.findall(r"\blib\.(\w+)", RUN.read_text(encoding="utf-8")))
+    assert names
+    missing = sorted(name for name in names if not hasattr(detrep, name))
+    assert not missing, missing
+    assert callable(detrep.tangent.section_space.cache_clear)

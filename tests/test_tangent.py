@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 import detrep.tangent
-from detrep.bundles import BundleSpec, E, M, N, T, ambient_degrees, det_degree, h0_bundle
-from detrep.detmatrix import GpliError, Section, shifted, wedge_curve
+from detrep.bundles import E, M, N, T, ambient_degrees, det_degree, h0_bundle, relation_source_degrees
+from detrep.detmatrix import GpliError, Section, relation_shift, shifted, wedge_curve
 from detrep.linalg import ExactMatrix, rank
 from detrep.polynomials import HomPoly, h0_p2, mono_basis, parse_hompoly
 from detrep.sampling import derive_rng, random_hompoly, random_pair, random_section
@@ -51,25 +51,28 @@ def test_small_syzygy_dim_three():
     assert section_space(M(1, 0)).dim == 3
 
 
-def test_reduce_is_idempotent():
-    rng = derive_rng(8, "reduce", 0)
-    for spec in (T(1), N(1), E(2, 1)):
-        space = section_space(spec)
-        once = space.reduce_section(random_section(rng, spec))
-        # the canonical representative of a reduced class reduces to itself
-        assert space.reduce(space.embed(once)) == once
-
-
-def test_reduce_kills_relation_multiples():
-    spec = T(1)
-    space = section_space(spec)
-    h = random_hompoly(derive_rng(8, "reduce", 1), 1)
-    base = random_section(derive_rng(8, "reduce", 2), spec)
-    moved = shifted(base, h)
-    assert space.reduce_section(moved) == space.reduce_section(base)
-
-
 # ---------------------------------------------------------------- quotients
+
+
+def relation_vectors(spec):
+    """The ambient vectors of the relations: every defining row fed a monomial
+    multiplier, built from ``relation_shift`` rather than the section space."""
+    space = section_space(spec)
+    return [
+        space.ambient_vector(relation_shift(spec, HomPoly.monomial(mono), i))
+        for i, src in enumerate(relation_source_degrees(spec))
+        for mono in mono_basis(src)
+    ]
+
+
+def test_relation_shift_keeps_lift_positions():
+    for spec in (T(1), N(1)):
+        space = section_space(spec)
+        v1, v2 = random_pair(derive_rng(8, "reduce", spec.label()), spec)
+        h = random_hompoly(derive_rng(8, "reduce", 1), relation_source_degrees(spec)[0])
+        base = quotient_by_pair(space, v1, v2)
+        moved = quotient_by_pair(space, shifted(v1, h), v2)
+        assert moved.lift_positions == base.lift_positions
 
 
 def test_quotient_lift_count():
@@ -82,22 +85,71 @@ def test_quotient_lift_count():
 
 
 def test_quotient_lifts_are_unit_coordinates():
-    # each lift is one monomial in one ambient block, and it reduces to a
-    # unit vector of section coordinates at a non-pivot position
+    # each lift is one monomial in one ambient block, and the relations, the
+    # pair and the lifts together span the whole ambient space
     for spec in (T(1), N(1)):
         space = section_space(spec)
         v1, v2 = random_pair(derive_rng(9, "lifts", 0), spec)
         quot = quotient_by_pair(space, v1, v2)
         assert quot.dim == space.dim - 2
-        seen = set()
-        for pos, lift in zip(quot.lift_positions, quot.lifts):
+        for lift in quot.lifts:
             assert sum(len(c.terms) for c in lift.components) == 1
-            coords = space.reduce_section(lift)
-            assert sorted(coords) == [0] * (space.dim - 1) + [1]
-            q = space.free_positions.index(pos)
-            assert coords[q] == 1
-            seen.add(q)
-        assert len(seen) == quot.dim
+        vectors = relation_vectors(spec) + [
+            space.ambient_vector(s.components) for s in (v1, v2, *quot.lifts)
+        ]
+        assert len(vectors) == space.ambient_dim
+        assert rank(ExactMatrix(vectors)) == space.ambient_dim
+
+
+def test_quotient_matches_sympy_rref():
+    # The lift positions are the columns without a pivot in the reduced row
+    # echelon form of [relations; v1; v2], and the free positions those of
+    # the relations alone, as sympy computes them over the rationals.
+    sympy = pytest.importorskip("sympy")
+
+    def non_pivots(rows, width):
+        _, pivots = sympy.Matrix(rows).rref()
+        return tuple(c for c in range(width) if c not in pivots)
+
+    for family, twists in ((T, range(4)), (N, range(3))):
+        for n in twists:
+            spec = family(n)
+            space = section_space(spec)
+            for i in range(2):
+                v1, v2 = random_pair(derive_rng(10, f"sympy:{spec.label()}", i), spec)
+                rows = relation_vectors(spec) + [space.ambient_vector(s.components) for s in (v1, v2)]
+                quot = quotient_by_pair(space, v1, v2)
+                assert quot.lift_positions == non_pivots(rows, space.ambient_dim), spec.label()
+    for spec in (M(1, 0), M(1, 2), M(2, 3), M(3, 4), E(2, 1), E(3, 2), E(2, 3)):
+        space = section_space(spec)
+        expected = non_pivots(relation_vectors(spec), space.ambient_dim)
+        assert tuple(space.free_positions) == expected, spec.label()
+
+
+def test_quotient_takes_one_integer_elimination(monkeypatch):
+    import detrep.linalg
+
+    assert not hasattr(detrep.tangent, "rref")
+    cases = [
+        (section_space(spec), *random_pair(derive_rng(9, "one-echelon", spec.label()), spec))
+        for spec in (T(2), N(2))
+    ]
+    calls = []
+    original = detrep.tangent._bareiss_echelon
+
+    def counting_echelon(rows, pivot_cols):
+        calls.append(len(rows))
+        return original(rows, pivot_cols)
+
+    def no_rref(M):
+        raise AssertionError("quotient_by_pair must not take an rref")
+
+    monkeypatch.setattr(detrep.tangent, "_bareiss_echelon", counting_echelon)
+    monkeypatch.setattr(detrep.linalg, "rref", no_rref)
+    for space, v1, v2 in cases:
+        calls.clear()
+        quotient_by_pair(space, v1, v2)
+        assert calls == [len(space.relation_echelon) + 2]
 
 
 def test_quotient_rejects_dependent_pair():
