@@ -60,6 +60,14 @@ MAX_P1P1_DEGREE = 20
 # run at D = 10 took 133 s.
 MAX_CONTAINMENT_DEGREE = 8
 
+# The most generators containment accepts; each adds columns to every rung.
+# With g dense random degree-8 forms sharing one zero, so that every rung up
+# to 22 is deficient, it took 24, 84, 161 and 186 s at g = 3, 6, 10 and 12 on
+# a 2-core machine (maximum RSS 42, 54, 71 and 75 MB); ten such forms without
+# a common zero took 0.05 s.  The bound admits the six minors of a T(n) pair
+# and the ten cubic monomials.
+MAX_CONTAINMENT_GENERATORS = 10
+
 # The most twists one audit accepts, hi - lo + 1.  `detrep audit --family N
 # --json` on a 2-core machine took 0.5, 1.9 and 3.4 s for 10^4, 10^5 and
 # 2 * 10^5 twists, printing 1.1, 11 and 23 MB with a maximum RSS of 43, 170
@@ -212,6 +220,8 @@ def cmd_mult(args) -> RunReport:
     if args.f is not None or args.g is not None:
         if args.f is None or args.g is None:
             raise ValueError("--f and --g must be given together")
+        if args.seed is not None:
+            raise ValueError("--seed draws a random pair and cannot be given with --f and --g")
         f = _parse_section(bundle, args.f).components
         g = _parse_section(bundle, args.g).components
         inputs = {"n": n, "f": args.f, "g": args.g}
@@ -350,9 +360,12 @@ def cmd_containment(args) -> RunReport:
             lines = [line.strip() for line in fh]
     except OSError as exc:
         raise ValueError(f"cannot read {args.gens_file}: {exc}") from exc
-    gens = [parse_hompoly(line) for line in lines if line and not line.startswith("#")]
-    if not gens:
+    texts = [line for line in lines if line and not line.startswith("#")]
+    if not texts:
         raise ValueError("no generators in file")
+    if len(texts) > MAX_CONTAINMENT_GENERATORS:
+        raise ValueError(f"at most {MAX_CONTAINMENT_GENERATORS} generators are accepted, got {len(texts)}")
+    gens = [parse_hompoly(text) for text in texts]
     top = max(gen.degree for gen in gens)
     if top > MAX_CONTAINMENT_DEGREE:
         raise ValueError(f"generator degrees must be at most {MAX_CONTAINMENT_DEGREE}, got {top}")

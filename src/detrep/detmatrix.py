@@ -22,9 +22,9 @@ by a norm bound, not a heuristic: every coefficient of the determinant is at
 most prod_i sum_j |a_ij|_1 (1-norms of the cleared entries) in absolute value,
 and s is chosen with 2^(s-1) above that product.
 
-Two independent engines stay as labelled oracles for the tests (criterion
-10): cofactor expansion (``_det_cofactor``) and fraction-free elimination
-over the polynomial ring with exact polynomial division (``_det_eliminate``).
+The tests check it against two independent engines, labelled oracles in
+``tests/oracles.py`` (criterion 10): cofactor expansion and fraction-free
+elimination over the polynomial ring with exact polynomial division.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .bundles import (
     relation_source_degrees,
 )
 from .linalg import CertificateError, ExactMatrix, _bareiss_echelon, rank, rref
-from .polynomials import HomPoly, ParseError, _plane_only, divide_exact, parse_hompoly
+from .polynomials import HomPoly, ParseError, _plane_only, parse_hompoly
 
 
 class GpliError(ValueError):
@@ -98,55 +98,6 @@ class PolyMatrix:
         return f"PolyMatrix({self.size}x{self.size}, det degree {self.det_deg})"
 
 
-def _det_cofactor(entries, expected_degree: int) -> HomPoly:
-    """Oracle: cofactor expansion along the first row."""
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    acc = HomPoly.zero(expected_degree)
-    for j, top in enumerate(entries[0]):
-        if top.is_zero():
-            continue
-        minor = [
-            [entries[i][jj] for jj in range(n) if jj != j] for i in range(1, n)
-        ]
-        sub = _det_cofactor(minor, expected_degree - top.degree)
-        term = top * sub
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
-
-
-def _det_eliminate(entries, expected_degree: int) -> HomPoly:
-    """Oracle: fraction-free elimination over the polynomial ring.
-
-    Every division is exact by the Bareiss identity (entries stay minors of
-    the original matrix), which the degree pattern guarantees is degree-safe.
-    """
-    n = len(entries)
-    work = [list(row) for row in entries]
-    sign = 1
-    prev = HomPoly.monomial((0, 0, 0), 1)
-    for k in range(n - 1):
-        piv_row = None
-        for i in range(k, n):
-            if not work[i][k].is_zero():
-                piv_row = i
-                break
-        if piv_row is None:
-            return HomPoly.zero(expected_degree)
-        if piv_row != k:
-            work[k], work[piv_row] = work[piv_row], work[k]
-            sign = -sign
-        piv = work[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = piv * work[i][j] - work[i][k] * work[k][j]
-                work[i][j] = divide_exact(num, prev)
-        prev = piv
-    result = work[n - 1][n - 1]
-    return result if sign == 1 else -result
-
-
 def _unpack(value: int, s: int, degree: int, denominator: int) -> HomPoly:
     """The form whose Kronecker image is ``value``, over ``denominator``.
 
@@ -184,7 +135,6 @@ def det_poly(M: PolyMatrix) -> HomPoly:
     prod_i sum_j |a_ij|_1 in absolute value, and s is the least width with
     2^(s-1) above that bound, so the balanced digits are the coefficients.
     A negative D or a singular packed matrix gives ``HomPoly.zero(D)``.
-    ``_det_cofactor`` and ``_det_eliminate`` are the tests' oracles.
     """
     degree = M.det_deg
     if degree < 0:

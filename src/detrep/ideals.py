@@ -16,7 +16,8 @@ compares them.  The two sides share the matrix builder
 multiplication matrix of the same six forms, signed.  They differ in their
 index sets (every monomial of degree n+1 against the lifts of a quotient
 basis) and in the curve column that augments the tangent matrix.  What tests
-them independently is the determinant-based oracle ``tangent.tangent_column``.
+them independently is the determinant-based oracle ``tangent_column`` of
+``tests/oracles.py``.
 
 The same graded machinery decides ideal containment: the power of the
 irrelevant maximal ideal sits inside the ideal generated by given forms as

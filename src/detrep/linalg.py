@@ -3,9 +3,10 @@
 Everything here returns exact answers, from one elimination core:
 fraction-free (Bareiss) elimination over the integers (``_bareiss_echelon``)
 and back-substitution on its echelon form.  ``_solve`` back-substitutes one
-column: a preimage, a kernel vector, or a cokernel functional solved on the
-transposed rows; ``_reduce`` gives ``rref``, whose one library caller is the
-3x3 frame inverse of ``detmatrix.column_reduce_normalize``.  Section spaces
+column: a preimage, a cokernel functional solved on the transposed rows, or
+a free column on the pivot columns left of it, which ``kernel_basis`` negates
+and ``rref`` writes into its pivot rows (its one library caller is the 3x3
+frame inverse of ``detmatrix.column_reduce_normalize``).  Section spaces
 and their quotients read pivot columns off ``_bareiss_echelon`` directly,
 since those depend only on the row span.  An ``ExactMatrix`` clears its
 rows of denominators once, at construction, and stores them in the integer
@@ -100,10 +101,6 @@ class ExactMatrix:
         return tuple(tuple(Fraction(e, den) for e in row) for row, den in zip(self.ints, self.dens))
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> ExactMatrix:
-        return ExactMatrix(rows)
-
-    @staticmethod
     def from_columns(cols: Sequence[Sequence], rows: int | None = None) -> ExactMatrix:
         cols = [tuple(col) for col in cols]
         if cols:
@@ -127,7 +124,9 @@ class ExactMatrix:
             num, d = _rat(e).as_integer_ratio()
             merged = math.lcm(den, d)
             scale = merged // den
-            ints.append((*(x * scale for x in row), num * (merged // d)))
+            if scale != 1:
+                row = tuple(x * scale for x in row)
+            ints.append(row + (num * (merged // d),))
             dens.append(merged)
         return ExactMatrix._of(self.cols + 1, ints, dens)
 
@@ -303,28 +302,6 @@ def _bareiss_echelon(
     return work, pivots, sign
 
 
-def _reduce(echelon: List[List[int]], pivots: List[Tuple[int, int]]) -> List[List[Fraction]]:
-    """Back-substitution: the reduced rows of an echelon form, one per pivot.
-
-    Each pivot row is scaled to a leading 1 and its entries in the later
-    pivot columns are cleared with the rows already reduced, bottom row
-    first; zero entries are skipped.  The result is the unique reduced row
-    echelon form of the echelon's row span.
-    """
-    done: List[Tuple[int, List[Fraction], List[int]]] = []
-    for r, c in reversed(pivots):
-        row = echelon[r]
-        piv = row[c]
-        out = [Fraction(e, piv) if e else _ZERO for e in row]
-        for lc, lower, support in done:
-            f = out[lc]
-            if f:
-                for j in support:
-                    out[j] -= f * lower[j]
-        done.append((c, out, [j for j in range(c, len(out)) if out[j]]))
-    return [out for _, out, _ in reversed(done)]
-
-
 def _solve(echelon: List[List[int]], pivots: List[Tuple[int, int]], col: int) -> List[Fraction]:
     """The x over the columns before ``col``, zero off the pivot columns, with
     echelon @ (x, -1) == 0 on the pivot rows, where -1 sits at ``col``.
@@ -408,20 +385,32 @@ def rank(M: ExactMatrix) -> int:
     return len(pivots)
 
 
-def _kernel(rows: Sequence[Sequence[int]], cols: int) -> Iterator[Vector]:
-    """Right kernel basis of integer rows with ``cols`` columns, each vector
-    re-checked as it is yielded: a caller pays only for the vectors it takes.
+def _free_columns(
+    echelon: List[List[int]], pivots: List[Tuple[int, int]], cols: int
+) -> Iterator[Tuple[int, List[Fraction]]]:
+    """(f, y) for each column f without a pivot, solved as it is taken:
+    column f == y @ the pivot columns left of f.
 
-    Free column f gives x_f = 1, 0 on the other free columns, and -y on the
-    pivot columns left of f, where ``_solve`` writes column f as y @ those.
+    With every column eligible for a pivot, only those pivots' rows are
+    nonzero up to f, so ``_solve`` on them solves the whole system.
     """
-    echelon, pivots, _ = _bareiss_echelon(rows, cols)
     left = 0  # pivots[:left] are the pivots left of f
     for f in range(cols):
         if left < len(pivots) and pivots[left][1] == f:
             left += 1
             continue
-        y = _solve(echelon, pivots[:left], f)
+        yield f, _solve(echelon, pivots[:left], f)
+
+
+def _kernel(rows: Sequence[Sequence[int]], cols: int) -> Iterator[Vector]:
+    """Right kernel basis of integer rows with ``cols`` columns, each vector
+    re-checked as it is yielded: a caller pays only for the vectors it takes.
+
+    Free column f gives x_f = 1, 0 on the other free columns, and -y on the
+    pivot columns left of f, where column f is y @ those pivot columns.
+    """
+    echelon, pivots, _ = _bareiss_echelon(rows, cols)
+    for f, y in _free_columns(echelon, pivots, cols):
         vec = (*(-e for e in y), Fraction(1), *[_ZERO] * (cols - f - 1))
         if not _annihilates(rows, vec):
             raise CertificateError("kernel vector must verify")
@@ -487,9 +476,19 @@ def rref(M: ExactMatrix) -> Tuple[List[Vector], List[int]]:
 
     Returns the nonzero rows (pivot entries normalized to 1, pivot columns
     cleared elsewhere) and the pivot column indices, both deterministic.
+    Row i holds, in each free column f, y at pivot i's column from
+    ``_free_columns`` (0 when pivot i lies right of f).
     """
     echelon, pivots, _ = _bareiss_echelon(M.ints, M.cols)
-    return [tuple(row) for row in _reduce(echelon, pivots)], [c for _, c in pivots]
+    rows = [[_ZERO] * M.cols for _ in pivots]
+    for row, (_, c) in zip(rows, pivots):
+        row[c] = Fraction(1)
+    for f, y in _free_columns(echelon, pivots, M.cols):
+        for row, (_, c) in zip(rows, pivots):
+            if c > f:
+                break
+            row[f] = y[c]
+    return [tuple(row) for row in rows], [c for _, c in pivots]
 
 
 def report(M: ExactMatrix) -> LinearMapReport:

@@ -42,7 +42,6 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 Mono3 = Tuple[int, int, int]
 Mono22 = Tuple[int, int, int, int]
-Rat = Fraction
 _ZERO = Fraction(0)
 
 

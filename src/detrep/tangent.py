@@ -25,11 +25,12 @@ of v = (a, b, c).  Every canonical lift of a quotient basis vector is one
 monomial m in one ambient block j, so the column of phi: v1 -> m is
 -m*C_j(v2) and that of phi: v2 -> m is m*C_j(v1): the tangent matrix is a
 column subset of the multiplication matrix of the cofactor forms, and no
-polynomial determinant is taken per column.  For T(n) the C_j of the two
-sections are exactly the minors that ``ideals.u_generators`` calls U.
-Surjectivity onto sections of the curve is decided by ranking the matrix
-augmented with the curve's own coefficient vector, since the curve spans the
-kernel of restriction.
+polynomial determinant is taken per column (the tests take one per column,
+with ``tangent_column`` of ``tests/oracles.py``, as the independent
+reference).  For T(n) the C_j of the two sections are exactly the minors
+that ``ideals.u_generators`` calls U.  Surjectivity onto sections of the
+curve is decided by ranking the matrix augmented with the curve's own
+coefficient vector, since the curve spans the kernel of restriction.
 """
 
 from __future__ import annotations
@@ -161,20 +162,6 @@ def cofactor_forms(v: Section) -> Tuple[HomPoly, HomPoly, HomPoly]:
     [(r1, r2, r3)] = relation_rows(v.bundle)
     a, b, c = v.components
     return (c * r2 - b * r3, a * r3 - c * r1, b * r1 - a * r2)
-
-
-def tangent_column(v1: Section, v2: Section, lift: Section, slot: int) -> HomPoly:
-    """Value of the derivative on phi: v_slot -> lift (zero on the other).
-
-    Computed by a polynomial determinant per call; ``tangent_map`` does not
-    use it, and tests use it as the independent reference for the columns
-    that ``tangent_map`` takes from the cofactor forms.
-    """
-    if slot == 1:
-        return -wedge_curve(v2, lift)
-    if slot == 2:
-        return wedge_curve(v1, lift)
-    raise ValueError("slot must be 1 or 2")
 
 
 @dataclass(frozen=True)

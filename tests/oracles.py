@@ -1,0 +1,119 @@
+"""Independent reference engines that the tests compare the package against.
+
+Each one computes something the package also computes, by a different and
+plainer method, and is used only by the tests:
+
+* ``det_cofactor`` and ``det_eliminate``: polynomial determinants by cofactor
+  expansion and by fraction-free elimination over the polynomial ring, the
+  oracles of ``detmatrix.det_poly`` (criterion 10);
+* ``tangent_column``: a tangent-map column as one polynomial determinant,
+  the oracle of the columns ``tangent.tangent_map`` takes from the cofactor
+  forms (criterion 05);
+* ``multiple_columns``: multiplication columns as ``Fraction`` lists, one
+  column at a time, the oracle of ``linalg.multiplication_matrix``;
+* ``times`` and ``left_times``: dense rational matrix products on a matrix's
+  public ``entries``, independent of the integer rows that the package's own
+  certificate re-checks use.
+"""
+
+from fractions import Fraction
+from typing import Iterable, List
+
+from detrep.detmatrix import Section, wedge_curve
+from detrep.polynomials import HomPoly, _mono_index, _ring, _shift, divide_exact
+
+_ZERO = Fraction(0)
+
+
+def det_cofactor(entries, expected_degree: int) -> HomPoly:
+    """Cofactor expansion along the first row."""
+    n = len(entries)
+    if n == 1:
+        return entries[0][0]
+    acc = HomPoly.zero(expected_degree)
+    for j, top in enumerate(entries[0]):
+        if top.is_zero():
+            continue
+        minor = [
+            [entries[i][jj] for jj in range(n) if jj != j] for i in range(1, n)
+        ]
+        sub = det_cofactor(minor, expected_degree - top.degree)
+        term = top * sub
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def det_eliminate(entries, expected_degree: int) -> HomPoly:
+    """Fraction-free elimination over the polynomial ring.
+
+    Every division is exact by the Bareiss identity (entries stay minors of
+    the original matrix), which the degree pattern guarantees is degree-safe.
+    """
+    n = len(entries)
+    work = [list(row) for row in entries]
+    sign = 1
+    prev = HomPoly.monomial((0, 0, 0), 1)
+    for k in range(n - 1):
+        piv_row = None
+        for i in range(k, n):
+            if not work[i][k].is_zero():
+                piv_row = i
+                break
+        if piv_row is None:
+            return HomPoly.zero(expected_degree)
+        if piv_row != k:
+            work[k], work[piv_row] = work[piv_row], work[k]
+            sign = -sign
+        piv = work[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = piv * work[i][j] - work[i][k] * work[k][j]
+                work[i][j] = divide_exact(num, prev)
+        prev = piv
+    result = work[n - 1][n - 1]
+    return result if sign == 1 else -result
+
+
+def tangent_column(v1: Section, v2: Section, lift: Section, slot: int) -> HomPoly:
+    """Value of the derivative on phi: v_slot -> lift (zero on the other),
+    by one polynomial determinant."""
+    if slot == 1:
+        return -wedge_curve(v2, lift)
+    if slot == 2:
+        return wedge_curve(v1, lift)
+    raise ValueError("slot must be 1 or 2")
+
+
+def multiple_columns(generators: Iterable[HomPoly], degree) -> List[List[Fraction]]:
+    """Coefficient columns of m*g for every generator g and every monomial m
+    of degree ``degree - g.degree``.
+
+    Columns are generator-major, with m in basis order inside each generator;
+    each is ``(HomPoly.monomial(m) * g).coeff_vector()`` in the
+    degree-``degree`` basis, written term by term through the shift table
+    without building a product.  A zero generator gives zero columns, and a
+    generator of degree above ``degree`` gives none.
+    """
+    width = len(_mono_index(degree)[0])
+    sub = _ring(degree).sub
+    columns: List[List[Fraction]] = []
+    for gen in generators:
+        block = [[_ZERO] * width for _ in _mono_index(sub(degree, gen.degree))[0]]
+        for t, coeff in gen.terms.items():
+            for col, pos in zip(block, _shift(t, degree)):
+                col[pos] = coeff
+        columns.extend(block)
+    return columns
+
+
+def times(M, v):
+    """The column vector M @ v."""
+    assert len(v) == M.cols
+    return tuple(sum((e * x for e, x in zip(row, v)), Fraction(0)) for row in M.entries)
+
+
+def left_times(w, M):
+    """The row vector w @ M."""
+    assert len(w) == M.rows
+    rows = M.entries
+    return tuple(sum((wi * row[j] for wi, row in zip(w, rows)), Fraction(0)) for j in range(M.cols))

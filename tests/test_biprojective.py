@@ -16,7 +16,7 @@ from detrep.biprojective import (
 )
 from detrep.linalg import ExactMatrix, rank
 from detrep.polynomials import BigradedPoly, bimono_basis, parse_bipoly
-from products import times
+from oracles import times
 
 
 def random_biform(rng, a, b):

@@ -9,6 +9,7 @@ import detrep.cli
 import detrep.ideals
 from detrep.cli import main
 from detrep.linalg import CertificateError
+from detrep.polynomials import HomPoly, mono_basis
 
 
 def run_json(capsys, argv):
@@ -215,6 +216,22 @@ def test_containment_not_reached(tmp_path, capsys):
     code, rep = run_json(capsys, ["containment", "--gens-file", str(path)])
     assert code == 1
     assert rep["data"]["containment_degree"] is None
+
+
+def test_containment_generator_bound(tmp_path, capsys):
+    # The ten cubic monomials sit at the bound; one more is refused before
+    # any generator is parsed.
+    bound = detrep.cli.MAX_CONTAINMENT_GENERATORS
+    cubics = [str(HomPoly.monomial(mono)) for mono in mono_basis(3)]
+    assert len(cubics) == bound
+    path = tmp_path / "gens.txt"
+    path.write_text("\n".join(cubics) + "\n")
+    code, rep = run_json(capsys, ["containment", "--gens-file", str(path)])
+    assert code == 0
+    assert rep["data"]["containment_degree"] == 3
+    path.write_text("\n".join(cubics) + "\nnot a form\n")
+    assert main(["containment", "--gens-file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: at most {bound} generators are accepted, got {bound + 1}\n"
 
 
 def test_containment_missing_file(capsys):

@@ -20,10 +20,11 @@ from detrep.detmatrix import (
     wedge_curve,
     write_poly_matrix,
 )
-from detrep.detmatrix import _det_cofactor, _det_eliminate, _unpack
+from detrep.detmatrix import _unpack
 from detrep.linalg import CertificateError
 from detrep.polynomials import HomPoly, ParseError, X, Y, Z, mono_basis, parse_bipoly, parse_hompoly
 from detrep.sampling import derive_rng, random_hompoly, random_section
+from oracles import det_cofactor, det_eliminate
 
 
 def sec(bundle, *texts):
@@ -67,15 +68,15 @@ def test_det_engines_agree_random():
         for _ in range(trials):
             entries = [[random_hompoly(rng, 1) for _ in range(size)] for _ in range(size)]
             m = PolyMatrix(entries)
-            assert _det_cofactor(m.entries, m.det_deg) == _det_eliminate(m.entries, m.det_deg)
+            assert det_cofactor(m.entries, m.det_deg) == det_eliminate(m.entries, m.det_deg)
 
 
 def test_det_eliminate_handles_zero_pivots():
     zero1 = HomPoly.zero(1)
     m = PolyMatrix([[zero1, X], [Y, zero1]])
-    assert _det_eliminate(m.entries, 2) == (X * Y).scale(Fraction(-1))
+    assert det_eliminate(m.entries, 2) == (X * Y).scale(Fraction(-1))
     m2 = PolyMatrix([[zero1, zero1], [zero1, zero1]])
-    assert _det_eliminate(m2.entries, 2).is_zero()
+    assert det_eliminate(m2.entries, 2).is_zero()
 
 
 def test_det_row_swap_changes_sign():
@@ -87,7 +88,7 @@ def test_det_row_swap_changes_sign():
 
 
 def oracle(m):
-    return _det_cofactor(m.entries, m.det_deg)
+    return det_cofactor(m.entries, m.det_deg)
 
 
 def test_det_poly_matches_elimination_on_seeded_m21():
@@ -96,7 +97,7 @@ def test_det_poly_matches_elimination_on_seeded_m21():
     assert (m.size, m.det_deg) == (6, 7)
     got = det_poly(m)
     assert not got.is_zero()
-    assert got == _det_eliminate(m.entries, m.det_deg)
+    assert got == det_eliminate(m.entries, m.det_deg)
 
 
 def test_det_poly_matches_elimination_on_mixed_patterns():
@@ -115,7 +116,7 @@ def test_det_poly_matches_elimination_on_mixed_patterns():
                     row.append(e.scale(Fraction(1, rng.randint(1, 6))))
                 entries.append(row)
             m = PolyMatrix(entries)
-            assert det_poly(m) == _det_eliminate(m.entries, m.det_deg)
+            assert det_poly(m) == det_eliminate(m.entries, m.det_deg)
 
 
 def test_det_poly_zero_determinant_is_zero_of_its_degree():
@@ -347,6 +348,47 @@ def test_normalize_rejects_quadric_in_ideal():
     with pytest.raises(ValueError) as err:
         column_reduce_normalize(m)
     assert "ideal" in str(err.value)
+
+
+def test_normalize_frames_match_sympy_for_every_completion():
+    # The frame completes (l; m) with the first unit row e_t that makes it
+    # invertible; sparse small coefficients reach every t and the dependent case.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("normalize-frames")
+    unit = sympy.eye(3)
+    seen = set()
+    for _ in range(150):
+        l, m = (
+            HomPoly(1, {mono: Fraction(rng.choice([-2, -1, 0, 0, 0, 1, 3])) for mono in mono_basis(1)})
+            for _ in range(2)
+        )
+        q = random_hompoly(rng, 2)
+        matrix = PolyMatrix(
+            [[random_hompoly(rng, 0), random_hompoly(rng, 0), random_hompoly(rng, 1)] for _ in range(2)]
+            + [[l, m, q]]
+        )
+        lm = sympy.Matrix([list(l.coeff_vector()), list(m.coeff_vector())])
+        t = next((t for t in range(3) if lm.col_join(unit[t, :]).det() != 0), None)
+        seen.add(t)
+        if t is None:
+            with pytest.raises(ValueError, match="dependent"):
+                column_reduce_normalize(matrix)
+            continue
+        # q lies in the ideal (l, m) exactly when it vanishes at their common zero.
+        [zero] = lm.nullspace()
+        if q.evaluate(tuple(Fraction(int(e.p), int(e.q)) for e in zero)) == 0:
+            with pytest.raises(ValueError, match="ideal"):
+                column_reduce_normalize(matrix)
+            continue
+        res = column_reduce_normalize(matrix)
+        inverse = lm.col_join(unit[t, :]).inv()
+        assert res.substitution == tuple(
+            tuple(Fraction(int(e.p), int(e.q)) for e in inverse.row(i)) for i in range(3)
+        )
+        images = tuple(HomPoly.from_coeff_vector(1, row) for row in res.substitution)
+        pulled = det_poly(matrix).compose_linear(images)
+        assert det_poly(res.matrix) == pulled.scale(1 / res.scale)
+    assert seen == {0, 1, 2, None}
 
 
 # ---------------------------------------------------------------- round trip

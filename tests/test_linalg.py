@@ -26,13 +26,12 @@ from detrep.linalg import (
     report,
     rref,
 )
-from columns import multiple_columns
 from detrep.polynomials import BigradedPoly, HomPoly, bimono_basis, h0_p2, mono_basis
-from products import left_times, times
+from oracles import left_times, multiple_columns, times
 
 
 def frac_matrix(rows):
-    return ExactMatrix.from_rows([[Fraction(e) for e in row] for row in rows])
+    return ExactMatrix([[Fraction(e) for e in row] for row in rows])
 
 
 def test_rank_hand_examples():
@@ -51,7 +50,7 @@ def test_rank_of_transpose_equal():
     rng = random.Random(11)
     for _ in range(20):
         rows = [[Fraction(rng.randint(-5, 5)) for _ in range(4)] for _ in range(3)]
-        m = ExactMatrix.from_rows(rows)
+        m = ExactMatrix(rows)
         assert rank(m) == rank(ExactMatrix.from_columns(m.entries))
 
 
@@ -61,7 +60,7 @@ def test_rank_invariant_under_row_permutation():
         rows = [[Fraction(rng.randint(-5, 5)) for _ in range(5)] for _ in range(4)]
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        assert rank(ExactMatrix.from_rows(rows)) == rank(ExactMatrix.from_rows(shuffled))
+        assert rank(ExactMatrix(rows)) == rank(ExactMatrix(shuffled))
 
 
 def test_fast_path_and_bareiss_agree():
@@ -72,7 +71,7 @@ def test_fast_path_and_bareiss_agree():
         r = rng.randint(1, 6)
         c = rng.randint(1, 6)
         mats.append(
-            ExactMatrix.from_rows(
+            ExactMatrix(
                 [[Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(c)] for _ in range(r)]
             )
         )
@@ -103,7 +102,7 @@ def test_kernel_dimension_rank_nullity():
     rng = random.Random(14)
     for _ in range(15):
         rows = [[Fraction(rng.randint(-4, 4)) for _ in range(5)] for _ in range(3)]
-        m = ExactMatrix.from_rows(rows)
+        m = ExactMatrix(rows)
         assert rank(m) + len(kernel_basis(m)) == 5
 
 
@@ -135,7 +134,7 @@ def test_membership_random_consistency():
     rng = random.Random(15)
     for _ in range(10):
         rows = [[Fraction(rng.randint(-5, 5)) for _ in range(3)] for _ in range(4)]
-        m = ExactMatrix.from_rows(rows)
+        m = ExactMatrix(rows)
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
         v = times(m, tuple(coeffs))
         assert in_column_space(m, v).member
@@ -202,14 +201,14 @@ def reference_int_rows(M):
 def test_stored_rows_are_the_canonical_cleared_rows():
     rng = random.Random("int-rows")
     cases = [
-        ExactMatrix.from_rows([
+        ExactMatrix([
             [Fraction(1, 2), Fraction(-2, 3), Fraction(5), Fraction(-7, 12)],
             [Fraction(0), Fraction(0), Fraction(0), Fraction(0)],
             [Fraction(-3, 4), Fraction(9, 10), Fraction(-1, 15), Fraction(2)],
         ]),
-        ExactMatrix.from_rows([[0, 0], [0, 0]]),
-        ExactMatrix.from_rows([[], [], []]),
-        ExactMatrix.from_rows([
+        ExactMatrix([[0, 0], [0, 0]]),
+        ExactMatrix([[], [], []]),
+        ExactMatrix([
             [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(7)]
             for _ in range(6)
         ]),
@@ -260,7 +259,7 @@ entry = st.integers(min_value=-7, max_value=7)
 @settings(max_examples=40)
 @given(st.lists(st.lists(entry, min_size=3, max_size=3), min_size=2, max_size=4))
 def test_rank_bounded_by_dims(rows):
-    m = ExactMatrix.from_rows([[Fraction(e) for e in row] for row in rows])
+    m = ExactMatrix([[Fraction(e) for e in row] for row in rows])
     r = rank(m)
     assert 0 <= r <= min(m.rows, m.cols)
 
@@ -268,8 +267,8 @@ def test_rank_bounded_by_dims(rows):
 @settings(max_examples=40)
 @given(st.lists(st.lists(entry, min_size=4, max_size=4), min_size=4, max_size=4))
 def test_duplicating_a_row_preserves_rank(rows):
-    m = ExactMatrix.from_rows([[Fraction(e) for e in row] for row in rows])
-    doubled = ExactMatrix.from_rows([list(m.entries[0])] + [list(r) for r in m.entries])
+    m = ExactMatrix([[Fraction(e) for e in row] for row in rows])
+    doubled = ExactMatrix([list(m.entries[0])] + [list(r) for r in m.entries])
     assert rank(doubled) == rank(m)
 
 
@@ -308,7 +307,7 @@ def seeded_matrices(seed, count):
             a, b = rng.sample(range(rows), 2)
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             m[rng.randrange(rows)] = [x + c * y for x, y in zip(m[a], m[b])]
-        out.append(ExactMatrix.from_rows(m))
+        out.append(ExactMatrix(m))
     return out
 
 
@@ -325,6 +324,20 @@ def test_rref_matches_sympy(sympy):
         assert rows == [
             tuple(Fraction(int(e.p), int(e.q)) for e in ref.row(i)) for i in range(len(ref_pivots))
         ]
+
+
+def test_augment_column_matches_rebuilt_matrix():
+    # Integral entries keep every stored row as it is; entries over a
+    # divisor of the row's denominator keep it too; the others rescale it.
+    rng = random.Random("augment-column")
+    for M in seeded_matrices("augment-column", 120):
+        integral = [Fraction(rng.randint(-9, 9)) for _ in range(M.rows)]
+        dividing = [Fraction(rng.randint(-9, 9), rng.choice([1, den])) for den in M.dens]
+        fractional = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 5, 12])) for _ in range(M.rows)]
+        for v in (integral, dividing, fractional):
+            augmented = M.augment_column(v)
+            assert augmented == ExactMatrix([row + (e,) for row, e in zip(M.entries, v)])
+            assert augmented.cols == M.cols + 1
 
 
 def test_certificates_verify_with_sympy_dimensions(sympy):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from columns import multiple_columns
+from oracles import multiple_columns
 from detrep.polynomials import (
     BigradedPoly,
     HomPoly,

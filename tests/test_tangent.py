@@ -15,9 +15,9 @@ from detrep.tangent import (
     quotient_by_pair,
     section_space,
     smoothness_check,
-    tangent_column,
     tangent_map,
 )
+from oracles import tangent_column
 
 
 def sec(bundle, *texts):
