@@ -15,16 +15,16 @@ Twisting by O(1) is heavily used, so every n-dependent quantity takes the
 twist as part of the spec.  ``T`` admits n >= -1 (its degree-1 determinant
 lives there); the other families require n >= 0.
 
-Global-section dimensions follow from the sequences because the relevant
-first cohomology vanishes on the plane; they are closed forms here and are
-cross-checked against explicit relation-matrix ranks elsewhere in the
-package.
+Rank, determinant degree and section counts are read off one table of these
+sequences, each as an ambient sum minus a source sum.  For h0 this is exact
+because no line bundle on the plane has first cohomology (Hartshorne III.5.1);
+``tangent``'s section spaces cross-check it against relation-matrix ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .linalg import CertificateError
 from .polynomials import HomPoly, X, Y, Z, h0_p2, mono_basis
@@ -71,11 +71,12 @@ class BundleSpec:
         return BundleSpec(self.family, self.n + t, self.param)
 
     def label(self) -> str:
-        if self.family == "M":
-            return f"M_{self.param}({self.n})"
-        if self.family == "E":
-            return f"E_{self.param}({self.n})"
-        return f"{self.family}({self.n})"
+        return _label(self.family, self.n, self.param)
+
+
+def _label(family: str, n: int, param: Optional[int]) -> str:
+    """The printed name: ``T(n)`` and ``N(n)``, or ``M_k(n)`` and ``E_r(n)``."""
+    return f"{family}({n})" if param is None else f"{family}_{param}({n})"
 
 
 def N(n: int) -> BundleSpec:
@@ -94,48 +95,47 @@ def E(r: int, n: int) -> BundleSpec:
     return BundleSpec("E", n, r)
 
 
+# Each family's defining sequence, given (n, param): the ambient summands and
+# the relation sources as (degree, count) pairs in component order.  Counts
+# stay unexpanded, so rank, degree and section counts cost O(1) in k for M_k.
+_SEQUENCES = {
+    "N": lambda n, _: (((n, 2), (n + 1, 1)), ((n - 1, 1),)),
+    "T": lambda n, _: (((n + 1, 3),), ((n, 1),)),
+    "M": lambda n, k: (((n, h0_p2(k)),), ((n - k, 1),)),
+    "E": lambda n, r: (((n, r + 2),), ((n - 1, 2),)),
+}
+
+
+def _along_sequence(spec: BundleSpec, f: Callable[[int], int]) -> int:
+    """sum c*f(a) over the ambient summands O(a)^c minus the same sum over
+    the relation sources: an invariant additive on the sequence, read off it."""
+    ambient, sources = _SEQUENCES[spec.family](spec.n, spec.param)
+    return sum(c * f(a) for a, c in ambient) - sum(c * f(s) for s, c in sources)
+
+
+def _expanded(spec: BundleSpec, side: int) -> Tuple[int, ...]:
+    """The ambient (side 0) or source (side 1) degrees, one per summand."""
+    pairs = _SEQUENCES[spec.family](spec.n, spec.param)[side]
+    return tuple(d for d, c in pairs for _ in range(c))
+
+
 def bundle_rank(spec: BundleSpec) -> int:
-    if spec.family in ("N", "T"):
-        return 2
-    if spec.family == "M":
-        return h0_p2(spec.param) - 1
-    return spec.param
+    return _along_sequence(spec, lambda a: 1)
 
 
 def det_degree(spec: BundleSpec) -> int:
     """Degree of the determinant line bundle, i.e. of the degeneracy curve."""
-    n = spec.n
-    if spec.family == "N":
-        return 2 * n + 2
-    if spec.family == "T":
-        return 2 * n + 3
-    if spec.family == "M":
-        return (h0_p2(spec.param) - 1) * n + spec.param
-    return spec.param * n + 2
+    return _along_sequence(spec, lambda a: a)
 
 
 def h0_bundle(spec: BundleSpec, t: int = 0) -> int:
     """Global-section dimension of the bundle twisted by O(t)."""
-    n = spec.n + t
-    if spec.family == "N":
-        return 2 * h0_p2(n) + h0_p2(n + 1) - h0_p2(n - 1)
-    if spec.family == "T":
-        return 3 * h0_p2(n + 1) - h0_p2(n)
-    if spec.family == "M":
-        return h0_p2(spec.param) * h0_p2(n) - h0_p2(n - spec.param)
-    return (spec.param + 2) * h0_p2(n) - 2 * h0_p2(n - 1)
+    return _along_sequence(spec, lambda a: h0_p2(a + t))
 
 
 def ambient_degrees(spec: BundleSpec) -> Tuple[int, ...]:
     """Degrees of the ambient line-bundle summands, in component order."""
-    n = spec.n
-    if spec.family == "N":
-        return (n, n, n + 1)
-    if spec.family == "T":
-        return (n + 1, n + 1, n + 1)
-    if spec.family == "M":
-        return (n,) * h0_p2(spec.param)
-    return (n,) * (spec.param + 2)
+    return _expanded(spec, 0)
 
 
 def relation_rows(spec: BundleSpec) -> Tuple[Tuple[HomPoly, ...], ...]:
@@ -160,14 +160,7 @@ def relation_rows(spec: BundleSpec) -> Tuple[Tuple[HomPoly, ...], ...]:
 
 def relation_source_degrees(spec: BundleSpec) -> Tuple[int, ...]:
     """Degree of the multiplier form feeding each relation row."""
-    n = spec.n
-    if spec.family == "N":
-        return (n - 1,)
-    if spec.family == "T":
-        return (n,)
-    if spec.family == "M":
-        return (n - spec.param,)
-    return (n - 1, n - 1)
+    return _expanded(spec, 1)
 
 
 @dataclass(frozen=True)
@@ -188,7 +181,12 @@ def inequality_audit(spec: BundleSpec, m_range: Sequence[int], g: int) -> List[A
     d = bundle_rank(spec)
     rows = []
     for m in m_range:
-        lhs = h0_p2(det_degree(spec.twist(m))) - 1
+        try:
+            twisted = spec.twist(m)
+        except ValueError as exc:
+            name = _label(spec.family, spec.n + m, spec.param)
+            raise ValueError(f"twist m = {m} gives {name}, outside the family: {exc}") from None
+        lhs = h0_p2(det_degree(twisted)) - 1
         rhs = d * (h0_bundle(spec, m) - d) + g
         rows.append(AuditRow(m=m, lhs=lhs, rhs=rhs, holds=lhs <= rhs))
     return rows

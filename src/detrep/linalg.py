@@ -360,7 +360,7 @@ def _modp_rank(rows: Sequence[Sequence[int]]) -> int:
             arr[[r, i]] = arr[[i, r]]
         below = r + nz[1:]
         if below.size:
-            inv = pow(int(arr[r, col]), p - 2, p)
+            inv = pow(int(arr[r, col]), -1, p)
             factors = (arr[below, col] * inv) % p
             # entries < p and factors < p, so products stay below 2^62 < int64 max
             arr[below, col:] = (arr[below, col:] - factors[:, None] * arr[r, col:]) % p

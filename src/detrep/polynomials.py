@@ -162,9 +162,7 @@ class HomPoly:
                 raise ValueError(f"monomial {mono} does not have {ring.prefix}degree {degree}")
             coeff = _rat(coeff)
             if coeff != 0:
-                clean[mono] = clean.get(mono, _ZERO) + coeff
-                if clean[mono] == 0:
-                    del clean[mono]
+                clean[mono] = coeff
         self.degree = degree
         self.terms = clean
 
@@ -201,7 +199,7 @@ class HomPoly:
         self._require_same_degree(other)
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+            terms[mono] = terms[mono] + coeff if mono in terms else coeff
         return HomPoly(self.degree, terms)
 
     def __sub__(self, other: HomPoly) -> HomPoly:
@@ -222,7 +220,10 @@ class HomPoly:
             pos = _shift(t, degree)
             for j, c2 in right:
                 p = pos[j]
-                acc[p] = acc.get(p, _ZERO) + c1 * c2
+                if p in acc:
+                    acc[p] += c1 * c2
+                else:
+                    acc[p] = c1 * c2
         return HomPoly(degree, {basis[p]: c for p, c in acc.items()})
 
     def __rmul__(self, other) -> HomPoly:
@@ -247,7 +248,7 @@ class HomPoly:
     # -- coefficient access -------------------------------------------
 
     def coeff(self, mono: tuple) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+        return self.terms.get(mono, _ZERO)
 
     def coeff_vector(self) -> Tuple[Fraction, ...]:
         """Coefficients in the canonical basis order of this degree."""

@@ -13,14 +13,18 @@ plainer method, and is used only by the tests:
   column at a time, the oracle of ``linalg.multiplication_matrix``;
 * ``times`` and ``left_times``: dense rational matrix products on a matrix's
   public ``entries``, independent of the integer rows that the package's own
-  certificate re-checks use.
+  certificate re-checks use;
+* ``bundle_closed_forms`` and ``summand_closed_forms``: each family's rank,
+  determinant degree, section count and summand degrees as hand-derived
+  closed forms, the oracle of the values ``bundles`` reads off its table of
+  defining sequences.
 """
 
 from fractions import Fraction
 from typing import Iterable, List
 
 from detrep.detmatrix import Section, wedge_curve
-from detrep.polynomials import HomPoly, _mono_index, _ring, _shift, divide_exact
+from detrep.polynomials import HomPoly, _mono_index, _ring, _shift, divide_exact, h0_p2
 
 _ZERO = Fraction(0)
 
@@ -117,3 +121,47 @@ def left_times(w, M):
     assert len(w) == M.rows
     rows = M.entries
     return tuple(sum((wi * row[j] for wi, row in zip(w, rows)), Fraction(0)) for j in range(M.cols))
+
+
+def bundle_closed_forms(spec, t: int = 0):
+    """Rank, determinant degree and h0 at twist t of ``spec``, keyed by the
+    ``bundles`` function that computes each, one closed form per family."""
+    n, p = spec.n, spec.param
+    if spec.family == "N":
+        return dict(
+            bundle_rank=2,
+            det_degree=2 * n + 2,
+            h0_bundle=2 * h0_p2(n + t) + h0_p2(n + t + 1) - h0_p2(n + t - 1),
+        )
+    if spec.family == "T":
+        return dict(
+            bundle_rank=2,
+            det_degree=2 * n + 3,
+            h0_bundle=3 * h0_p2(n + t + 1) - h0_p2(n + t),
+        )
+    if spec.family == "M":
+        return dict(
+            bundle_rank=h0_p2(p) - 1,
+            det_degree=(h0_p2(p) - 1) * n + p,
+            h0_bundle=h0_p2(p) * h0_p2(n + t) - h0_p2(n + t - p),
+        )
+    return dict(
+        bundle_rank=p,
+        det_degree=p * n + 2,
+        h0_bundle=(p + 2) * h0_p2(n + t) - 2 * h0_p2(n + t - 1),
+    )
+
+
+def summand_closed_forms(spec):
+    """Degrees of the ambient summands and of the relation sources of
+    ``spec``, keyed like ``bundle_closed_forms``."""
+    n, p = spec.n, spec.param
+    if spec.family == "N":
+        ambient, sources = (n, n, n + 1), (n - 1,)
+    elif spec.family == "T":
+        ambient, sources = (n + 1, n + 1, n + 1), (n,)
+    elif spec.family == "M":
+        ambient, sources = (n,) * h0_p2(p), (n - p,)
+    else:
+        ambient, sources = (n,) * (p + 2), (n - 1, n - 1)
+    return dict(ambient_degrees=ambient, relation_source_degrees=sources)

@@ -15,9 +15,26 @@ from detrep.bundles import (
     inequality_audit,
     linearity_onset,
     relation_rows,
+    relation_source_degrees,
     select_E_d,
 )
 from detrep.polynomials import h0_p2
+
+from oracles import bundle_closed_forms, summand_closed_forms
+
+SEQUENCE_FUNCTIONS = {
+    f.__name__: f
+    for f in (bundle_rank, det_degree, h0_bundle, ambient_degrees, relation_source_degrees)
+}
+
+
+def _sweep_specs():
+    for n in range(-1, 13):
+        yield T(n)
+        if n >= 0:
+            yield N(n)
+            yield from (M(k, n) for k in range(1, 7))
+            yield from (E(r, n) for r in range(2, 5))
 
 
 def test_constructor_validation():
@@ -66,6 +83,43 @@ def test_h0_closed_forms_hand_checked():
     assert h0_bundle(E(2, 0)) == 4
     # twisting by t shifts n
     assert h0_bundle(N(1)) == h0_bundle(N(0).twist(1))
+
+
+def test_sequence_table_matches_closed_forms():
+    # T from n = -1, the others from 0, up to n = 12; twists -6..8
+    for spec in _sweep_specs():
+        for t in range(-6, 9):
+            expected = {**bundle_closed_forms(spec, t), **summand_closed_forms(spec)}
+            for name, f in SEQUENCE_FUNCTIONS.items():
+                got = f(spec, t) if name == "h0_bundle" else f(spec)
+                assert got == expected[name], (spec.label(), t, name)
+
+
+def test_large_k_reads_counts_without_expanding():
+    # h0(10**6) is about 5 * 10**11: no tuple of that length fits in memory
+    spec = M(10**6, 0)
+    for name, value in bundle_closed_forms(spec).items():
+        assert SEQUENCE_FUNCTIONS[name](spec) == value
+
+
+def test_relation_rows_map_sources_into_ambient():
+    # every entry of row j sends O(s_j) into summand i: s_j + deg == a_i
+    for spec in _sweep_specs():
+        ambient = ambient_degrees(spec)
+        rows = relation_rows(spec)
+        sources = relation_source_degrees(spec)
+        assert len(rows) == len(sources)
+        for row, s in zip(rows, sources):
+            assert len(row) == len(ambient)
+            assert all(s + entry.degree == a for entry, a in zip(row, ambient)), spec.label()
+
+
+def test_audit_names_the_twist_that_leaves_the_family():
+    with pytest.raises(ValueError, match=r"^twist m = -3 gives T\(-3\), outside the family: T\(n\) needs n >= -1$"):
+        inequality_audit(T(0), range(-3, 1), 8)
+    with pytest.raises(ValueError, match=r"^twist m = -1 gives M_2\(-1\), outside the family"):
+        inequality_audit(M(2, 0), range(-1, 1), 8)
+    assert [row.m for row in inequality_audit(T(0), range(-1, 1), 8)] == [-1, 0]
 
 
 def test_h0_nonnegative_and_monotone():
