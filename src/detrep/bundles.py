@@ -15,29 +15,55 @@ Twisting by O(1) is heavily used, so every n-dependent quantity takes the
 twist as part of the spec.  ``T`` admits n >= -1 (its degree-1 determinant
 lives there); the other families require n >= 0.
 
-Rank, determinant degree and section counts are read off one table of these
-sequences, each as an ambient sum minus a source sum.  For h0 this is exact
-because no line bundle on the plane has first cohomology (Hartshorne III.5.1);
-``tangent``'s section spaces cross-check it against relation-matrix ranks.
+Each family is one record in ``_FAMILIES``, read by validation, the CLI and
+every invariant: least twist, extra parameter, defining sequence and relation
+rows.  Rank, determinant degree and section counts are ambient sums minus
+source sums along the sequence.  For h0 this is exact because no line bundle on
+the plane has first cohomology (Hartshorne III.5.1); ``tangent``'s section
+spaces cross-check it against relation-matrix ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import CertificateError
 from .polynomials import HomPoly, X, Y, Z, h0_p2, mono_basis
 
-FAMILIES = ("N", "T", "M", "E")
+
+class _Family(NamedTuple):
+    least_n: int
+    param: Optional[Tuple[str, int, Optional[int]]]  # (letter, least, greatest or None)
+    # (n, param) -> ambient summands and relation sources as (degree, count)
+    # pairs in component order; unexpanded, so invariants cost O(1) in k
+    sequence: Callable
+    rows: Callable  # param -> the relation rows
+
+
+_ZERO1 = HomPoly.zero(1)
+_FAMILIES = {
+    "N": _Family(0, None, lambda n, _: (((n, 2), (n + 1, 1)), ((n - 1, 1),)),
+                 lambda _: ((X, Y, Z * Z),)),
+    "T": _Family(-1, None, lambda n, _: (((n + 1, 3),), ((n, 1),)), lambda _: ((X, Y, Z),)),
+    "M": _Family(0, ("k", 1, None), lambda n, k: (((n, h0_p2(k)),), ((n - k, 1),)),
+                 lambda k: (tuple(map(HomPoly.monomial, mono_basis(k))),)),
+    "E": _Family(0, ("r", 2, 4), lambda n, r: (((n, r + 2),), ((n - 1, 2),)),
+                 lambda r: ((X, Y, Z) + (_ZERO1,) * (r - 1), (_ZERO1,) * (r - 1) + (X, Y, Z))),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
+def parameter_letter(family: str) -> Optional[str]:
+    """The extra parameter's letter: k for M, r for E, None for T and N."""
+    param = _FAMILIES[family].param
+    return param[0] if param else None
 
 
 @dataclass(frozen=True)
 class BundleSpec:
-    """One member of one family: family letter, twist n, extra parameter.
-
-    ``param`` is k for the M family, r for the E family, and None otherwise.
-    """
+    """One member of one family: family letter, twist n, and the extra
+    parameter (k for M, r for E) or None."""
 
     family: str
     n: int
@@ -46,26 +72,18 @@ class BundleSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "T":
-            if self.n < -1:
-                raise ValueError("T(n) needs n >= -1")
-            if self.param is not None:
-                raise ValueError("T takes no extra parameter")
-        elif self.family == "N":
-            if self.n < 0:
-                raise ValueError("N(n) needs n >= 0")
-            if self.param is not None:
-                raise ValueError("N takes no extra parameter")
-        elif self.family == "M":
-            if self.param is None or self.param < 1:
-                raise ValueError("M_k needs k >= 1")
-            if self.n < 0:
-                raise ValueError("M_k(n) needs n >= 0")
-        else:
-            if self.param is None or not 2 <= self.param <= 4:
-                raise ValueError("E_r needs 2 <= r <= 4")
-            if self.n < 0:
-                raise ValueError("E_r(n) needs n >= 0")
+        family = _FAMILIES[self.family]
+        if family.param:
+            letter, least, greatest = family.param
+            if (self.param is None or self.param < least
+                    or greatest is not None and self.param > greatest):
+                bound = f"{least} <= {letter} <= {greatest}" if greatest else f"{letter} >= {least}"
+                raise ValueError(f"{self.family}_{letter} needs {bound}")
+        if self.n < family.least_n:
+            name = _label(self.family, "n", parameter_letter(self.family))
+            raise ValueError(f"{name} needs n >= {family.least_n}")
+        if not family.param and self.param is not None:
+            raise ValueError(f"{self.family} takes no extra parameter")
 
     def twist(self, t: int) -> BundleSpec:
         return BundleSpec(self.family, self.n + t, self.param)
@@ -74,7 +92,7 @@ class BundleSpec:
         return _label(self.family, self.n, self.param)
 
 
-def _label(family: str, n: int, param: Optional[int]) -> str:
+def _label(family: str, n, param) -> str:
     """The printed name: ``T(n)`` and ``N(n)``, or ``M_k(n)`` and ``E_r(n)``."""
     return f"{family}({n})" if param is None else f"{family}_{param}({n})"
 
@@ -95,27 +113,16 @@ def E(r: int, n: int) -> BundleSpec:
     return BundleSpec("E", n, r)
 
 
-# Each family's defining sequence, given (n, param): the ambient summands and
-# the relation sources as (degree, count) pairs in component order.  Counts
-# stay unexpanded, so rank, degree and section counts cost O(1) in k for M_k.
-_SEQUENCES = {
-    "N": lambda n, _: (((n, 2), (n + 1, 1)), ((n - 1, 1),)),
-    "T": lambda n, _: (((n + 1, 3),), ((n, 1),)),
-    "M": lambda n, k: (((n, h0_p2(k)),), ((n - k, 1),)),
-    "E": lambda n, r: (((n, r + 2),), ((n - 1, 2),)),
-}
-
-
 def _along_sequence(spec: BundleSpec, f: Callable[[int], int]) -> int:
     """sum c*f(a) over the ambient summands O(a)^c minus the same sum over
     the relation sources: an invariant additive on the sequence, read off it."""
-    ambient, sources = _SEQUENCES[spec.family](spec.n, spec.param)
+    ambient, sources = _FAMILIES[spec.family].sequence(spec.n, spec.param)
     return sum(c * f(a) for a, c in ambient) - sum(c * f(s) for s, c in sources)
 
 
 def _expanded(spec: BundleSpec, side: int) -> Tuple[int, ...]:
     """The ambient (side 0) or source (side 1) degrees, one per summand."""
-    pairs = _SEQUENCES[spec.family](spec.n, spec.param)[side]
+    pairs = _FAMILIES[spec.family].sequence(spec.n, spec.param)[side]
     return tuple(d for d, c in pairs for _ in range(c))
 
 
@@ -145,17 +152,7 @@ def relation_rows(spec: BundleSpec) -> Tuple[Tuple[HomPoly, ...], ...]:
     in the ambient space; these rows also sit at the bottom of every
     degeneracy-locus determinant.
     """
-    if spec.family == "N":
-        return ((X, Y, Z * Z),)
-    if spec.family == "T":
-        return ((X, Y, Z),)
-    if spec.family == "M":
-        return (tuple(HomPoly.monomial(m) for m in mono_basis(spec.param)),)
-    r = spec.param
-    zero = HomPoly.zero(1)
-    row1 = tuple([X, Y, Z] + [zero] * (r - 1))
-    row2 = tuple([zero] * (r - 1) + [X, Y, Z])
-    return (row1, row2)
+    return _FAMILIES[spec.family].rows(spec.param)
 
 
 def relation_source_degrees(spec: BundleSpec) -> Tuple[int, ...]:

@@ -23,11 +23,13 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 from .bundles import (
+    FAMILIES,
     BundleSpec,
     ambient_degrees,
     det_degree,
     inequality_audit,
     linearity_onset,
+    parameter_letter,
     select_E_d,
 )
 from .detmatrix import GpliError, Section
@@ -333,7 +335,7 @@ def cmd_audit(args) -> RunReport:
     params = _parse_params(args.params)
     m_range = _parse_range(args.m_range)
     n = params.pop("n", 0)
-    param = params.pop("k", None) if args.family == "M" else params.pop("r", None)
+    param = params.pop(parameter_letter(args.family), None)  # None pops nothing
     if params:
         raise ValueError(f"unknown parameters {sorted(params)}")
     spec = BundleSpec(args.family, n, param)
@@ -429,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_p1p1)
 
     p = sub.add_parser("audit", help="section-count inequality table for a bundle family")
-    p.add_argument("--family", choices=("N", "T", "M", "E"), default=None)
+    p.add_argument("--family", choices=FAMILIES, default=None)
     p.add_argument("--params", default=None, help="e.g. n=2 or n=1,k=2")
     p.add_argument("--m-range", default="0:10", help="inclusive lo:hi twist range")
     p.add_argument("--g", type=int, default=8)

@@ -44,7 +44,7 @@ from .bundles import (
     relation_source_degrees,
 )
 from .linalg import CertificateError, ExactMatrix, _bareiss_echelon, rank, rref
-from .polynomials import HomPoly, ParseError, _plane_only, parse_hompoly
+from .polynomials import HomPoly, ParseError, X, Y, Z, _plane_only, parse_hompoly
 
 
 class GpliError(ValueError):
@@ -319,36 +319,20 @@ def column_reduce_normalize(M: PolyMatrix) -> ReductionResult:
     else:
         raise ValueError("the two linear forms are dependent")
     frame = [row[3:] for row in reduced]
-    images = [
-        HomPoly(1, {(1, 0, 0): frame[i][0], (0, 1, 0): frame[i][1], (0, 0, 1): frame[i][2]})
-        for i in range(3)
-    ]
+    images = [HomPoly.from_coeff_vector(1, row) for row in frame]
     moved = [[e.compose_linear(images) for e in row] for row in M.entries]
+    # Split Q = x*A + y*B + scale*z^2: A takes the terms with x, B the other
+    # terms with y.
     q2 = moved[2][2]
-    # Split Q = x*A + y*B + scale*z^2 monomial by monomial.
-    a_terms, b_terms = {}, {}
-    scale = Fraction(0)
-    for (ea, eb, ec), coeff in q2.terms.items():
-        if ea >= 1:
-            a_terms[(ea - 1, eb, ec)] = coeff
-        elif eb >= 1:
-            b_terms[(ea, eb - 1, ec)] = coeff
-        else:
-            scale = coeff
+    scale = q2.coeff((0, 0, 2))
     if scale == 0:
         raise ValueError("quadric lies in the ideal of the two linear forms")
-    col_a = HomPoly(1, a_terms)
-    col_b = HomPoly(1, b_terms)
-    reduced = []
-    for row in moved:
-        e1, e2, e3 = row
-        reduced.append([e1, e2, (e3 - col_a * e1 - col_b * e2).scale(1 / scale)])
-    out = PolyMatrix(reduced)
-    if list(out.entries[2]) != [
-        HomPoly.monomial((1, 0, 0)),
-        HomPoly.monomial((0, 1, 0)),
-        HomPoly.monomial((0, 0, 2)),
-    ]:
+    col_a = HomPoly(1, {(a - 1, b, c): v for (a, b, c), v in q2.terms.items() if a})
+    col_b = HomPoly(1, {(a, b - 1, c): v for (a, b, c), v in q2.terms.items() if not a and b})
+    out = PolyMatrix(
+        [[e1, e2, (e3 - col_a * e1 - col_b * e2).scale(1 / scale)] for e1, e2, e3 in moved]
+    )
+    if list(out.entries[2]) != [X, Y, Z * Z]:
         raise CertificateError("reduced last row must be (x, y, z^2)")
     return ReductionResult(
         matrix=out,

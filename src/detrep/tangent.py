@@ -142,6 +142,10 @@ class SectionQuotient:
 def quotient_by_pair(space: SectionSpace, v1: Section, v2: Section) -> SectionQuotient:
     """The quotient by <v1, v2>, from one elimination of the relation echelon
     with the pair's two cleared ambient vectors appended."""
+    for v in (v1, v2):
+        if v.bundle != space.bundle:
+            other, own = v.bundle.label(), space.bundle.label()
+            raise ValueError(f"a section of {other} is not one of {own}")
     pair = ExactMatrix([space.ambient_vector(v.components) for v in (v1, v2)])
     rows = space.relation_echelon + pair.ints
     _, pivots, _ = _bareiss_echelon(rows, space.ambient_dim)

@@ -37,19 +37,30 @@ def _sweep_specs():
             yield from (E(r, n) for r in range(2, 5))
 
 
+# one input per distinct message; the last three have two faults each
+CONSTRUCTOR_MESSAGES = [
+    (("Q", 0), "unknown family 'Q'"),
+    (("T", -2), "T(n) needs n >= -1"),
+    (("N", -1), "N(n) needs n >= 0"),
+    (("T", 0, 1), "T takes no extra parameter"),
+    (("N", 0, 1), "N takes no extra parameter"),
+    (("M", 2), "M_k needs k >= 1"),
+    (("M", 2, 0), "M_k needs k >= 1"),
+    (("M", -1, 2), "M_k(n) needs n >= 0"),
+    (("E", 2), "E_r needs 2 <= r <= 4"),
+    (("E", 2, 5), "E_r needs 2 <= r <= 4"),
+    (("E", -1, 3), "E_r(n) needs n >= 0"),
+    (("T", -2, 1), "T(n) needs n >= -1"),
+    (("M", -1, 0), "M_k needs k >= 1"),
+    (("E", -1, 5), "E_r needs 2 <= r <= 4"),
+]
+
+
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        BundleSpec("T", -2)
-    with pytest.raises(ValueError):
-        BundleSpec("N", -1)
-    with pytest.raises(ValueError):
-        BundleSpec("M", 2)  # k required
-    with pytest.raises(ValueError):
-        BundleSpec("M", 2, 0)
-    with pytest.raises(ValueError):
-        BundleSpec("E", 2, 5)  # r capped at 4
-    with pytest.raises(ValueError):
-        BundleSpec("Q", 0)
+    for args, message in CONSTRUCTOR_MESSAGES:
+        with pytest.raises(ValueError) as info:
+            BundleSpec(*args)
+        assert str(info.value) == message, args
 
 
 def test_twist_shifts_n():

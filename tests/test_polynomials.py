@@ -77,8 +77,16 @@ def test_bimono_basis_counts():
 
 
 def test_constructor_rejects_wrong_degree_monomial():
-    with pytest.raises(ValueError):
-        HomPoly(2, {(1, 0, 0): Fraction(1)})
+    # the public constructor's messages, the last one for a tuple too wide
+    for degree, mono, message in [
+        (2, (-1, 1, 2), "negative exponent in (-1, 1, 2)"),
+        (2, (1, 0, 0), "monomial (1, 0, 0) does not have degree 2"),
+        ((1, 1), (1, 0, 0, 0), "monomial (1, 0, 0, 0) does not have bidegree (1, 1)"),
+        (2, (1, 0, 1, 0), "monomial (1, 0, 1, 0) does not have degree 2"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            HomPoly(degree, {mono: Fraction(1)})
+        assert str(info.value) == message, mono
 
 
 def test_add_same_degree():

@@ -161,6 +161,13 @@ def test_quotient_rejects_dependent_pair():
         quotient_by_pair(space, v1, v2)
 
 
+def test_quotient_rejects_pair_from_another_bundle():
+    # E_4(1) and M_2(1) share the ambient O(1)^6 but not their relations
+    v1, v2 = random_pair(derive_rng(7, "other-bundle", 0), E(4, 1))
+    with pytest.raises(ValueError, match=r"^a section of E_4\(1\) is not one of M_2\(1\)$"):
+        quotient_by_pair(section_space(M(2, 1)), v1, v2)
+
+
 # ---------------------------------------------------------------- tangent maps
 
 
