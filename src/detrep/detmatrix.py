@@ -107,7 +107,7 @@ def _unpack(value: int, s: int, degree: int, denominator: int) -> HomPoly:
     failed, and raises ``CertificateError``.
     """
     half, mask, width = 1 << (s - 1), (1 << s) - 1, degree + 1
-    terms = {}
+    nums = {}
     k = 0
     while value:
         digit = value & mask
@@ -118,9 +118,9 @@ def _unpack(value: int, s: int, degree: int, denominator: int) -> HomPoly:
             b, a = divmod(k, width)
             if a + b > degree:
                 raise CertificateError(f"Kronecker digit {k} lies outside degree {degree}")
-            terms[(a, b, degree - a - b)] = Fraction(digit, denominator)
+            nums[(a, b, degree - a - b)] = digit
         k += 1
-    return HomPoly(degree, terms)
+    return HomPoly._of(degree, nums, denominator)
 
 
 def det_poly(M: PolyMatrix) -> HomPoly:
@@ -141,11 +141,8 @@ def det_poly(M: PolyMatrix) -> HomPoly:
         return HomPoly.zero(degree)
     rows, denominator, bound = [], 1, 1
     for row in M.entries:
-        mult = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
-        cleared = [
-            [(mono, c.numerator * (mult // c.denominator)) for mono, c in e.terms.items()]
-            for e in row
-        ]
+        mult = math.lcm(*(e.den for e in row))
+        cleared = [[(mono, c * (mult // e.den)) for mono, c in e.nums.items()] for e in row]
         bound *= sum(abs(c) for terms in cleared for _, c in terms)
         denominator *= mult
         rows.append(cleared)

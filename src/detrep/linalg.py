@@ -19,9 +19,9 @@ matrices cost only the updates they need.
 
 Multiplication matrices, whose columns are the products m*g of generators g
 with monomials m, come from one builder, ``multiplication_matrix``.  It
-clears each generator's coefficients once and writes the stored integer rows
-straight through the shift table of ``polynomials``; no ``Fraction`` matrix
-is built on the way.
+reads each generator's integer numerators and writes the stored integer rows
+straight through the shift table of ``polynomials``; no ``Fraction`` is built
+on the way.
 
 ``rank`` carries one internal shortcut: the matrix is first eliminated modulo
 the prime 2^31 - 1.  A full-rank outcome there exhibits a nonzero minor mod p,
@@ -121,7 +121,7 @@ class ExactMatrix:
             raise ValueError("column length does not match row count")
         ints, dens = [], []
         for row, den, e in zip(self.ints, self.dens, v):
-            num, d = _rat(e).as_integer_ratio()
+            num, d = (e, 1) if type(e) is int else _rat(e).as_integer_ratio()
             merged = math.lcm(den, d)
             scale = merged // den
             if scale != 1:
@@ -156,10 +156,10 @@ def multiplication_matrix(
     ``degree`` gives none.
 
     The integer rows are written straight through the shift table
-    ``polynomials._shift``.  Each generator's coefficients are cleared once,
-    over the lcm L of every generator's denominators; when L > 1 each row is
-    divided by its gcd with L, which leaves the canonical stored form, so
-    the result equals ``ExactMatrix.from_columns`` of the Fraction columns.
+    ``polynomials._shift`` from each generator's numerators, scaled to the
+    lcm L of every generator's denominator; when L > 1 each row is divided
+    by its gcd with L, which leaves the canonical stored form, so the result
+    equals ``ExactMatrix.from_columns`` of the Fraction columns.
     """
     gens = list(generators)
     keep = [None] * len(gens) if keep is None else list(keep)
@@ -167,18 +167,19 @@ def multiplication_matrix(
         raise ValueError("keep needs one list per generator")
     sub = _ring(degree).sub
     rows = len(_mono_index(degree)[0])
-    blocks = []
-    for gen, kept in zip(gens, keep):
-        width = len(_mono_index(sub(degree, gen.degree))[0])
-        terms = [(_shift(t, degree), *c.as_integer_ratio()) for t, c in gen.terms.items()]
-        blocks.append((kept, width if kept is None else len(kept), terms))
-    scale = math.lcm(*(d for _, _, terms in blocks for _, _, d in terms))
-    cols = sum(width for _, width, _ in blocks)
+    widths = [
+        len(_mono_index(sub(degree, gen.degree))[0]) if kept is None else len(kept)
+        for gen, kept in zip(gens, keep)
+    ]
+    scale = math.lcm(*(gen.den for gen in gens))
+    cols = sum(widths)
     ints = [[0] * cols for _ in range(rows)]
     start = 0
-    for kept, width, terms in blocks:
-        for pos, num, den in terms:
-            value = num * (scale // den)
+    for gen, kept, width in zip(gens, keep, widths):
+        factor = scale // gen.den
+        for t, num in gen.nums.items():
+            pos = _shift(t, degree)
+            value = num * factor
             for col, p in enumerate(pos if kept is None else [pos[m] for m in kept], start):
                 ints[p][col] = value
         start += width

@@ -2,11 +2,23 @@
 
 One form type, ``HomPoly``, serves two rings:
 
-* the plane: forms in x, y, z of one total degree, an ``int``, stored as a
-  sparse map from exponent triples (a, b, c) to ``Fraction`` coefficients;
+* the plane: forms in x, y, z of one total degree, an ``int``, keyed by
+  exponent triples (a, b, c);
 * P1 x P1: bihomogeneous forms in X0, X1, Y0, Y1 of one bidegree, the pair
-  (a, b), stored by exponent quadruples (a0, a1, b0, b1).  ``BigradedPoly``
+  (a, b), keyed by exponent quadruples (a0, a1, b0, b1).  ``BigradedPoly``
   is the same class under its old name, and ``bidegree`` reads ``degree``.
+
+A form is stored the way ``linalg.ExactMatrix`` stores a row: a sparse map
+``nums`` from monomials to nonzero integer numerators over one positive
+denominator ``den``, in lowest terms (gcd(den, *nums) = 1, and den = 1 for
+zero), so equal forms have equal stored parts.  ``nums`` is a read-only view
+of the stored map, and ``terms``, the map to ``Fraction`` coefficients, is
+built afresh on each read, so neither hands out the stored map.  The public
+constructor validates every monomial; the ring operations (sums,
+differences, negation, products, ``scale``, ``derivative``, ``evaluate``
+and ``compose_linear``) compute on the integers and build their results
+through the trusted ``HomPoly._of``, which checks nothing and only reduces
+by the gcd when den > 1.
 
 The zero form still carries its declared degree so that degree bookkeeping
 never degenerates.  ``_ring`` is the one place that tells the rings apart:
@@ -25,20 +37,22 @@ complementary degree.  ``HomPoly.__mul__`` accumulates through it into a
 sparse map keyed by position, and ``linalg.multiplication_matrix`` writes
 the integer rows of its matrices through it.
 
-All coefficient arithmetic is exact (``fractions.Fraction``); nothing in this
-package ever touches floating point.  Monomial bases are enumerated in
-descending lexicographic order on exponent tuples with x > y > z (resp.
-X0 > X1 > Y0 > Y1), which fixes the coordinate order of every coefficient
-vector in the package.
+All coefficient arithmetic is exact (integers inside, ``fractions.Fraction``
+at the interfaces); nothing in this package ever touches floating point.
+Monomial bases are enumerated in descending lexicographic order on exponent
+tuples with x > y > z (resp. X0 > X1 > Y0 > Y1), which fixes the coordinate
+order of every coefficient vector in the package.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 Mono3 = Tuple[int, int, int]
 Mono22 = Tuple[int, int, int, int]
@@ -147,32 +161,64 @@ def _shift(t: tuple, degree) -> Tuple[int, ...]:
 
 
 class HomPoly:
-    """A form of one fixed degree: an int on the plane, (a, b) on P1 x P1."""
+    """A form of one fixed degree: an int on the plane, (a, b) on P1 x P1.
 
-    __slots__ = ("degree", "terms")
+    ``nums`` over ``den`` in lowest terms; ``nums`` is a read-only view of
+    the stored map, and ``terms`` a fresh ``Fraction`` one.
+    """
+
+    __slots__ = ("degree", "_nums", "den")
 
     def __init__(self, degree, terms: Dict[tuple, Fraction] | None = None):
         ring = _ring(degree)
         width, grade = len(ring.names), ring.grade
-        clean: Dict[tuple, Fraction] = {}
+        ratios: Dict[tuple, Tuple[int, int]] = {}
         for mono, coeff in (terms or {}).items():
             if min(mono) < 0:
                 raise ValueError(f"negative exponent in {mono}")
             if len(mono) != width or grade(mono) != degree:
                 raise ValueError(f"monomial {mono} does not have {ring.prefix}degree {degree}")
-            coeff = _rat(coeff)
-            if coeff != 0:
-                clean[mono] = coeff
+            num, den = _rat(coeff).as_integer_ratio()
+            if num:
+                ratios[mono] = (num, den)
+        den = math.lcm(*(d for _, d in ratios.values()))
         self.degree = degree
-        self.terms = clean
+        self._nums = {m: n * (den // d) for m, (n, d) in ratios.items()}
+        self.den = den
+
+    @staticmethod
+    def _of(degree, nums: Dict[tuple, int], den: int = 1) -> HomPoly:
+        """The trusted constructor of ring operations: ``nums`` are nonzero
+        integers on monomials of ``degree`` and den > 0, so nothing is
+        checked; a den above 1 is reduced by the gcd to the canonical form.
+        The form takes ownership of ``nums``."""
+        if den > 1:
+            g = math.gcd(den, *nums.values())
+            if g > 1:
+                nums = {m: c // g for m, c in nums.items()}
+                den //= g
+        out = object.__new__(HomPoly)
+        out.degree, out._nums, out.den = degree, nums, den
+        return out
 
     bidegree = property(lambda self: self.degree, doc="The degree, under its P1 x P1 name.")
+
+    @property
+    def nums(self) -> Mapping[tuple, int]:
+        """Monomial -> nonzero integer numerator, read-only."""
+        return MappingProxyType(self._nums)
+
+    @property
+    def terms(self) -> Dict[tuple, Fraction]:
+        """Monomial -> nonzero ``Fraction`` coefficient, built afresh."""
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self._nums.items()}
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(degree) -> HomPoly:
-        return HomPoly(degree, {})
+        return HomPoly._of(degree, {})
 
     @staticmethod
     def monomial(mono: tuple, coeff=1) -> HomPoly:
@@ -189,24 +235,34 @@ class HomPoly:
 
     # -- ring operations ----------------------------------------------
 
-    def _require_same_degree(self, other: HomPoly) -> None:
+    def _combine(self, other: HomPoly, sign: int) -> HomPoly:
+        """self + sign * other, over the lcm of the two denominators."""
         if self.degree != other.degree:
             raise ValueError(
                 f"degree mismatch: {self.degree} vs {other.degree}"
             )
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        nums = {m: a * c for m, c in self._nums.items()} if a != 1 else dict(self._nums)
+        for mono, c in other._nums.items():
+            if mono in nums:
+                c = nums[mono] + b * c
+                if c:
+                    nums[mono] = c
+                else:
+                    del nums[mono]
+            else:
+                nums[mono] = b * c
+        return HomPoly._of(self.degree, nums, den)
 
     def __add__(self, other: HomPoly) -> HomPoly:
-        self._require_same_degree(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms[mono] + coeff if mono in terms else coeff
-        return HomPoly(self.degree, terms)
+        return self._combine(other, 1)
 
     def __sub__(self, other: HomPoly) -> HomPoly:
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> HomPoly:
-        return HomPoly(self.degree, {m: -c for m, c in self.terms.items()})
+        return HomPoly._of(self.degree, {m: -c for m, c in self._nums.items()}, self.den)
 
     def __mul__(self, other) -> HomPoly:
         if not isinstance(other, HomPoly):
@@ -214,9 +270,9 @@ class HomPoly:
         degree = _ring(self.degree).add(self.degree, other.degree)
         basis = _mono_index(degree)[0]
         index = _mono_index(other.degree)[1]
-        right = [(index[m], c) for m, c in other.terms.items()]
-        acc: Dict[int, Fraction] = {}
-        for t, c1 in self.terms.items():
+        right = [(index[m], c) for m, c in other._nums.items()]
+        acc: Dict[int, int] = {}
+        for t, c1 in self._nums.items():
             pos = _shift(t, degree)
             for j, c2 in right:
                 p = pos[j]
@@ -224,46 +280,55 @@ class HomPoly:
                     acc[p] += c1 * c2
                 else:
                     acc[p] = c1 * c2
-        return HomPoly(degree, {basis[p]: c for p, c in acc.items()})
+        nums = {basis[p]: c for p, c in acc.items() if c}
+        return HomPoly._of(degree, nums, self.den * other.den)
 
     def __rmul__(self, other) -> HomPoly:
         return self.scale(other)
 
     def scale(self, scalar) -> HomPoly:
-        s = _rat(scalar)
-        return HomPoly(self.degree, {m: s * c for m, c in self.terms.items()})
+        num, den = _rat(scalar).as_integer_ratio()
+        if not num:
+            return HomPoly.zero(self.degree)
+        return HomPoly._of(self.degree, {m: num * c for m, c in self._nums.items()}, den * self.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HomPoly):
             return NotImplemented
         # Two zero polynomials of different declared degrees are distinct.
-        return self.degree == other.degree and self.terms == other.terms
+        return self.degree == other.degree and self.den == other.den and self._nums == other._nums
 
     def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
+        return hash((self.degree, self.den, frozenset(self._nums.items())))
 
     # -- coefficient access -------------------------------------------
 
     def coeff(self, mono: tuple) -> Fraction:
-        return self.terms.get(mono, _ZERO)
+        c = self._nums.get(mono)
+        return _ZERO if c is None else Fraction(c, self.den)
+
+    def num_vector(self) -> List[int]:
+        """Numerators in the canonical basis order: ``coeff_vector`` times ``den``."""
+        _, index = _mono_index(self.degree)
+        vec = [0] * len(index)
+        for mono, c in self._nums.items():
+            vec[index[mono]] = c
+        return vec
 
     def coeff_vector(self) -> Tuple[Fraction, ...]:
         """Coefficients in the canonical basis order of this degree."""
-        _, index = _mono_index(self.degree)
-        vec = [_ZERO] * len(index)
-        for mono, coeff in self.terms.items():
-            vec[index[mono]] = coeff
-        return tuple(vec)
+        den = self.den
+        return tuple(Fraction(c, den) if c else _ZERO for c in self.num_vector())
 
     def leading(self) -> Tuple[tuple, Fraction]:
         """Largest monomial in lex order with its coefficient."""
-        if not self.terms:
+        if not self._nums:
             raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms)
-        return mono, self.terms[mono]
+        mono = max(self._nums)
+        return mono, Fraction(self._nums[mono], self.den)
 
     # -- plane-only calculus ------------------------------------------
 
@@ -272,20 +337,22 @@ class HomPoly:
         _plane_only(self)
         if self.degree == 0:
             return HomPoly.zero(0)
-        terms: Dict[Mono3, Fraction] = {}
-        for mono, coeff in self.terms.items():
+        nums: Dict[Mono3, int] = {}
+        for mono, c in self._nums.items():
             e = mono[var]
             if e:
-                terms[mono[:var] + (e - 1,) + mono[var + 1 :]] = coeff * e
-        return HomPoly(self.degree - 1, terms)
+                nums[mono[:var] + (e - 1,) + mono[var + 1 :]] = c * e
+        return HomPoly._of(self.degree - 1, nums, self.den)
 
     def evaluate(self, point: Sequence) -> Fraction:
+        """The value at a point; with the point over a common denominator q,
+        it is one integer sum over den * q^degree, the form being homogeneous."""
         _plane_only(self)
-        px, py, pz = (_rat(v) for v in point)
-        total = Fraction(0)
-        for (a, b, c), coeff in self.terms.items():
-            total += coeff * px**a * py**b * pz**c
-        return total
+        (nx, dx), (ny, dy), (nz, dz) = (_rat(v).as_integer_ratio() for v in point)
+        q = math.lcm(dx, dy, dz)
+        px, py, pz = nx * (q // dx), ny * (q // dy), nz * (q // dz)
+        total = sum(c * px**a * py**b * pz**e for (a, b, e), c in self._nums.items())
+        return Fraction(total, self.den * q**self.degree)
 
     def compose_linear(self, images: Sequence[HomPoly]) -> HomPoly:
         """Substitute x, y, z by three degree-1 polynomials."""
@@ -295,13 +362,13 @@ class HomPoly:
             if img.degree != 1:
                 raise ValueError("substitution images must have degree 1")
         result = HomPoly.zero(self.degree)
-        for (a, b, c), coeff in self.terms.items():
-            piece = HomPoly(0, {(0, 0, 0): coeff})
+        for (a, b, c), coeff in self._nums.items():
+            piece = HomPoly._of(0, {(0, 0, 0): coeff})
             for base, exp in ((ix, a), (iy, b), (iz, c)):
                 for _ in range(exp):
                     piece = piece * base
             result = result + piece
-        return result
+        return HomPoly._of(self.degree, result._nums, result.den * self.den)
 
     # -- text ----------------------------------------------------------
 
@@ -346,9 +413,9 @@ def divide_exact(p: HomPoly, q: HomPoly) -> HomPoly:
         step = (rm[0] - qm[0], rm[1] - qm[1], rm[2] - qm[2])
         if min(step) < 0:
             raise ValueError(f"not divisible: {q} does not divide {p}")
-        coeff = rc / qc
-        quotient[step] = coeff
-        rem = rem - HomPoly.monomial(step, coeff) * q
+        coeff = quotient[step] = rc / qc
+        term = HomPoly._of(p.degree - q.degree, {step: coeff.numerator}, coeff.denominator)
+        rem = rem - term * q
     return HomPoly(p.degree - q.degree, quotient)
 
 

@@ -35,6 +35,7 @@ coefficient vector, since the curve spans the kernel of restriction.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,6 +140,13 @@ class SectionQuotient:
         return tuple(out)
 
 
+def _cleared(components: Sequence[HomPoly]) -> Tuple[int, ...]:
+    """An ambient vector cleared of denominators: each block's numerators,
+    scaled to the lcm of the block denominators."""
+    den = math.lcm(*(comp.den for comp in components))
+    return tuple(c * (den // comp.den) for comp in components for c in comp.num_vector())
+
+
 def quotient_by_pair(space: SectionSpace, v1: Section, v2: Section) -> SectionQuotient:
     """The quotient by <v1, v2>, from one elimination of the relation echelon
     with the pair's two cleared ambient vectors appended."""
@@ -146,8 +154,7 @@ def quotient_by_pair(space: SectionSpace, v1: Section, v2: Section) -> SectionQu
         if v.bundle != space.bundle:
             other, own = v.bundle.label(), space.bundle.label()
             raise ValueError(f"a section of {other} is not one of {own}")
-    pair = ExactMatrix([space.ambient_vector(v.components) for v in (v1, v2)])
-    rows = space.relation_echelon + pair.ints
+    rows = space.relation_echelon + tuple(_cleared(v.components) for v in (v1, v2))
     _, pivots, _ = _bareiss_echelon(rows, space.ambient_dim)
     if len(pivots) != len(rows):
         raise GpliError("the two sections do not span a two-dimensional subspace")
@@ -215,7 +222,8 @@ def _tangent_report(
         block_lifts[j].append(pos - space.block_offsets[j])
     forms = [-form for form in c2] + list(c1)
     matrix = multiplication_matrix(forms, degree, keep=block_lifts * 2)
-    augmented = matrix.augment_column(curve.coeff_vector())
+    # The curve's numerators: scaling a column by den leaves the rank as it is.
+    augmented = matrix.augment_column(curve.num_vector())
     aug_rank = rank(augmented)
     return TangentReport(
         bundle=bundle,

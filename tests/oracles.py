@@ -17,7 +17,11 @@ plainer method, and is used only by the tests:
 * ``bundle_closed_forms`` and ``summand_closed_forms``: each family's rank,
   determinant degree, section count and summand degrees as hand-derived
   closed forms, the oracle of the values ``bundles`` reads off its table of
-  defining sequences.
+  defining sequences;
+* ``terms_sum``, ``terms_scale``, ``terms_product``, ``terms_derivative``,
+  ``terms_evaluate`` and ``terms_compose``: form arithmetic on plain
+  ``Fraction`` term maps (exponent tuple -> nonzero coefficient), the oracle
+  of ``HomPoly``'s ring operations on integer numerators.
 """
 
 from fractions import Fraction
@@ -165,3 +169,59 @@ def summand_closed_forms(spec):
     else:
         ambient, sources = (n,) * (p + 2), (n - 1, n - 1)
     return dict(ambient_degrees=ambient, relation_source_degrees=sources)
+
+
+def terms_sum(p, q, sign=1):
+    """The term map of p + sign * q."""
+    out = dict(p)
+    for mono, c in q.items():
+        out[mono] = out.get(mono, _ZERO) + sign * c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def terms_scale(p, scalar):
+    """The term map of scalar * p."""
+    return {mono: scalar * c for mono, c in p.items() if scalar * c}
+
+
+def terms_product(p, q):
+    """The term map of p * q, adding exponent tuples pairwise."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mono = tuple(a + b for a, b in zip(m1, m2))
+            out[mono] = out.get(mono, _ZERO) + c1 * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+def terms_derivative(p, var):
+    """The term map of the partial derivative by variable ``var``."""
+    out = {}
+    for mono, c in p.items():
+        e = mono[var]
+        if e:
+            out[mono[:var] + (e - 1,) + mono[var + 1 :]] = c * e
+    return out
+
+
+def terms_evaluate(p, point):
+    """The value of p at ``point``, term by term."""
+    total = _ZERO
+    for mono, c in p.items():
+        for value, e in zip(point, mono):
+            c *= Fraction(value) ** e
+        total += c
+    return total
+
+
+def terms_compose(p, images):
+    """The term map of p with its variables replaced by the term maps
+    ``images``, expanding each monomial as a product of images."""
+    out = {}
+    for mono, c in p.items():
+        piece = {(0,) * len(mono): c}
+        for image, e in zip(images, mono):
+            for _ in range(e):
+                piece = terms_product(piece, image)
+        out = terms_sum(out, piece)
+    return out

@@ -15,11 +15,11 @@ from detrep.ideals import (
     u_generators,
 )
 from detrep.bundles import T
-from detrep.detmatrix import Section
+from detrep.detmatrix import Section, wedge_curve
 from detrep.linalg import ExactMatrix, in_column_space, multiplication_matrix, rank
 from detrep.polynomials import HomPoly, X, Y, Z, h0_p2, mono_basis, parse_hompoly
 from detrep.sampling import derive_rng, random_hompoly, random_pair
-from detrep.tangent import cofactor_forms
+from detrep.tangent import cofactor_forms, smoothness_check
 
 
 def triple(*texts):
@@ -237,6 +237,27 @@ def test_crosscheck_builds_one_wedge_curve(monkeypatch):
     assert {name: len(out) for name, out in results.items()} == {"wedge_curve": 1, "cofactor_forms": 2}
     c1, c2 = results["cofactor_forms"]
     assert rep.mult_matrix == multiplication_matrix(c1 + c2, 5)
+
+
+def test_ring_operations_skip_the_validating_constructor(monkeypatch):
+    # Every form a cross-check or a smoothness check makes comes from a ring
+    # operation or an unpacked determinant, so the public constructor, which
+    # validates every term, never runs there.
+    pairs = [random_pair(derive_rng(31, "init-count", n), T(n)) for n in range(1, 5)]
+    calls = []
+    original = HomPoly.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(HomPoly, "__init__", counted)
+    for s1, s2 in pairs:
+        rep = diagram_crosscheck(s1, s2)
+        assert rep.gpli and rep.agree
+        smoothness_check(wedge_curve(s1, s2))
+    assert calls == []
+    assert HomPoly(1, {(1, 0, 0): 1}) == X and len(calls) == 1
 
 
 def test_disjointness_of_the_special_pair():

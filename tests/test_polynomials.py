@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import math
 import operator
 import random
 
@@ -9,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import multiple_columns
+from oracles import (
+    multiple_columns,
+    terms_compose,
+    terms_derivative,
+    terms_evaluate,
+    terms_product,
+    terms_scale,
+    terms_sum,
+)
 from detrep.polynomials import (
     BigradedPoly,
     HomPoly,
@@ -331,20 +340,11 @@ def test_bigraded_product():
 
 # ---------------------------------------------------------------- one type, two rings
 #
-# The plain dict product and the 3-tuple column kernel that the shift table
-# replaced, kept here as references for the product and the kernel.
+# The 3-tuple column kernel that the shift table replaced, kept here as the
+# reference for the kernel; ``terms_product`` of ``oracles`` is the one for
+# the product.
 
 BIDEGREES = [(a, b) for a in range(4) for b in range(4)]
-
-
-def dict_product(p, q):
-    """Term map of p*q by adding exponent tuples pairwise."""
-    terms = {}
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-    return {m: c for m, c in terms.items() if c != 0}
 
 
 def tuple_kernel(generators, degree):
@@ -387,7 +387,7 @@ def test_products_match_dict_product_on_both_rings():
     for forms, add in rings:
         for p in forms:
             for q in rng.sample(forms, 8):
-                assert p * q == HomPoly(add(p.degree, q.degree), dict_product(p, q))
+                assert p * q == HomPoly(add(p.degree, q.degree), terms_product(p.terms, q.terms))
 
 
 def test_multiple_columns_match_tuple_kernel_and_products():
@@ -402,7 +402,7 @@ def test_multiple_columns_match_tuple_kernel_and_products():
         cofactor_degree = (target[0] - gen.degree[0], target[1] - gen.degree[1])
         expected = []
         for m in bimono_basis(*cofactor_degree):
-            prod = dict_product(gen, BigradedPoly.monomial(m))
+            prod = terms_product(gen.terms, BigradedPoly.monomial(m).terms)
             expected.append([prod.get(t, 0) for t in bimono_basis(*target)])
         assert multiple_columns([gen], target) == expected
 
@@ -463,3 +463,143 @@ def test_parse_error_messages_name_lowest_and_highest_degree():
         parse_bipoly("0")
     assert str(err.value) == "zero polynomial needs a declared bidegree"
     assert parse_bipoly("0", bidegree=[1, 2]) == BigradedPoly.zero((1, 2))
+
+
+# ---------------------------------------------------------------- integer storage
+
+
+def test_terms_is_a_view_that_mutation_does_not_reach():
+    product = (X + Y) * (X - Z)
+    saved = [(form, str(form), hash(form)) for form in (X, product)]
+    for form in (X, product):
+        view = form.terms
+        view[(1, 0, 0)] = Fraction(5)
+        view[(0, 2, 0)] = Fraction(-1, 3)
+        view.clear()
+    for form, text, digest in saved:
+        assert str(form) == text and hash(form) == digest
+        with pytest.raises(TypeError):
+            form.nums[(1, 0, 0)] = 5
+    assert X == HomPoly.monomial((1, 0, 0))
+    assert product == parse_hompoly("x^2 + x*y - x*z - y*z")
+
+
+def assert_canonical(form):
+    """Integer numerators over one positive denominator, in lowest terms."""
+    assert type(form.den) is int and form.den > 0
+    assert all(type(c) is int and c for c in form.nums.values())
+    assert math.gcd(form.den, *form.nums.values()) == 1
+    assert form.den == 1 or not form.is_zero()
+
+
+def assert_matches(got, degree, reference):
+    """``got`` has the reference terms and degree, is canonical, and equals,
+    with the same hash, the form the public constructor builds from them."""
+    assert got.degree == degree
+    assert got.terms == reference
+    assert_canonical(got)
+    public = HomPoly(degree, reference)
+    assert got == public and hash(got) == hash(public)
+
+
+def arithmetic_forms(rng, degrees, basis_of):
+    """Per degree: an integral, a non-integral and a sparse form, and zero."""
+    forms = []
+    for degree in degrees:
+        basis = basis_of(degree)
+        for density, dens in ((1.0, (1,)), (1.0, (1, 2, 3, 4, 6)), (0.3, (1, 5, 7)), (0.0, (1,))):
+            terms = {
+                m: Fraction(rng.randint(-9, 9), rng.choice(dens))
+                for m in basis
+                if rng.random() < density
+            }
+            forms.append(HomPoly(degree, terms))
+    return forms
+
+
+PLANE_DEGREES = range(5)
+BI_DEGREES = [(a, b) for a in range(3) for b in range(3)]
+SCALARS = [0, 1, -3, Fraction(2, 3), Fraction(-7, 4), Fraction(6, 5)]
+
+
+def both_rings(rng):
+    """Plane and P1 x P1 forms, each with its degree arithmetic."""
+    return (
+        (arithmetic_forms(rng, PLANE_DEGREES, mono_basis), lambda d, e: d + e),
+        (
+            arithmetic_forms(rng, BI_DEGREES, lambda d: bimono_basis(*d)),
+            lambda d, e: (d[0] + e[0], d[1] + e[1]),
+        ),
+    )
+
+
+def test_ring_operations_match_the_fraction_reference():
+    rng = random.Random("integer-forms")
+    for forms, add in both_rings(rng):
+        for p in forms:
+            for q in (f for f in forms if f.degree == p.degree):
+                assert_matches(p + q, p.degree, terms_sum(p.terms, q.terms))
+                assert_matches(p - q, p.degree, terms_sum(p.terms, q.terms, -1))
+                assert p - q == p + (-q) and hash(p - q) == hash(p + (-q))
+            assert_matches(-p, p.degree, terms_scale(p.terms, -1))
+            for q in rng.sample(forms, 6):
+                assert_matches(p * q, add(p.degree, q.degree), terms_product(p.terms, q.terms))
+                assert p * q == q * p and hash(p * q) == hash(q * p)
+            for s in SCALARS:
+                assert_matches(p.scale(s), p.degree, terms_scale(p.terms, Fraction(s)))
+                assert s * p == p.scale(s)
+
+
+def test_plane_calculus_matches_the_fraction_reference():
+    rng = random.Random("integer-calculus")
+    forms = arithmetic_forms(rng, PLANE_DEGREES, mono_basis)
+    linear = [f for f in arithmetic_forms(rng, [1], mono_basis) if not f.is_zero()]
+    for p in forms:
+        if p.degree:
+            for var in range(3):
+                assert_matches(p.derivative(var), p.degree - 1, terms_derivative(p.terms, var))
+        for _ in range(3):
+            point = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7))) for _ in range(3)]
+            assert p.evaluate(point) == terms_evaluate(p.terms, point)
+        images = [rng.choice(linear) for _ in range(3)]
+        reference = terms_compose(p.terms, [image.terms for image in images])
+        assert_matches(p.compose_linear(images), p.degree, reference)
+
+
+def test_form_arithmetic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("integer-forms-sympy")
+    plane_gens = sympy.symbols("x y z")
+
+    def rational(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    def poly(form):
+        gens = plane_gens if isinstance(form.degree, int) else sympy.symbols("X0 X1 Y0 Y1")
+        terms = {m: rational(c) for m, c in form.terms.items()}
+        return sympy.Poly.from_dict(terms, *gens) if terms else sympy.Poly(0, *gens)
+
+    def same(got, ref):
+        assert {m: rational(c) for m, c in got.terms.items()} == ref.as_dict()
+
+    rings = both_rings(rng)
+    for forms, _ in rings:
+        for p in forms:
+            q = rng.choice([f for f in forms if f.degree == p.degree])
+            r = rng.choice(forms)
+            same(p + q, poly(p) + poly(q))
+            same(p - q, poly(p) - poly(q))
+            same(-p, -poly(p))
+            same(p * r, poly(p) * poly(r))
+            same(p.scale(Fraction(-7, 4)), poly(p) * sympy.Rational(-7, 4))
+    images = [X - Fraction(1, 2) * Z, Y.scale(3) + X, Z - Fraction(2, 3) * Y]
+    substitution = dict(zip(plane_gens, (poly(i).as_expr() for i in images)))
+    for p in rings[0][0]:
+        if p.degree:
+            for var, sym in enumerate(plane_gens):
+                same(p.derivative(var), poly(p).diff(sym))
+        point = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(3)]
+        value = poly(p).as_expr().subs(dict(zip(plane_gens, map(rational, point))))
+        assert rational(p.evaluate(point)) == value
+        expr = poly(p).as_expr().subs(substitution, simultaneous=True)
+        same(p.compose_linear(images), sympy.Poly(expr, *plane_gens))

@@ -126,6 +126,31 @@ def test_quotient_matches_sympy_rref():
         assert tuple(space.free_positions) == expected, spec.label()
 
 
+def test_rational_sections_match_their_rational_rows():
+    # Components over different denominators: the quotient's cleared rows
+    # and the curve's numerator column give the lift positions and the
+    # augmented rank of the Fraction rows they stand for.
+    sympy = pytest.importorskip("sympy")
+    for spec in (T(1), T(2), N(1)):
+        space = section_space(spec)
+        pair = random_pair(derive_rng(12, "rational-rows", spec.label()), spec)
+        scales = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7))
+        v1, v2 = (Section(spec, tuple(c.scale(s) for c, s in zip(v.components, scales))) for v in pair)
+        assert all(c.den > 1 for v in (v1, v2) for c in v.components if not c.is_zero())
+        # A pair whose span holds a monomial: v1 and 2*v1 + (0, 0, m).
+        a, b, c = v1.components
+        m = HomPoly.monomial(mono_basis(c.degree)[-1])
+        special = (v1, Section(spec, (a.scale(2), b.scale(2), c.scale(2) + m)))
+        for w1, w2 in ((v1, v2), special):
+            rows = relation_vectors(spec) + [space.ambient_vector(s.components) for s in (w1, w2)]
+            _, pivots = sympy.Matrix(rows).rref()
+            quot = quotient_by_pair(space, w1, w2)
+            assert quot.lift_positions == tuple(c for c in range(space.ambient_dim) if c not in pivots)
+        report = tangent_map(spec, v1, v2)
+        assert report.curve.den > 1
+        assert report.augmented_rank == rank(report.matrix.augment_column(report.curve.coeff_vector()))
+
+
 def test_quotient_takes_one_integer_elimination(monkeypatch):
     import detrep.linalg
 
