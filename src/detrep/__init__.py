@@ -65,11 +65,8 @@ from .detmatrix import (
     det_poly,
     gpli_sample_check,
     is_gpli,
-    read_poly_matrix,
-    section,
     shifted,
     wedge_curve,
-    write_poly_matrix,
 )
 from .tangent import (
     SectionQuotient,
@@ -100,7 +97,6 @@ from .biprojective import (
     dpsi_report,
     monomial_cover_check,
     psi,
-    quad_sections,
     witness_quad,
 )
 from .sampling import (

@@ -11,7 +11,7 @@ psi(F) + t*dpsi_F(f) + t^2*psi(f).  Its matrix is the multiplication-column
 matrix of (F4, -F3, -F2, F1) from bidegree (ma, mb) into (2ma, 2mb), built by
 ``linalg.multiplication_matrix``, the same builder that makes the plane's
 multiplication maps.  The forms are ``HomPoly`` forms whose degree is the
-pair (a, b); ``BigradedPoly`` is the same class under its P1 x P1 name.
+pair (a, b).
 
 At the monomial witness quadruple (X0^ma*Y0^mb, X0^ma*Y1^mb, X1^ma*Y0^mb,
 X1^ma*Y1^mb) surjectivity of dpsi has a combinatorial certificate: every
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .linalg import ExactMatrix, LinearMapReport, multiplication_matrix, report
-from .polynomials import BigradedPoly, bimono_basis
+from .polynomials import HomPoly, bimono_basis
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class QuadSections:
     a: int
     b: int
     m: int
-    components: Tuple[BigradedPoly, BigradedPoly, BigradedPoly, BigradedPoly]
+    components: Tuple[HomPoly, HomPoly, HomPoly, HomPoly]
 
     def __post_init__(self):
         if self.a < 1 or self.b < 1:
@@ -46,29 +46,25 @@ class QuadSections:
             raise ValueError("the multiple m must be at least 1")
         want = (self.m * self.a, self.m * self.b)
         for comp in self.components:
-            if comp.bidegree != want:
+            if comp.degree != want:
                 raise ValueError(
-                    f"component of bidegree {comp.bidegree} where {want} is required"
+                    f"component of bidegree {comp.degree} where {want} is required"
                 )
-
-
-def quad_sections(a: int, b: int, m: int, components) -> QuadSections:
-    return QuadSections(a, b, m, tuple(components))
 
 
 def witness_quad(a: int, b: int, m: int) -> QuadSections:
     """The corner-monomial quadruple."""
     ma, mb = m * a, m * b
     comps = (
-        BigradedPoly.monomial((ma, 0, mb, 0)),
-        BigradedPoly.monomial((ma, 0, 0, mb)),
-        BigradedPoly.monomial((0, ma, mb, 0)),
-        BigradedPoly.monomial((0, ma, 0, mb)),
+        HomPoly.monomial((ma, 0, mb, 0)),
+        HomPoly.monomial((ma, 0, 0, mb)),
+        HomPoly.monomial((0, ma, mb, 0)),
+        HomPoly.monomial((0, ma, 0, mb)),
     )
     return QuadSections(a, b, m, comps)
 
 
-def psi(q: QuadSections) -> BigradedPoly:
+def psi(q: QuadSections) -> HomPoly:
     f1, f2, f3, f4 = q.components
     return f1 * f4 - f2 * f3
 

@@ -44,7 +44,7 @@ from .bundles import (
     relation_source_degrees,
 )
 from .linalg import CertificateError, ExactMatrix, _bareiss_echelon, rank, rref
-from .polynomials import HomPoly, ParseError, X, Y, Z, _plane_only, parse_hompoly
+from .polynomials import HomPoly, X, Y, Z, _plane_only
 
 
 class GpliError(ValueError):
@@ -80,10 +80,6 @@ class PolyMatrix:
                     )
         self.size = size
         self.entries = rows
-
-    @property
-    def degree_pattern(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(tuple(e.degree for e in row) for row in self.entries)
 
     @property
     def det_deg(self) -> int:
@@ -182,10 +178,6 @@ class Section:
                 raise ValueError(
                     f"component of degree {comp.degree} where {deg} is required"
                 )
-
-
-def section(bundle: BundleSpec, components: Sequence[HomPoly]) -> Section:
-    return Section(bundle, tuple(components))
 
 
 def degeneracy_matrix(sections: Sequence[Section]) -> PolyMatrix:
@@ -338,56 +330,3 @@ def column_reduce_normalize(M: PolyMatrix) -> ReductionResult:
         col_op_b=col_b,
         scale=scale,
     )
-
-
-# ---------------------------------------------------------------------------
-# Matrix text format: a degree-pattern header, then one row per line with
-# ';'-separated entries in the polynomial grammar.
-# ---------------------------------------------------------------------------
-
-
-def write_poly_matrix(M: PolyMatrix) -> str:
-    header = "degrees: " + "; ".join(
-        ",".join(str(d) for d in row) for row in M.degree_pattern
-    )
-    lines = [header]
-    for row in M.entries:
-        lines.append("; ".join(str(e) for e in row))
-    return "\n".join(lines) + "\n"
-
-
-def read_poly_matrix(text: str) -> PolyMatrix:
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if not lines:
-        raise ParseError("empty matrix text")
-    header = lines[0]
-    if not header.startswith("degrees:"):
-        raise ParseError("matrix text must start with a 'degrees:' header")
-    pattern = []
-    for chunk in header[len("degrees:") :].split(";"):
-        entries = [p.strip() for p in chunk.split(",") if p.strip()]
-        if not all(p.isdecimal() for p in entries):
-            raise ParseError(
-                f"'degrees:' header entries must be non-negative integers, got {chunk.strip()!r}"
-            )
-        row = [int(p) for p in entries]
-        if row:
-            pattern.append(row)
-    size = len(pattern)
-    if size == 0 or any(len(r) != size for r in pattern):
-        raise ParseError("degree pattern must be square")
-    if len(lines) - 1 != size:
-        raise ParseError(f"expected {size} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(";")
-        if len(parts) != size:
-            raise ParseError(f"row {i} has {len(parts)} entries, expected {size}")
-        rows.append(
-            [parse_hompoly(p.strip(), degree=pattern[i][j]) for j, p in enumerate(parts)]
-        )
-    return PolyMatrix(rows)

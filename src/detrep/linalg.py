@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,7 +77,7 @@ class ExactMatrix:
     equal stored rows.  ``entries`` is the read-only Fraction view.
     """
 
-    __slots__ = ("rows", "cols", "ints", "dens")
+    __slots__ = ("_rows", "_cols", "_ints", "_dens")
 
     def __init__(self, entries: Sequence[Sequence]):
         cleared = [_clear(row) for row in entries]
@@ -86,7 +87,12 @@ class ExactMatrix:
     def _store(self, cols: int, ints: Sequence[Tuple[int, ...]], dens: Sequence[int]) -> None:
         if any(len(row) != cols for row in ints):
             raise ValueError("ragged rows")
-        self.rows, self.cols, self.ints, self.dens = len(ints), cols, tuple(ints), tuple(dens)
+        self._rows, self._cols, self._ints, self._dens = len(ints), cols, tuple(ints), tuple(dens)
+
+    rows = property(attrgetter("_rows"))
+    cols = property(attrgetter("_cols"))
+    ints = property(attrgetter("_ints"), doc="Row i's integer entries, the row times ``dens[i]``.")
+    dens = property(attrgetter("_dens"), doc="Row i's positive denominator.")
 
     @staticmethod
     def _of(cols: int, ints: Sequence[Tuple[int, ...]], dens: Sequence[int]) -> ExactMatrix:
@@ -98,15 +104,19 @@ class ExactMatrix:
 
     @property
     def entries(self) -> Tuple[Vector, ...]:
-        return tuple(tuple(Fraction(e, den) for e in row) for row, den in zip(self.ints, self.dens))
+        return tuple(tuple(Fraction(e, den) for e in row) for row, den in zip(self._ints, self._dens))
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence], rows: int | None = None) -> ExactMatrix:
+        """The matrix with these columns; ``rows`` is required when there are
+        none, and checked against them otherwise."""
         cols = [tuple(col) for col in cols]
-        if cols:
+        if rows is None:
+            if not cols:
+                raise ValueError("row count is ambiguous for an empty column list")
             rows = len(cols[0])
-        elif rows is None:
-            raise ValueError("row count is ambiguous for an empty column list")
+        if any(len(col) != rows for col in cols):
+            raise ValueError(f"every column needs {rows} entries")
         if rows == 0:
             return ExactMatrix.zero(0, len(cols))
         return ExactMatrix([[col[i] for col in cols] for i in range(rows)])
@@ -117,10 +127,10 @@ class ExactMatrix:
 
     def augment_column(self, v: Sequence) -> ExactMatrix:
         """The matrix (self | v); each row's denominator merges with v_i's."""
-        if len(v) != self.rows:
+        if len(v) != self._rows:
             raise ValueError("column length does not match row count")
         ints, dens = [], []
-        for row, den, e in zip(self.ints, self.dens, v):
+        for row, den, e in zip(self._ints, self._dens, v):
             num, d = (e, 1) if type(e) is int else _rat(e).as_integer_ratio()
             merged = math.lcm(den, d)
             scale = merged // den
@@ -128,18 +138,18 @@ class ExactMatrix:
                 row = tuple(x * scale for x in row)
             ints.append(row + (num * (merged // d),))
             dens.append(merged)
-        return ExactMatrix._of(self.cols + 1, ints, dens)
+        return ExactMatrix._of(self._cols + 1, ints, dens)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.cols, self.ints, self.dens) == (other.cols, other.ints, other.dens)
+        return (self._cols, self._ints, self._dens) == (other._cols, other._ints, other._dens)
 
     def __hash__(self):
-        return hash((self.cols, self.ints, self.dens))
+        return hash((self._cols, self._ints, self._dens))
 
     def __repr__(self) -> str:
-        return f"ExactMatrix({self.rows}x{self.cols})"
+        return f"ExactMatrix({self._rows}x{self._cols})"
 
 
 def multiplication_matrix(

@@ -6,14 +6,15 @@ One form type, ``HomPoly``, serves two rings:
   exponent triples (a, b, c);
 * P1 x P1: bihomogeneous forms in X0, X1, Y0, Y1 of one bidegree, the pair
   (a, b), keyed by exponent quadruples (a0, a1, b0, b1).  ``BigradedPoly``
-  is the same class under its old name, and ``bidegree`` reads ``degree``.
+  is another name for the class.
 
 A form is stored the way ``linalg.ExactMatrix`` stores a row: a sparse map
 ``nums`` from monomials to nonzero integer numerators over one positive
 denominator ``den``, in lowest terms (gcd(den, *nums) = 1, and den = 1 for
-zero), so equal forms have equal stored parts.  ``nums`` is a read-only view
-of the stored map, and ``terms``, the map to ``Fraction`` coefficients, is
-built afresh on each read, so neither hands out the stored map.  The public
+zero), so equal forms have equal stored parts.  A form cannot be changed:
+``degree`` and ``den`` are read-only, ``nums`` is a read-only view of the
+stored map, and ``terms``, the map to ``Fraction`` coefficients, is built
+afresh on each read, so nothing hands out the stored map.  The public
 constructor validates every monomial; the ring operations (sums,
 differences, negation, products, ``scale``, ``derivative``, ``evaluate``
 and ``compose_linear``) compute on the integers and build their results
@@ -138,8 +139,8 @@ def _ring(key) -> _Ring:
 def _plane_only(*forms: HomPoly) -> None:
     """Refuse a P1 x P1 form where only plane forms make sense."""
     for form in forms:
-        if _ring(form.degree) is not _PLANE:
-            raise TypeError(f"a plane form is required, not one of bidegree {form.degree}")
+        if _ring(form._degree) is not _PLANE:
+            raise TypeError(f"a plane form is required, not one of bidegree {form._degree}")
 
 
 @lru_cache(maxsize=None)
@@ -163,11 +164,11 @@ def _shift(t: tuple, degree) -> Tuple[int, ...]:
 class HomPoly:
     """A form of one fixed degree: an int on the plane, (a, b) on P1 x P1.
 
-    ``nums`` over ``den`` in lowest terms; ``nums`` is a read-only view of
-    the stored map, and ``terms`` a fresh ``Fraction`` one.
+    ``nums`` over ``den`` in lowest terms, all read-only; ``nums`` is a view
+    of the stored map, and ``terms`` a fresh ``Fraction`` one.
     """
 
-    __slots__ = ("degree", "_nums", "den")
+    __slots__ = ("_degree", "_nums", "_den")
 
     def __init__(self, degree, terms: Dict[tuple, Fraction] | None = None):
         ring = _ring(degree)
@@ -182,9 +183,9 @@ class HomPoly:
             if num:
                 ratios[mono] = (num, den)
         den = math.lcm(*(d for _, d in ratios.values()))
-        self.degree = degree
+        self._degree = degree
         self._nums = {m: n * (den // d) for m, (n, d) in ratios.items()}
-        self.den = den
+        self._den = den
 
     @staticmethod
     def _of(degree, nums: Dict[tuple, int], den: int = 1) -> HomPoly:
@@ -198,10 +199,11 @@ class HomPoly:
                 nums = {m: c // g for m, c in nums.items()}
                 den //= g
         out = object.__new__(HomPoly)
-        out.degree, out._nums, out.den = degree, nums, den
+        out._degree, out._nums, out._den = degree, nums, den
         return out
 
-    bidegree = property(lambda self: self.degree, doc="The degree, under its P1 x P1 name.")
+    degree = property(operator.attrgetter("_degree"), doc="An int on the plane, (a, b) on P1 x P1.")
+    den = property(operator.attrgetter("_den"), doc="The positive denominator of ``nums``.")
 
     @property
     def nums(self) -> Mapping[tuple, int]:
@@ -211,7 +213,7 @@ class HomPoly:
     @property
     def terms(self) -> Dict[tuple, Fraction]:
         """Monomial -> nonzero ``Fraction`` coefficient, built afresh."""
-        den = self.den
+        den = self._den
         return {m: Fraction(c, den) for m, c in self._nums.items()}
 
     # -- constructors -------------------------------------------------
@@ -237,12 +239,12 @@ class HomPoly:
 
     def _combine(self, other: HomPoly, sign: int) -> HomPoly:
         """self + sign * other, over the lcm of the two denominators."""
-        if self.degree != other.degree:
+        if self._degree != other._degree:
             raise ValueError(
-                f"degree mismatch: {self.degree} vs {other.degree}"
+                f"degree mismatch: {self._degree} vs {other._degree}"
             )
-        den = math.lcm(self.den, other.den)
-        a, b = den // self.den, sign * (den // other.den)
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
         nums = {m: a * c for m, c in self._nums.items()} if a != 1 else dict(self._nums)
         for mono, c in other._nums.items():
             if mono in nums:
@@ -253,7 +255,7 @@ class HomPoly:
                     del nums[mono]
             else:
                 nums[mono] = b * c
-        return HomPoly._of(self.degree, nums, den)
+        return HomPoly._of(self._degree, nums, den)
 
     def __add__(self, other: HomPoly) -> HomPoly:
         return self._combine(other, 1)
@@ -262,14 +264,14 @@ class HomPoly:
         return self._combine(other, -1)
 
     def __neg__(self) -> HomPoly:
-        return HomPoly._of(self.degree, {m: -c for m, c in self._nums.items()}, self.den)
+        return HomPoly._of(self._degree, {m: -c for m, c in self._nums.items()}, self._den)
 
     def __mul__(self, other) -> HomPoly:
         if not isinstance(other, HomPoly):
             return self.scale(other)
-        degree = _ring(self.degree).add(self.degree, other.degree)
+        degree = _ring(self._degree).add(self._degree, other._degree)
         basis = _mono_index(degree)[0]
-        index = _mono_index(other.degree)[1]
+        index = _mono_index(other._degree)[1]
         right = [(index[m], c) for m, c in other._nums.items()]
         acc: Dict[int, int] = {}
         for t, c1 in self._nums.items():
@@ -281,7 +283,7 @@ class HomPoly:
                 else:
                     acc[p] = c1 * c2
         nums = {basis[p]: c for p, c in acc.items() if c}
-        return HomPoly._of(degree, nums, self.den * other.den)
+        return HomPoly._of(degree, nums, self._den * other._den)
 
     def __rmul__(self, other) -> HomPoly:
         return self.scale(other)
@@ -289,8 +291,8 @@ class HomPoly:
     def scale(self, scalar) -> HomPoly:
         num, den = _rat(scalar).as_integer_ratio()
         if not num:
-            return HomPoly.zero(self.degree)
-        return HomPoly._of(self.degree, {m: num * c for m, c in self._nums.items()}, den * self.den)
+            return HomPoly.zero(self._degree)
+        return HomPoly._of(self._degree, {m: num * c for m, c in self._nums.items()}, den * self._den)
 
     def is_zero(self) -> bool:
         return not self._nums
@@ -299,20 +301,20 @@ class HomPoly:
         if not isinstance(other, HomPoly):
             return NotImplemented
         # Two zero polynomials of different declared degrees are distinct.
-        return self.degree == other.degree and self.den == other.den and self._nums == other._nums
+        return self._degree == other._degree and self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash((self.degree, self.den, frozenset(self._nums.items())))
+        return hash((self._degree, self._den, frozenset(self._nums.items())))
 
     # -- coefficient access -------------------------------------------
 
     def coeff(self, mono: tuple) -> Fraction:
         c = self._nums.get(mono)
-        return _ZERO if c is None else Fraction(c, self.den)
+        return _ZERO if c is None else Fraction(c, self._den)
 
     def num_vector(self) -> List[int]:
         """Numerators in the canonical basis order: ``coeff_vector`` times ``den``."""
-        _, index = _mono_index(self.degree)
+        _, index = _mono_index(self._degree)
         vec = [0] * len(index)
         for mono, c in self._nums.items():
             vec[index[mono]] = c
@@ -320,7 +322,7 @@ class HomPoly:
 
     def coeff_vector(self) -> Tuple[Fraction, ...]:
         """Coefficients in the canonical basis order of this degree."""
-        den = self.den
+        den = self._den
         return tuple(Fraction(c, den) if c else _ZERO for c in self.num_vector())
 
     def leading(self) -> Tuple[tuple, Fraction]:
@@ -328,21 +330,21 @@ class HomPoly:
         if not self._nums:
             raise ValueError("zero polynomial has no leading term")
         mono = max(self._nums)
-        return mono, Fraction(self._nums[mono], self.den)
+        return mono, Fraction(self._nums[mono], self._den)
 
     # -- plane-only calculus ------------------------------------------
 
     def derivative(self, var: int) -> HomPoly:
         """Partial derivative with respect to x (var=0), y (1) or z (2)."""
         _plane_only(self)
-        if self.degree == 0:
+        if self._degree == 0:
             return HomPoly.zero(0)
         nums: Dict[Mono3, int] = {}
         for mono, c in self._nums.items():
             e = mono[var]
             if e:
                 nums[mono[:var] + (e - 1,) + mono[var + 1 :]] = c * e
-        return HomPoly._of(self.degree - 1, nums, self.den)
+        return HomPoly._of(self._degree - 1, nums, self._den)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """The value at a point; with the point over a common denominator q,
@@ -352,36 +354,36 @@ class HomPoly:
         q = math.lcm(dx, dy, dz)
         px, py, pz = nx * (q // dx), ny * (q // dy), nz * (q // dz)
         total = sum(c * px**a * py**b * pz**e for (a, b, e), c in self._nums.items())
-        return Fraction(total, self.den * q**self.degree)
+        return Fraction(total, self._den * q**self._degree)
 
     def compose_linear(self, images: Sequence[HomPoly]) -> HomPoly:
         """Substitute x, y, z by three degree-1 polynomials."""
         _plane_only(self)
         ix, iy, iz = images
         for img in (ix, iy, iz):
-            if img.degree != 1:
+            if img._degree != 1:
                 raise ValueError("substitution images must have degree 1")
-        result = HomPoly.zero(self.degree)
+        result = HomPoly.zero(self._degree)
         for (a, b, c), coeff in self._nums.items():
             piece = HomPoly._of(0, {(0, 0, 0): coeff})
             for base, exp in ((ix, a), (iy, b), (iz, c)):
                 for _ in range(exp):
                     piece = piece * base
             result = result + piece
-        return HomPoly._of(self.degree, result._nums, result.den * self.den)
+        return HomPoly._of(self._degree, result._nums, result._den * self._den)
 
     # -- text ----------------------------------------------------------
 
     def __str__(self) -> str:
-        return format_poly(self.terms, _ring(self.degree).names)
+        return format_poly(self.terms, _ring(self._degree).names)
 
     def __repr__(self) -> str:
-        return f"HomPoly({self.degree}, {str(self)})"
+        return f"HomPoly({self._degree}, {str(self)})"
 
 
 BigradedPoly = HomPoly
 
-# Handy degree-1 generators; immutable by convention.
+# Handy degree-1 generators.
 X = HomPoly.monomial((1, 0, 0))
 Y = HomPoly.monomial((0, 1, 0))
 Z = HomPoly.monomial((0, 0, 1))

@@ -7,7 +7,10 @@ One fraction-free echelon form of the relations is kept per bundle.  The
 quotient by a pair is read from the pivots of that echelon with the pair's
 two ambient vectors appended: the pivot columns of an echelon form depend
 only on the row span, so the columns left without a pivot index monomials
-whose classes form a basis of H0 / <v1, v2>.
+whose classes form a basis of H0 / <v1, v2>.  ``SectionSpace.ambient_vector``
+is the one packer of a section into the ambient space: integer numerators
+block by block, over the lcm of the block denominators, which spans the same
+line as the rational coefficient vector.
 
 For a pair of sections (v1, v2) spanning V, the derivative of the map
 "pair of sections -> degeneracy curve" sends a homomorphism phi in
@@ -38,7 +41,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
@@ -51,8 +53,8 @@ from .bundles import (
     relation_source_degrees,
 )
 from .detmatrix import GpliError, Section, wedge_curve
-from .linalg import CertificateError, ExactMatrix, Vector, _bareiss_echelon, multiplication_matrix, rank
-from .polynomials import HomPoly, h0_p2
+from .linalg import CertificateError, ExactMatrix, _bareiss_echelon, multiplication_matrix, rank
+from .polynomials import HomPoly, h0_p2, mono_basis
 
 
 class SectionSpace:
@@ -92,19 +94,20 @@ class SectionSpace:
 
     # -- ambient packing ------------------------------------------------
 
-    def ambient_vector(self, components: Sequence[HomPoly]) -> Vector:
-        vec: List[Fraction] = []
-        for comp, d in zip(components, self.ambient_degrees):
-            if comp.degree != d:
-                raise ValueError("component degree mismatch")
-            vec.extend(comp.coeff_vector())
-        return tuple(vec)
+    def ambient_vector(self, components: Sequence[HomPoly]) -> Tuple[int, ...]:
+        """The components' coefficient vectors, concatenated and cleared of
+        denominators: each block's numerators scaled to the lcm L of the
+        block denominators, so the vector is L times the rational one."""
+        degrees = tuple(comp.degree for comp in components)
+        if degrees != self.ambient_degrees:
+            raise ValueError(f"components of degrees {degrees}, not {self.ambient_degrees}")
+        den = math.lcm(*(comp.den for comp in components))
+        return tuple(c * (den // comp.den) for comp in components for c in comp.num_vector())
 
-    def components(self, vec: Sequence) -> Tuple[HomPoly, ...]:
-        out = []
-        for off, d in zip(self.block_offsets, self.ambient_degrees):
-            out.append(HomPoly.from_coeff_vector(d, vec[off : off + h0_p2(d)]))
-        return tuple(out)
+    def _locate(self, pos: int) -> Tuple[int, int]:
+        """The ambient block holding position ``pos``, and the offset in it."""
+        j = bisect_right(self.block_offsets, pos) - 1
+        return j, pos - self.block_offsets[j]
 
 
 @lru_cache(maxsize=None)
@@ -130,31 +133,26 @@ class SectionQuotient:
 
     @property
     def lifts(self) -> Tuple[Section, ...]:
-        """The lifts as sections, built on demand."""
+        """The lifts as sections, built on demand: the unit monomial at each
+        lift position, and zero in the other blocks."""
         space = self.space
+        zeros = tuple(HomPoly.zero(d) for d in space.ambient_degrees)
         out = []
         for pos in self.lift_positions:
-            ambient = [0] * space.ambient_dim
-            ambient[pos] = 1
-            out.append(Section(space.bundle, space.components(ambient)))
+            j, offset = space._locate(pos)
+            mono = mono_basis(space.ambient_degrees[j])[offset]
+            out.append(Section(space.bundle, zeros[:j] + (HomPoly.monomial(mono),) + zeros[j + 1 :]))
         return tuple(out)
-
-
-def _cleared(components: Sequence[HomPoly]) -> Tuple[int, ...]:
-    """An ambient vector cleared of denominators: each block's numerators,
-    scaled to the lcm of the block denominators."""
-    den = math.lcm(*(comp.den for comp in components))
-    return tuple(c * (den // comp.den) for comp in components for c in comp.num_vector())
 
 
 def quotient_by_pair(space: SectionSpace, v1: Section, v2: Section) -> SectionQuotient:
     """The quotient by <v1, v2>, from one elimination of the relation echelon
-    with the pair's two cleared ambient vectors appended."""
+    with the pair's two ambient vectors appended."""
     for v in (v1, v2):
         if v.bundle != space.bundle:
             other, own = v.bundle.label(), space.bundle.label()
             raise ValueError(f"a section of {other} is not one of {own}")
-    rows = space.relation_echelon + tuple(_cleared(v.components) for v in (v1, v2))
+    rows = space.relation_echelon + tuple(space.ambient_vector(v.components) for v in (v1, v2))
     _, pivots, _ = _bareiss_echelon(rows, space.ambient_dim)
     if len(pivots) != len(rows):
         raise GpliError("the two sections do not span a two-dimensional subspace")
@@ -218,8 +216,8 @@ def _tangent_report(
     # Lift positions split by ambient block, as offsets inside the block.
     block_lifts: List[List[int]] = [[] for _ in space.block_offsets]
     for pos in quot.lift_positions:
-        j = bisect_right(space.block_offsets, pos) - 1
-        block_lifts[j].append(pos - space.block_offsets[j])
+        j, offset = space._locate(pos)
+        block_lifts[j].append(offset)
     forms = [-form for form in c2] + list(c1)
     matrix = multiplication_matrix(forms, degree, keep=block_lifts * 2)
     # The curve's numerators: scaling a column by den leaves the rank as it is.

@@ -11,7 +11,6 @@ from detrep.biprojective import (
     dpsi_report,
     monomial_cover_check,
     psi,
-    quad_sections,
     witness_quad,
 )
 from detrep.linalg import ExactMatrix, rank
@@ -55,7 +54,7 @@ def test_rejects_wrong_bidegree_component():
         parse_bipoly("X0^2*Y1"),  # bidegree (2,1), not (1,1)
     )
     with pytest.raises(ValueError):
-        quad_sections(1, 1, 1, bad)
+        QuadSections(1, 1, 1, bad)
 
 
 # ---------------------------------------------------------------- psi
@@ -70,7 +69,7 @@ def test_psi_of_witness():
 def test_psi_bidegree_doubles():
     rng = random.Random(41)
     q = random_quad(rng, 1, 2, 1)
-    assert psi(q).bidegree == (2, 4)
+    assert psi(q).degree == (2, 4)
 
 
 def test_psi_hand_example():
@@ -80,7 +79,7 @@ def test_psi_hand_example():
         parse_bipoly("X1*Y0"),
         parse_bipoly("X0*Y1"),
     )
-    q = quad_sections(1, 1, 1, comps)
+    q = QuadSections(1, 1, 1, comps)
     expected = parse_bipoly("X0^2*Y0*Y1 - X1^2*Y0*Y1")
     assert psi(q) == expected
 
@@ -188,7 +187,7 @@ def test_psi_matches_sympy_expand():
         f1, f2, f3, f4 = (expr(c) for c in q.components)
         ref = sympy.Poly(sympy.expand(f1 * f4 - f2 * f3), *gens).as_dict()
         got = psi(q)
-        assert got.bidegree == (2 * m * a, 2 * m * b)
+        assert got.degree == (2 * m * a, 2 * m * b)
         assert {mono: sympy.Rational(c.numerator, c.denominator) for mono, c in got.terms.items()} == ref
 
 

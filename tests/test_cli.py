@@ -103,7 +103,7 @@ def test_tangent_inhomogeneous_component_usage_error(capsys):
 # ---------------------------------------------------------------- mult
 
 
-def test_mult_seeded_deterministic(capsys):
+def test_mult_seeded_deterministic(monkeypatch, capsys):
     code1, rep1 = run_json(capsys, ["mult", "--n", "0", "--seed", "5"])
     code2, rep2 = run_json(capsys, ["mult", "--n", "0", "--seed", "5"])
     assert code1 == code2 == 0
@@ -111,6 +111,10 @@ def test_mult_seeded_deterministic(capsys):
     rep2.pop("timing")
     assert rep1 == rep2
     assert rep1["seed"] == 5
+    # Without --seed the environment's seed must be an integer.
+    monkeypatch.setenv("DETREP_SEED", "abc")
+    assert main(["mult", "--n", "0"]) == 2
+    assert capsys.readouterr().err == "error: DETREP_SEED must be an integer, got 'abc'\n"
 
 
 def test_mult_equal_triples_fail(capsys):

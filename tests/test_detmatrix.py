@@ -15,14 +15,13 @@ from detrep.detmatrix import (
     det_poly,
     gpli_sample_check,
     is_gpli,
-    read_poly_matrix,
+    relation_shift,
     shifted,
     wedge_curve,
-    write_poly_matrix,
 )
 from detrep.detmatrix import _unpack
 from detrep.linalg import CertificateError
-from detrep.polynomials import HomPoly, ParseError, X, Y, Z, mono_basis, parse_bipoly, parse_hompoly
+from detrep.polynomials import HomPoly, X, Y, Z, mono_basis, parse_bipoly, parse_hompoly
 from detrep.sampling import derive_rng, random_hompoly, random_section
 from oracles import det_cofactor, det_eliminate
 
@@ -46,6 +45,13 @@ def test_degree_pattern_consistency_enforced():
     with pytest.raises(ValueError) as err:
         PolyMatrix([[X, X * Y], [Y, Z]])
     assert "degree pattern" in str(err.value)
+    for entries, error, message in (
+        ([], ValueError, "empty"),
+        ([[X, Y]], ValueError, "square"),
+        ([[1]], TypeError, "HomPoly"),
+    ):
+        with pytest.raises(error, match=message):
+            PolyMatrix(entries)
 
 
 def test_poly_matrix_refuses_bidegree_entries():
@@ -231,6 +237,14 @@ def test_wedge_rejects_wrong_count():
     b = T(0)
     with pytest.raises(ValueError):
         wedge_curve(random_section(rng, b))
+    with pytest.raises(ValueError, match="no sections"):
+        degeneracy_matrix(())
+    with pytest.raises(ValueError, match="different bundles"):
+        degeneracy_matrix((random_section(rng, b), random_section(rng, N(0))))
+    # A section carries exactly one component per ambient summand.
+    for comps in ((X, Y), (X, Y, Z, X)):
+        with pytest.raises(ValueError, match=r"T\(0\) sections have 3 components, got"):
+            Section(b, comps)
 
 
 def test_gpli_negative_controls():
@@ -282,6 +296,8 @@ def test_euler_shift_on_double_relation_bundle():
     for row_index in (0, 1):
         moved = (shifted(secs[0], h, row_index),) + secs[1:]
         assert wedge_curve(*moved) == wedge_curve(*secs)
+    with pytest.raises(ValueError, match="shift multiplier must have degree 0, got 1"):
+        relation_shift(b, X)
 
 
 # ---------------------------------------------------------------- normalization
@@ -335,6 +351,13 @@ def test_normalize_rejects_dependent_linear_forms():
     with pytest.raises(ValueError) as err:
         column_reduce_normalize(m)
     assert "dependent" in str(err.value)
+    # Only a 3x3 matrix whose last row has degrees (1, 1, 2) is normalized.
+    with pytest.raises(ValueError, match="3x3"):
+        column_reduce_normalize(PolyMatrix([[X, Y], [Y, Z]]))
+    one, zero = parse_hompoly("1"), HomPoly.zero(0)
+    constant = PolyMatrix([[one, zero, zero], [zero, one, zero], [zero, zero, one]])
+    with pytest.raises(ValueError, match=r"last row must have degrees \(1, 1, 2\)"):
+        column_reduce_normalize(constant)
 
 
 def test_normalize_rejects_quadric_in_ideal():
@@ -389,41 +412,6 @@ def test_normalize_frames_match_sympy_for_every_completion():
         pulled = det_poly(matrix).compose_linear(images)
         assert det_poly(res.matrix) == pulled.scale(1 / res.scale)
     assert seen == {0, 1, 2, None}
-
-
-# ---------------------------------------------------------------- round trip
-
-
-def test_matrix_file_roundtrip():
-    b = T(0)
-    v1 = sec(b, "x", "2*y", "3*z")
-    v2 = sec(b, "y", "z", "x")
-    m = degeneracy_matrix((v1, v2))
-    text = write_poly_matrix(m)
-    back = read_poly_matrix(text)
-    assert back == m
-    assert det_poly(back) == det_poly(m)
-
-
-def test_roundtrip_with_zero_entries():
-    b = N(0)
-    v1 = sec(b, "0", "1", "y")
-    v2 = sec(b, "1", "0", "x")
-    m = degeneracy_matrix((v1, v2))
-    assert read_poly_matrix(write_poly_matrix(m)) == m
-
-
-def test_read_matrix_rejects_bad_header():
-    with pytest.raises(ValueError):
-        read_poly_matrix("x; y\nz; x")
-
-
-def test_read_matrix_names_a_bad_degree_header():
-    for header, chunk in (("a,1; 1,1", "'a,1'"), ("-1,0; 0,1", "'-1,0'"), ("1,1; 1,1.5", "'1,1.5'")):
-        with pytest.raises(ParseError) as err:
-            read_poly_matrix(f"degrees: {header}\nx; y\nz; x")
-        assert "'degrees:' header" in str(err.value)
-        assert chunk in str(err.value)
 
 
 def test_det_poly_matches_sympy_on_a_syzygy_degeneracy_matrix():

@@ -230,11 +230,22 @@ def test_stored_rows_are_the_canonical_cleared_rows():
     augmented = M.augment_column(v)
     assert augmented == ExactMatrix([list(row) + [e] for row, e in zip(M.entries, v)])
     assert (augmented.rows, augmented.cols) == (3, 5)
+    for v in (v[:2], v + [1]):
+        with pytest.raises(ValueError, match="column length"):
+            M.augment_column(v)
 
     empty = ExactMatrix.from_columns([], rows=3)
     assert (empty.rows, empty.cols, empty.ints) == (3, 0, ((), (), ()))
     with pytest.raises(TypeError):
         ExactMatrix([[1, 0.5]])
+    with pytest.raises(ValueError, match="ragged"):
+        ExactMatrix([[1, 2], [3]])
+
+    # A matrix cannot be changed.
+    for attr in ("rows", "cols", "ints", "dens", "entries", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(M, attr, 5)
+    assert M == cases[0] and (M.rows, M.cols) == (3, 4)
 
 
 def test_matrices_without_rows_keep_their_columns():
@@ -242,6 +253,12 @@ def test_matrices_without_rows_keep_their_columns():
     assert (empty.rows, empty.cols, empty.ints, empty.dens) == (0, 3, (), ())
     assert repr(empty) == "ExactMatrix(0x3)"
     assert ExactMatrix.from_columns([(), ()]) == ExactMatrix.zero(0, 2)
+    assert ExactMatrix.from_columns([(), ()], rows=0) == ExactMatrix.zero(0, 2)
+    # Columns of different lengths, or of a length other than rows, and no
+    # columns without rows, are refused rather than cut or padded.
+    for cols, rows in (([(1,), (2, 3)], None), ([(1, 2), (3,)], None), ([(1,), (2,)], 2), ([()], 1), ([], None)):
+        with pytest.raises(ValueError):
+            ExactMatrix.from_columns(cols, rows=rows)
     assert ExactMatrix.zero(2, 3) == frac_matrix([[0, 0, 0], [0, 0, 0]])
     # Every vector of Q^3 is in the kernel of the map to Q^0.
     assert rank(empty) == 0 and len(kernel_basis(empty)) == 3

@@ -114,6 +114,8 @@ def test_zero_polynomial_keeps_degree():
     assert z3.is_zero()
     assert z3.degree == 3
     assert z3 != HomPoly.zero(2)
+    with pytest.raises(ValueError, match="no leading term"):
+        z3.leading()
 
 
 def test_mul_degrees_add():
@@ -136,6 +138,9 @@ def test_coeff_vector_roundtrip():
     assert v == tuple(p.coeff(m) for m in mono_basis(2))
     assert HomPoly.from_coeff_vector(2, v) == p
     assert HomPoly.zero(2).coeff_vector() == (0,) * h0_p2(2)
+    for short_or_long in (v[:-1], v + (0,)):
+        with pytest.raises(ValueError, match="need 6 coefficients"):
+            HomPoly.from_coeff_vector(2, short_or_long)
 
 
 # ---------------------------------------------------------------- multiple columns
@@ -254,7 +259,7 @@ def test_parse_rejects_inhomogeneous():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("x +", "2*", "x^", "w", "x^-1", "1/0*x"):
+    for bad in ("x +", "2*", "x^", "w", "x^-1", "1/0*x", "", " ", "x^0", "x*"):
         with pytest.raises(ParseError):
             parse_hompoly(bad)
 
@@ -271,7 +276,7 @@ def test_parse_degree_mismatch_rejected():
 
 def test_parse_bipoly():
     p = parse_bipoly("X0*Y0 - X1*Y1")
-    assert p.bidegree == (1, 1)
+    assert p.degree == (1, 1)
     assert p.coeff((1, 0, 1, 0)) == 1
     assert p.coeff((0, 1, 0, 1)) == -1
 
@@ -317,6 +322,9 @@ def test_compose_linear_swap():
     f = parse_hompoly("x^2 - y*z")
     g = f.compose_linear((Y, X, Z))
     assert g == parse_hompoly("y^2 - x*z")
+    for images in ((Y, X * X, Z), (Y, X, HomPoly.zero(0))):
+        with pytest.raises(ValueError, match="degree 1"):
+            f.compose_linear(images)
 
 
 def test_divide_exact_recovers_factor():
@@ -329,12 +337,17 @@ def test_divide_exact_recovers_factor():
 def test_divide_exact_rejects_non_multiple():
     with pytest.raises(ValueError):
         divide_exact(parse_hompoly("x^2 + y^2"), parse_hompoly("x + y"))
+    with pytest.raises(ValueError, match="negative degree"):
+        divide_exact(X, X * Y)
+    for p in (X, HomPoly.zero(1)):
+        with pytest.raises(ZeroDivisionError):
+            divide_exact(p, HomPoly.zero(1))
 
 
 def test_bigraded_product():
     p = parse_bipoly("X0*Y0")
     q = parse_bipoly("X1*Y1")
-    assert (p * q).bidegree == (2, 2)
+    assert (p * q).degree == (2, 2)
     assert (p * q).coeff((1, 1, 1, 1)) == 1
 
 
@@ -438,11 +451,11 @@ def test_derivative_refuses_bidegree_forms():
 def test_bigraded_poly_is_hom_poly_with_bidegree_alias():
     assert BigradedPoly is HomPoly
     p = parse_bipoly("X0*Y0 - 2*X1*Y1")
-    assert p.bidegree == p.degree == (1, 1)
+    assert p.degree == (1, 1)
     assert str(p) == "X0*Y0 - 2*X1*Y1"
     assert p.coeff_vector() == (1, 0, 0, -2)
     with pytest.raises(AttributeError):
-        p.bidegree = (2, 2)
+        p.degree = (2, 2)
     with pytest.raises(ValueError):
         BigradedPoly((1, 1), {(1, 0, 1): 1})
     with pytest.raises(ValueError):
@@ -480,7 +493,11 @@ def test_terms_is_a_view_that_mutation_does_not_reach():
         assert str(form) == text and hash(form) == digest
         with pytest.raises(TypeError):
             form.nums[(1, 0, 0)] = 5
+        for attr, value in (("degree", 2), ("den", 2), ("nums", {}), ("terms", {}), ("extra", 0)):
+            with pytest.raises(AttributeError):
+                setattr(form, attr, value)
     assert X == HomPoly.monomial((1, 0, 0))
+    assert str(X + X) == "2*x"
     assert product == parse_hompoly("x^2 + x*y - x*z - y*z")
 
 

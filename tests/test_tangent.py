@@ -1,5 +1,6 @@
 """Section spaces, tangent-map surjectivity, smoothness ladders."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import detrep.tangent
 from detrep.bundles import E, M, N, T, ambient_degrees, det_degree, h0_bundle, relation_source_degrees
 from detrep.detmatrix import GpliError, Section, relation_shift, shifted, wedge_curve
 from detrep.linalg import ExactMatrix, rank
-from detrep.polynomials import HomPoly, h0_p2, mono_basis, parse_hompoly
+from detrep.polynomials import HomPoly, X, Y, h0_p2, mono_basis, parse_hompoly
 from detrep.sampling import derive_rng, random_hompoly, random_pair, random_section
 from detrep.tangent import (
     cofactor_forms,
@@ -87,13 +88,18 @@ def test_quotient_lift_count():
 def test_quotient_lifts_are_unit_coordinates():
     # each lift is one monomial in one ambient block, and the relations, the
     # pair and the lifts together span the whole ambient space
-    for spec in (T(1), N(1)):
+    for spec in (T(1), N(1), M(2, 1), E(3, 1)):
         space = section_space(spec)
         v1, v2 = random_pair(derive_rng(9, "lifts", 0), spec)
         quot = quotient_by_pair(space, v1, v2)
         assert quot.dim == space.dim - 2
-        for lift in quot.lifts:
-            assert sum(len(c.terms) for c in lift.components) == 1
+        for pos, lift in zip(quot.lift_positions, quot.lifts, strict=True):
+            [(j, comp)] = [(j, c) for j, c in enumerate(lift.components) if not c.is_zero()]
+            [(mono, coeff)] = comp.terms.items()
+            assert coeff == 1
+            offset = pos - space.block_offsets[j]
+            assert 0 <= offset < h0_p2(space.ambient_degrees[j])
+            assert mono == mono_basis(space.ambient_degrees[j])[offset]
         vectors = relation_vectors(spec) + [
             space.ambient_vector(s.components) for s in (v1, v2, *quot.lifts)
         ]
@@ -137,6 +143,14 @@ def test_rational_sections_match_their_rational_rows():
         scales = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7))
         v1, v2 = (Section(spec, tuple(c.scale(s) for c, s in zip(v.components, scales))) for v in pair)
         assert all(c.den > 1 for v in (v1, v2) for c in v.components if not c.is_zero())
+        # The packed vector is the coefficient vector times the lcm of its
+        # denominators: integers on the same line.
+        for v in (v1, v2):
+            coeffs = [e for c in v.components for e in c.coeff_vector()]
+            lcm = math.lcm(*(e.denominator for e in coeffs))
+            assert lcm > 1
+            assert space.ambient_vector(v.components) == tuple(int(lcm * e) for e in coeffs)
+            assert rank(ExactMatrix([space.ambient_vector(v.components), coeffs])) == 1
         # A pair whose span holds a monomial: v1 and 2*v1 + (0, 0, m).
         a, b, c = v1.components
         m = HomPoly.monomial(mono_basis(c.degree)[-1])
@@ -191,6 +205,11 @@ def test_quotient_rejects_pair_from_another_bundle():
     v1, v2 = random_pair(derive_rng(7, "other-bundle", 0), E(4, 1))
     with pytest.raises(ValueError, match=r"^a section of E_4\(1\) is not one of M_2\(1\)$"):
         quotient_by_pair(section_space(M(2, 1)), v1, v2)
+    # Packing checks the components against the space's ambient degrees.
+    space = section_space(T(0))
+    for comps in (v1.components, v1.components[:2], (X, Y, X * Y)):
+        with pytest.raises(ValueError, match=r"components of degrees .*, not \(1, 1, 1\)"):
+            space.ambient_vector(comps)
 
 
 # ---------------------------------------------------------------- tangent maps
@@ -225,6 +244,11 @@ def test_tangent_map_only_rank_two_families():
     spec = M(2, 0)
     with pytest.raises(ValueError):
         tangent_map(spec, random_section(rng, spec), random_section(rng, spec))
+    # Sections of another bundle than the stated one are refused.
+    v1, v2 = random_pair(rng, T(1))
+    for bundle, pair in ((T(0), (v1, v2)), (T(1), (v1, random_section(rng, N(1))))):
+        with pytest.raises(ValueError, match="stated bundle"):
+            tangent_map(bundle, *pair)
 
 
 def test_special_pair_misses_one_direction():
@@ -393,6 +417,9 @@ def test_fermat_cubic_is_smooth():
 def test_triangle_of_lines_not_certified():
     # xyz has three singular points, so no graded piece of its Jacobian ideal fills
     assert not smoothness_check(parse_hompoly("x*y*z"))
+    # Neither the zero form nor a nonzero constant cuts a curve.
+    for form in (HomPoly.zero(3), HomPoly.zero(0), parse_hompoly("5")):
+        assert not smoothness_check(form)
 
 
 def test_cuspidal_cubic_not_certified():
