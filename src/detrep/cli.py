@@ -6,10 +6,12 @@ mathematical values are exact (rationals rendered as "p/q").  Exit codes:
 usage or parse errors, 3 when a certificate or internal invariant fails its
 re-check (a defect of the program, not of the input).
 
-Each ``cmd_*`` function returns a ``RunReport`` and raises ``ValueError``
-(``ParseError`` included) on bad input.  ``main`` alone times the command,
-prints its report, maps a ``ValueError`` to ``error: ...`` with exit 2 and a
-``CertificateError`` to ``internal error: ...`` with exit 3.
+Each ``cmd_*`` function returns a ``RunReport`` of inputs, verdicts, data and
+seed, and raises ``ValueError`` (``ParseError`` included) on bad input.
+``build_parser`` adds ``--json`` to every subcommand.  ``main`` owns the rest
+of the run: it stamps the subcommand's name, times it, picks the exit code,
+renders the report, and maps a ``ValueError`` to ``error: ...`` with exit 2
+and a ``CertificateError`` to ``internal error: ...`` with exit 3.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 from .bundles import (
@@ -38,7 +39,7 @@ from .linalg import CertificateError, in_column_space
 from .biprojective import dpsi_report, monomial_cover_check, witness_quad
 from .polynomials import HomPoly, ParseError, h0_p2, parse_hompoly
 from .sampling import derive_rng, random_pair, resolve_seed
-from .tangent import smoothness_check, tangent_map
+from .tangent import TANGENT_FAMILIES, smoothness_check, tangent_map
 
 USAGE_ERROR = 2
 VERDICT_ERROR = 1
@@ -79,30 +80,24 @@ MAX_AUDIT_TWISTS = 10_000
 
 @dataclass
 class RunReport:
-    """One subcommand's outcome: inputs echoed, verdicts, numbers, timing."""
+    """One subcommand's outcome: inputs echoed, verdicts, numbers, timing.
 
-    subcommand: str
+    ``main`` stamps ``subcommand`` and ``timing``; values that JSON has no
+    type for, a ``Fraction`` among them, render as their ``str``."""
+
     inputs: Dict[str, object]
     verdicts: Dict[str, bool]
     data: Dict[str, object] = field(default_factory=dict)
     seed: Optional[int] = None
+    subcommand: str = ""
     timing: float = 0.0
 
-    def exit_code(self) -> int:
-        return 0 if all(self.verdicts.values()) else VERDICT_ERROR
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"subcommand": self.subcommand}
-        out["inputs"] = _jsonable(self.inputs)
+    def to_json(self) -> str:
+        out: Dict[str, object] = {"subcommand": self.subcommand, "inputs": self.inputs}
         if self.seed is not None:
             out["seed"] = self.seed
-        out["verdicts"] = dict(self.verdicts)
-        out["data"] = _jsonable(self.data)
-        out["timing"] = round(self.timing, 6)
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        out.update(verdicts=self.verdicts, data=self.data, timing=round(self.timing, 6))
+        return json.dumps(out, indent=2, default=str)
 
     def to_text(self) -> str:
         lines = [f"subcommand: {self.subcommand}"]
@@ -116,20 +111,6 @@ class RunReport:
             lines.append(f"  verdict {key}: {'pass' if value else 'FAIL'}")
         lines.append(f"  time: {self.timing:.3f}s")
         return "\n".join(lines)
-
-
-def _jsonable(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (int, str, float)):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value)
 
 
 def _textual(value):
@@ -171,10 +152,9 @@ def cmd_verify_example(args) -> RunReport:
     curve = tangent.curve
     expected_curve = parse_hompoly(expected)
     return RunReport(
-        subcommand=args.command,
         inputs={"v1": text1, "v2": text2},
         verdicts={
-            "determinant_matches": any(curve == expected_curve.scale(Fraction(s)) for s in signs),
+            "determinant_matches": any(curve == expected_curve.scale(s) for s in signs),
             "smooth": smoothness_check(curve),
             "tangent_surjective": tangent.surjective,
         },
@@ -207,7 +187,6 @@ def cmd_tangent(args) -> RunReport:
             "augmented_rank": tangent.augmented_rank,
         }
     return RunReport(
-        subcommand="tangent",
         inputs={"bundle": args.bundle, "n": args.n, "v1": args.v1, "v2": args.v2},
         verdicts=verdicts,
         data=data,
@@ -258,7 +237,7 @@ def cmd_mult(args) -> RunReport:
         "tangent_surjective": cross.tangent_surjective,
         "crosscheck_agree": cross.agree,
     }
-    return RunReport(subcommand="mult", inputs=inputs, verdicts=verdicts, data=data, seed=seed)
+    return RunReport(inputs=inputs, verdicts=verdicts, data=data, seed=seed)
 
 
 def cmd_p1p1(args) -> RunReport:
@@ -271,7 +250,6 @@ def cmd_p1p1(args) -> RunReport:
     quad = witness_quad(args.a, args.b, args.m)
     rep = dpsi_report(quad)
     return RunReport(
-        subcommand="p1p1",
         inputs={"a": args.a, "b": args.b, "m": args.m},
         verdicts={
             "monomial_cover": cover,
@@ -325,7 +303,6 @@ def cmd_audit(args) -> RunReport:
     if args.select_degree is not None:
         spec = select_E_d(args.select_degree)
         return RunReport(
-            subcommand="audit",
             inputs={"select_degree": args.select_degree},
             verdicts={"degree_matches": det_degree(spec) == args.select_degree},
             data={"bundle": spec.label(), "det_degree": det_degree(spec)},
@@ -343,7 +320,6 @@ def cmd_audit(args) -> RunReport:
     gaps = [row.rhs - row.lhs for row in rows]
     onset = linearity_onset(gaps)
     return RunReport(
-        subcommand="audit",
         inputs={"family": args.family, "bundle": spec.label(), "m_range": args.m_range, "g": args.g},
         verdicts={"all_hold": all(row.holds for row in rows)},
         data={
@@ -373,7 +349,6 @@ def cmd_containment(args) -> RunReport:
         raise ValueError(f"generator degrees must be at most {MAX_CONTAINMENT_DEGREE}, got {top}")
     result = containment_degree(gens)
     return RunReport(
-        subcommand="containment",
         inputs={"gens": [str(g) for g in gens]},
         verdicts={"reached": result.reached is not None},
         data={
@@ -396,23 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-
     p = sub.add_parser("verify-example1", help="cubic from two tangent-bundle sections")
-    add_json(p)
     p.set_defaults(func=cmd_verify_example)
 
     p = sub.add_parser("verify-example2", help="smooth conic from the rank-two kernel bundle")
-    add_json(p)
     p.set_defaults(func=cmd_verify_example)
 
     p = sub.add_parser("tangent", help="tangent-map surjectivity for an explicit pair")
-    p.add_argument("--bundle", choices=("T", "N"), required=True)
+    p.add_argument("--bundle", choices=TANGENT_FAMILIES, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--v1", required=True, help="comma-separated components")
     p.add_argument("--v2", required=True, help="comma-separated components")
-    add_json(p)
     p.set_defaults(func=cmd_tangent)
 
     p = sub.add_parser("mult", help="multiplication-map image audit with cross-check")
@@ -420,14 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--f", default=None, help="comma-separated triple of degree n+1 forms")
     p.add_argument("--g", default=None, help="comma-separated triple of degree n+1 forms")
-    add_json(p)
     p.set_defaults(func=cmd_mult)
 
     p = sub.add_parser("p1p1", help="derivative-of-determinant audit on a product of lines")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    add_json(p)
     p.set_defaults(func=cmd_p1p1)
 
     p = sub.add_parser("audit", help="section-count inequality table for a bundle family")
@@ -437,14 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, default=8)
     p.add_argument("--select-degree", type=int, default=None,
                    help="echo the rank-two bundle selected for a target degree")
-    add_json(p)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("containment", help="power-of-variables containment ladder")
     p.add_argument("--gens-file", required=True, help="one polynomial per line")
-    add_json(p)
     p.set_defaults(func=cmd_containment)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
     return parser
 
 
@@ -463,9 +430,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CertificateError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    report.subcommand = args.command
     report.timing = time.perf_counter() - t0
     print(report.to_json() if args.json else report.to_text())
-    return report.exit_code()
+    return 0 if all(report.verdicts.values()) else VERDICT_ERROR
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Sequence, Tuple
 
 from .bundles import (
@@ -54,7 +55,7 @@ class GpliError(ValueError):
 class PolyMatrix:
     """Square matrix of HomPoly entries with a consistent degree pattern."""
 
-    __slots__ = ("size", "entries")
+    __slots__ = ("_size", "_entries")
 
     def __init__(self, entries: Sequence[Sequence[HomPoly]]):
         rows = tuple(tuple(row) for row in entries)
@@ -78,8 +79,11 @@ class PolyMatrix:
                         f"entry ({i},{j}) of degree {deg[i][j]} breaks the "
                         f"row/column decomposition"
                     )
-        self.size = size
-        self.entries = rows
+        self._size = size
+        self._entries = rows
+
+    size = property(attrgetter("_size"))
+    entries = property(attrgetter("_entries"))
 
     @property
     def det_deg(self) -> int:

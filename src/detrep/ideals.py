@@ -183,20 +183,21 @@ def diagram_crosscheck(
     s1 = Section(bundle, u.f)
     s2 = Section(bundle, u.g)
     matrix = mult_map_matrix(u)
-    mult = report(matrix)
+    mult_rank = rank(matrix)
+    mult_surjective = mult_rank == matrix.rows
     try:
         tangent_surj = _tangent_report(bundle, s1, s2, u.generators[:3], u.generators[3:]).surjective
         gpli = True
     except GpliError:
         gpli = False
         tangent_surj = False
-    agree = mult.surjective == tangent_surj if gpli else True
+    agree = mult_surjective == tangent_surj if gpli else True
     return CrosscheckReport(
         gpli=gpli,
-        mult_surjective=mult.surjective,
+        mult_surjective=mult_surjective,
         tangent_surjective=tangent_surj,
         agree=agree,
-        mult_rank=mult.rank,
+        mult_rank=mult_rank,
         mult_matrix=matrix,
     )
 

@@ -42,6 +42,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import List, Sequence, Tuple
 
 from .bundles import (
@@ -57,40 +58,24 @@ from .linalg import CertificateError, ExactMatrix, _bareiss_echelon, multiplicat
 from .polynomials import HomPoly, h0_p2, mono_basis
 
 
+@dataclass(frozen=True, eq=False)
 class SectionSpace:
-    """Global sections of a bundle as an explicit ambient quotient."""
+    """Global sections of a bundle as an explicit ambient quotient: the
+    ambient blocks' degrees and first positions, the fraction-free echelon of
+    the relations, and the ambient positions without a pivot.  The cached
+    ``section_space`` hands one to every caller, so it is read-only, with
+    tuples throughout."""
 
-    def __init__(self, bundle: BundleSpec):
-        self.bundle = bundle
-        degs = ambient_degrees(bundle)
-        self.ambient_degrees = degs
-        self.block_offsets: List[int] = []
-        off = 0
-        for d in degs:
-            self.block_offsets.append(off)
-            off += h0_p2(d)
-        self.ambient_dim = off
+    bundle: BundleSpec
+    ambient_degrees: Tuple[int, ...]
+    block_offsets: Tuple[int, ...]
+    ambient_dim: int
+    relation_echelon: Tuple[Tuple[int, ...], ...]
+    free_positions: Tuple[int, ...]
 
-        # Relation f*row for every monomial f of the row's source degree: one
-        # ambient vector per relation, stacked block by block, which is the
-        # column f of the row's multiplication matrices stacked.  Their span
-        # is the row space of the matrix with one relation per row.
-        relations: List[Tuple[int, ...]] = []
-        for row, src in zip(relation_rows(bundle), relation_source_degrees(bundle)):
-            blocks = [multiplication_matrix([entry], src + entry.degree) for entry in row]
-            if any(den != 1 for block in blocks for den in block.dens):
-                raise CertificateError("relation rows must have integer coefficients")
-            relations.extend(zip(*(line for block in blocks for line in block.ints)))
-        echelon, pivots, _ = _bareiss_echelon(relations, self.ambient_dim)
-        if len(pivots) != len(relations):
-            raise CertificateError("defining relations must be independent")
-        # The fraction-free echelon of the relations, which each pair extends.
-        self.relation_echelon = tuple(tuple(row) for row in echelon)
-        pivot_set = {c for _, c in pivots}
-        self.free_positions = [i for i in range(self.ambient_dim) if i not in pivot_set]
-        self.dim = len(self.free_positions)
-        if self.dim != h0_bundle(bundle):
-            raise CertificateError("rank-computed dimension must match")
+    @property
+    def dim(self) -> int:
+        return len(self.free_positions)
 
     # -- ambient packing ------------------------------------------------
 
@@ -112,7 +97,29 @@ class SectionSpace:
 
 @lru_cache(maxsize=None)
 def section_space(bundle: BundleSpec) -> SectionSpace:
-    return SectionSpace(bundle)
+    degs = ambient_degrees(bundle)
+    *offsets, ambient_dim = accumulate(map(h0_p2, degs), initial=0)
+
+    # Relation f*row for every monomial f of the row's source degree: one
+    # ambient vector per relation, stacked block by block, which is the
+    # column f of the row's multiplication matrices stacked.  Their span
+    # is the row space of the matrix with one relation per row.
+    relations: List[Tuple[int, ...]] = []
+    for row, src in zip(relation_rows(bundle), relation_source_degrees(bundle)):
+        blocks = [multiplication_matrix([entry], src + entry.degree) for entry in row]
+        if any(den != 1 for block in blocks for den in block.dens):
+            raise CertificateError("relation rows must have integer coefficients")
+        relations.extend(zip(*(line for block in blocks for line in block.ints)))
+    echelon, pivots, _ = _bareiss_echelon(relations, ambient_dim)
+    if len(pivots) != len(relations):
+        raise CertificateError("defining relations must be independent")
+    pivot_set = {c for _, c in pivots}
+    free = tuple(i for i in range(ambient_dim) if i not in pivot_set)
+    if len(free) != h0_bundle(bundle):
+        raise CertificateError("rank-computed dimension must match")
+    # The fraction-free echelon of the relations, which each pair extends.
+    echelon = tuple(tuple(row) for row in echelon)
+    return SectionSpace(bundle, degs, tuple(offsets), ambient_dim, echelon, free)
 
 
 @dataclass(frozen=True)
@@ -173,6 +180,11 @@ def cofactor_forms(v: Section) -> Tuple[HomPoly, HomPoly, HomPoly]:
     return (c * r2 - b * r3, a * r3 - c * r1, b * r1 - a * r2)
 
 
+# The rank-2 families presented by three summands over one relation row, the
+# shape that ``cofactor_forms`` reads; ``detrep tangent --bundle`` offers these.
+TANGENT_FAMILIES = ("T", "N")
+
+
 @dataclass(frozen=True)
 class TangentReport:
     bundle: BundleSpec
@@ -195,7 +207,7 @@ def tangent_map(bundle: BundleSpec, v1: Section, v2: Section) -> TangentReport:
     Raises GpliError when the pair has identically dependent values, i.e.
     when its wedge curve vanishes.
     """
-    if bundle.family not in ("N", "T"):
+    if bundle.family not in TANGENT_FAMILIES:
         raise ValueError("tangent map is defined for the rank-2 families N and T")
     if v1.bundle != bundle or v2.bundle != bundle:
         raise ValueError("sections do not live on the stated bundle")

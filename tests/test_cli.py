@@ -1,13 +1,15 @@
 """Command-line surface: exit codes, report formats, flag validation."""
 
+import argparse
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import detrep.cli
 import detrep.ideals
-from detrep.cli import main
+from detrep.cli import RunReport, build_parser, main
 from detrep.linalg import CertificateError
 from detrep.polynomials import HomPoly, mono_basis
 
@@ -246,6 +248,33 @@ def test_containment_bad_polynomial(tmp_path, capsys):
     path = tmp_path / "gens.txt"
     path.write_text("x + w\n")
     assert main(["containment", "--gens-file", str(path)]) == 2
+
+
+def test_report_renders_through_json():
+    # Values JSON has no type for render as their text; tuples become lists.
+    rep = RunReport(
+        inputs={"n": 1},
+        verdicts={"ok": True},
+        data={"half": Fraction(1, 2), "pair": (1, "x"), "none": None},
+        seed=7,
+        subcommand="demo",
+    )
+    out = json.loads(rep.to_json())
+    assert list(out) == ["subcommand", "inputs", "seed", "verdicts", "data", "timing"]
+    assert out["data"] == {"half": "1/2", "pair": [1, "x"], "none": None}
+    assert (out["subcommand"], out["seed"], out["timing"]) == ("demo", 7, 0.0)
+    assert "seed" not in json.loads(RunReport(inputs={}, verdicts={}).to_json())
+
+
+def test_every_subcommand_takes_json_last():
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {"verify-example1", "verify-example2", "tangent", "mult",
+                                "p1p1", "audit", "containment"}
+    for name, parser in sub.choices.items():
+        assert parser.get_default("json") is False, name
+        options = [line.split()[0] for line in parser.format_help().splitlines()
+                   if line.startswith("  -")]
+        assert options[-1] == "--json", name
 
 
 def test_unknown_subcommand_usage_error(capsys):

@@ -54,6 +54,15 @@ def test_degree_pattern_consistency_enforced():
             PolyMatrix(entries)
 
 
+def test_poly_matrix_is_read_only():
+    m = PolyMatrix([[X, Y], [Y, Z]])
+    for attr, value in (("size", 5), ("entries", ((X,),))):
+        with pytest.raises(AttributeError):
+            setattr(m, attr, value)
+    assert (m.size, m.entries) == (2, ((X, Y), (Y, Z)))
+    assert det_poly(m) == X * Z - Y * Y
+
+
 def test_poly_matrix_refuses_bidegree_entries():
     for entries in (
         [[X, Y], [Y, parse_bipoly("X0*Y0")]],

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import detrep.linalg
 from detrep.ideals import (
     component_dim,
     component_matrix,
@@ -258,6 +259,27 @@ def test_ring_operations_skip_the_validating_constructor(monkeypatch):
         smoothness_check(wedge_curve(s1, s2))
     assert calls == []
     assert HomPoly(1, {(1, 0, 0): 1}) == X and len(calls) == 1
+
+
+def test_crosscheck_takes_no_cokernel_witness(monkeypatch):
+    # The cross-check's report has no field for a cokernel functional, so a
+    # non-surjective pair ranks its multiplication matrix and solves nothing.
+    calls = []
+    original = detrep.linalg._left_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(detrep.linalg, "_left_kernel", counted)
+    n = 3  # the special pair at k = 3
+    zero = HomPoly.zero(n + 1)
+    f = (HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((n + 1, 0, 0)), zero)
+    g = (zero, HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((0, n + 1, 0)))
+    rep = diagram_crosscheck(f, g)
+    assert (rep.mult_rank, rep.mult_surjective, rep.tangent_surjective) == (54, False, False)
+    assert rep.gpli and rep.agree
+    assert calls == []
 
 
 def test_disjointness_of_the_special_pair():

@@ -52,6 +52,22 @@ def test_small_syzygy_dim_three():
     assert section_space(M(1, 0)).dim == 3
 
 
+def test_cached_section_space_is_read_only():
+    # Every caller of section_space shares one space per bundle, so no caller
+    # may change it: a changed block_offsets would misplace every lift.
+    space = section_space(T(1))
+    with pytest.raises(AttributeError):
+        space.free_positions.append(99)
+    for attr in ("bundle", "ambient_degrees", "block_offsets", "ambient_dim",
+                 "relation_echelon", "free_positions", "dim"):
+        with pytest.raises(AttributeError):
+            setattr(space, attr, (5,))
+    fresh = section_space.__wrapped__(T(1))
+    assert section_space(T(1)) is space and fresh is not space
+    assert space.free_positions == fresh.free_positions
+    assert space.block_offsets == fresh.block_offsets == (0, 6, 12)
+
+
 # ---------------------------------------------------------------- quotients
 
 
@@ -249,6 +265,15 @@ def test_tangent_map_only_rank_two_families():
     for bundle, pair in ((T(0), (v1, v2)), (T(1), (v1, random_section(rng, N(1))))):
         with pytest.raises(ValueError, match="stated bundle"):
             tangent_map(bundle, *pair)
+
+
+def test_tangent_map_names_its_families():
+    # E_2(1) has rank 2 too, but its pairs are not among the tangent families.
+    rng = derive_rng(9, "fam", 1)
+    spec = E(2, 1)
+    message = "^tangent map is defined for the rank-2 families N and T$"
+    with pytest.raises(ValueError, match=message):
+        tangent_map(spec, random_section(rng, spec), random_section(rng, spec))
 
 
 def test_special_pair_misses_one_direction():
