@@ -63,7 +63,6 @@ from .detmatrix import (
     column_reduce_normalize,
     degeneracy_matrix,
     det_poly,
-    gpli_sample_check,
     is_gpli,
     shifted,
     wedge_curve,

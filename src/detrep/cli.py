@@ -276,6 +276,8 @@ def _parse_params(text: Optional[str]) -> Dict[str, int]:
             raise ValueError(f"malformed parameter {item!r}, expected key=value")
         key, _, value = item.partition("=")
         key = key.strip()
+        if key in params:
+            raise ValueError(f"--params: {key} is given twice")
         try:
             params[key] = int(value)
         except ValueError:

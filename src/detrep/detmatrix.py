@@ -30,11 +30,10 @@ elimination over the polynomial ring with exact polynomial division.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .bundles import (
     BundleSpec,
@@ -44,7 +43,7 @@ from .bundles import (
     relation_rows,
     relation_source_degrees,
 )
-from .linalg import CertificateError, ExactMatrix, _bareiss_echelon, rank, rref
+from .linalg import CertificateError, ExactMatrix, _bareiss_echelon, rref
 from .polynomials import HomPoly, X, Y, Z, _plane_only
 
 
@@ -239,29 +238,6 @@ def shifted(sec: Section, f: HomPoly, row_index: int = 0) -> Section:
     """The same section class presented by a relation-shifted ambient tuple."""
     shift = relation_shift(sec.bundle, f, row_index)
     return Section(sec.bundle, tuple(c + s for c, s in zip(sec.components, shift)))
-
-
-def gpli_sample_check(
-    sections: Sequence[Section], rng: random.Random, trials: int = 40
-) -> Optional[Tuple[Fraction, Fraction, Fraction]]:
-    """Search for a point witnessing pointwise independence of the sections.
-
-    Evaluates the degeneracy matrix at random integer points and tests it for
-    full rank.  A returned point is a proof of independence there (hence of
-    the generic verdict); None proves nothing and is only used to cross-check
-    the polynomial test on known-degenerate inputs.
-    """
-    M = degeneracy_matrix(sections)
-    for _ in range(trials):
-        point = tuple(Fraction(rng.randint(-20, 20)) for _ in range(3))
-        if all(c == 0 for c in point):
-            continue
-        numeric = ExactMatrix(
-            [[e.evaluate(point) for e in row] for row in M.entries]
-        )
-        if rank(numeric) == M.size:
-            return point
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,12 @@ complementary degree.  ``HomPoly.__mul__`` accumulates through it into a
 sparse map keyed by position, and ``linalg.multiplication_matrix`` writes
 the integer rows of its matrices through it.
 
+Text comes in through ``parse_hompoly`` and ``parse_bipoly``, which share
+one reader, ``_parse_form``.  It makes one pass: one split of the text at
+its signs, then in each term the coefficient regex and the ring's factor
+regex, adding each term straight into the term map; the degree is read off
+the terms and checked against a declared one.
+
 All coefficient arithmetic is exact (integers inside, ``fractions.Fraction``
 at the interfaces); nothing in this package ever touches floating point.
 Monomial bases are enumerated in descending lexicographic order on exponent
@@ -335,10 +341,9 @@ class HomPoly:
     # -- plane-only calculus ------------------------------------------
 
     def derivative(self, var: int) -> HomPoly:
-        """Partial derivative with respect to x (var=0), y (1) or z (2)."""
+        """Partial derivative with respect to x (var=0), y (1) or z (2); the
+        degree drops by one, so a constant's is the zero form of degree -1."""
         _plane_only(self)
-        if self._degree == 0:
-            return HomPoly.zero(0)
         nums: Dict[Mono3, int] = {}
         for mono, c in self._nums.items():
             e = mono[var]
@@ -424,13 +429,15 @@ def divide_exact(p: HomPoly, q: HomPoly) -> HomPoly:
 # ---------------------------------------------------------------------------
 # Text format.  Grammar shared by both flavours:
 #   poly   := term (('+' | '-') term)*   with an optional leading sign
-#   term   := [rational ['*']] factor*   |  rational
-#   factor := variable ['^' positive-int]  with optional '*' separators
+#   term   := [rational ['*']] factor*   |  rational,  not ending in '*'
+#   factor := variable ['^' positive-int] ['*']
 #   rational := integer | integer '/' positive-integer
 # Whitespace is insignificant.  Variables are x, y, z or X0, X1, Y0, Y1.
+# ``_parse_form`` reads it in one pass: a split at the signs, then in each
+# term the coefficient regex once and the factor regex until the term ends.
 # ---------------------------------------------------------------------------
 
-_COEFF_RE = re.compile(r"^(\d+(?:/\d+)?)")
+_COEFF_RE = re.compile(r"(\d+(?:/\d+)?)(\*?)")
 
 
 def format_poly(terms: Dict, names: Tuple[str, ...]) -> str:
@@ -459,84 +466,50 @@ def format_poly(terms: Dict, names: Tuple[str, ...]) -> str:
     return "".join(pieces)
 
 
-def _parse_terms(text: str, names: Tuple[str, ...]):
-    """Split grammar text into (coefficient, exponent-tuple, has_vars) triples."""
+def _parse_form(text: str, ring: _Ring, degree) -> HomPoly:
+    """Parse a form of ``ring`` in one pass, inferring its degree from the
+    terms; a declared degree is checked, and is required for the literal zero."""
     cleaned = re.sub(r"\s+", "", text).replace("−", "-")
     if not cleaned:
         raise ParseError("empty polynomial text")
-    # Longest variable names first so X0 wins over a lone X.
-    ordered = sorted(names, key=len, reverse=True)
-    var_re = re.compile("|".join(re.escape(n) for n in ordered))
-    chunks: List[Tuple[int, str]] = []
-    sign, start = 1, 0
-    if cleaned[0] in "+-":
-        sign = -1 if cleaned[0] == "-" else 1
-        start = 1
-    cur = []
-    for ch in cleaned[start:]:
-        if ch in "+-":
-            chunks.append((sign, "".join(cur)))
-            sign = -1 if ch == "-" else 1
-            cur = []
-        else:
-            cur.append(ch)
-    chunks.append((sign, "".join(cur)))
-
-    out = []
-    for sgn, body in chunks:
-        if not body:
-            raise ParseError(f"empty term in {text!r}")
-        coeff = Fraction(1)
-        m = _COEFF_RE.match(body)
-        pos = 0
-        if m:
-            try:
-                coeff = Fraction(m.group(1))
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in term {body!r}") from None
-            pos = m.end()
-            if pos < len(body) and body[pos] == "*":
-                pos += 1
-                if pos == len(body):
-                    raise ParseError(f"trailing '*' in term {body!r}")
-        expo = [0] * len(names)
-        has_vars = False
-        while pos < len(body):
-            vm = var_re.match(body, pos)
-            if not vm:
-                raise ParseError(f"unexpected {body[pos:]!r} in term {body!r}")
-            idx = names.index(vm.group(0))
-            pos = vm.end()
-            power = 1
-            if pos < len(body) and body[pos] == "^":
-                pm = re.match(r"\^(\d+)", body[pos:])
-                if not pm:
-                    raise ParseError(f"malformed exponent in term {body!r}")
-                power = int(pm.group(1))
-                if power < 1:
-                    raise ParseError(f"exponent must be positive in term {body!r}")
-                pos += pm.end()
-            has_vars = True
-            expo[idx] += power
-            if pos < len(body) and body[pos] == "*":
-                pos += 1
-                if pos == len(body):
-                    raise ParseError(f"trailing '*' in term {body!r}")
-        out.append((sgn * coeff, tuple(expo), has_vars))
-    return out
-
-
-def _parse_form(text: str, ring: _Ring, degree) -> HomPoly:
-    """Parse a form of ``ring``, inferring its degree from the terms; a
-    declared degree is checked, and is required for the literal zero."""
-    noun = f"{ring.prefix}degree"
+    names = ring.names  # tried longest first, so X0 wins over a lone X
+    factor_re = re.compile(f"({'|'.join(sorted(names, key=len, reverse=True))})(\\^(\\d*))?(\\*?)")
+    pieces = re.split(r"([+-])", cleaned)
+    pieces = ["+"] + pieces if pieces[0] else pieces[1:]  # an unsigned first term is positive
     seen = set()
     terms: Dict[tuple, Fraction] = {}
-    for coeff, mono, has_vars in _parse_terms(text, ring.names):
-        if coeff == 0 and not has_vars:
-            continue  # a bare 0 constrains nothing
-        seen.add(ring.grade(mono))
-        terms[mono] = terms.get(mono, _ZERO) + coeff
+    for sign, body in zip(pieces[::2], pieces[1::2]):
+        if not body:
+            raise ParseError(f"empty term in {text!r}")
+        coeff, star, pos = Fraction(1), "", 0
+        m = _COEFF_RE.match(body)
+        if m:
+            try:
+                coeff = Fraction(m[1])
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in term {body!r}") from None
+            star, pos = m[2], m.end()
+        expo = [0] * len(names)
+        while pos < len(body):
+            m = factor_re.match(body, pos)
+            if not m:
+                raise ParseError(f"unexpected {body[pos:]!r} in term {body!r}")
+            power = 1
+            if m[2]:
+                if not m[3]:
+                    raise ParseError(f"malformed exponent in term {body!r}")
+                power = int(m[3])
+                if power < 1:
+                    raise ParseError(f"exponent must be positive in term {body!r}")
+            expo[names.index(m[1])] += power
+            star, pos = m[4], m.end()
+        if star:
+            raise ParseError(f"trailing '*' in term {body!r}")
+        mono = tuple(expo)
+        if coeff or any(mono):  # a bare 0 constrains nothing
+            seen.add(ring.grade(mono))
+            terms[mono] = terms.get(mono, _ZERO) + (coeff if sign == "+" else -coeff)
+    noun = f"{ring.prefix}degree"
     if len(seen) > 1:
         raise ParseError(
             f"not {ring.prefix}homogeneous: {text!r} mixes "

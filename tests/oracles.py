@@ -9,6 +9,9 @@ plainer method, and is used only by the tests:
 * ``tangent_column``: a tangent-map column as one polynomial determinant,
   the oracle of the columns ``tangent.tangent_map`` takes from the cofactor
   forms (criterion 05);
+* ``gpli_sample_check``: a point where the degeneracy matrix, evaluated,
+  has full rank, searched at random; it witnesses independence, the oracle
+  of ``detmatrix.is_gpli`` on pairs whose wedge is nonzero;
 * ``multiple_columns``: multiplication columns as ``Fraction`` lists, one
   column at a time, the oracle of ``linalg.multiplication_matrix``;
 * ``times`` and ``left_times``: dense rational matrix products on a matrix's
@@ -24,10 +27,12 @@ plainer method, and is used only by the tests:
   of ``HomPoly``'s ring operations on integer numerators.
 """
 
+import random
 from fractions import Fraction
-from typing import Iterable, List
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from detrep.detmatrix import Section, wedge_curve
+from detrep.detmatrix import Section, degeneracy_matrix, wedge_curve
+from detrep.linalg import ExactMatrix, rank
 from detrep.polynomials import HomPoly, _mono_index, _ring, _shift, divide_exact, h0_p2
 
 _ZERO = Fraction(0)
@@ -90,6 +95,27 @@ def tangent_column(v1: Section, v2: Section, lift: Section, slot: int) -> HomPol
     if slot == 2:
         return wedge_curve(v1, lift)
     raise ValueError("slot must be 1 or 2")
+
+
+def gpli_sample_check(
+    sections: Sequence[Section], rng: random.Random, trials: int = 40
+) -> Optional[Tuple[Fraction, Fraction, Fraction]]:
+    """Search for a point witnessing pointwise independence of the sections.
+
+    Evaluates the degeneracy matrix at random integer points and tests it for
+    full rank.  A returned point is a proof of independence there (hence of
+    the generic verdict); None proves nothing and is only used to cross-check
+    the polynomial test on known-degenerate inputs.
+    """
+    M = degeneracy_matrix(sections)
+    for _ in range(trials):
+        point = tuple(Fraction(rng.randint(-20, 20)) for _ in range(3))
+        if all(c == 0 for c in point):
+            continue
+        numeric = ExactMatrix([[e.evaluate(point) for e in row] for row in M.entries])
+        if rank(numeric) == M.size:
+            return point
+    return None
 
 
 def multiple_columns(generators: Iterable[HomPoly], degree) -> List[List[Fraction]]:

@@ -13,7 +13,6 @@ from detrep.detmatrix import (
     column_reduce_normalize,
     degeneracy_matrix,
     det_poly,
-    gpli_sample_check,
     is_gpli,
     relation_shift,
     shifted,
@@ -23,7 +22,7 @@ from detrep.detmatrix import _unpack
 from detrep.linalg import CertificateError
 from detrep.polynomials import HomPoly, X, Y, Z, mono_basis, parse_bipoly, parse_hompoly
 from detrep.sampling import derive_rng, random_hompoly, random_section
-from oracles import det_cofactor, det_eliminate
+from oracles import det_cofactor, det_eliminate, gpli_sample_check
 
 
 def sec(bundle, *texts):

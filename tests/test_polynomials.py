@@ -1,7 +1,9 @@
 """Graded polynomial core: bases, arithmetic, parsing, calculus."""
 
 from fractions import Fraction
+from pathlib import Path
 
+import json
 import math
 import operator
 import random
@@ -204,7 +206,7 @@ small_coeff = st.integers(min_value=-9, max_value=9)
 
 
 def poly_strategy(degree):
-    basis = mono_basis(degree)
+    basis = mono_basis(degree) if isinstance(degree, int) else bimono_basis(*degree)
     return st.lists(small_coeff, min_size=len(basis), max_size=len(basis)).map(
         lambda cs: HomPoly(degree, {m: Fraction(c) for m, c in zip(basis, cs) if c})
     )
@@ -229,6 +231,12 @@ def test_multiplication_commutes(p, q):
 @given(poly_strategy(3))
 def test_parse_of_str_roundtrips(p):
     assert parse_hompoly(str(p), degree=3) == p
+
+
+@settings(max_examples=60)
+@given(st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(poly_strategy))
+def test_parse_of_str_roundtrips_on_bidegree_forms(p):
+    assert parse_bipoly(str(p), bidegree=p.degree) == p
 
 
 # ---------------------------------------------------------------- parsing
@@ -284,6 +292,26 @@ def test_parse_bipoly():
 def test_parse_bipoly_rejects_mixed_bidegree():
     with pytest.raises(ParseError):
         parse_bipoly("X0 + Y0")
+
+
+def parse_outcome(parse, text, degree):
+    """A parse as golden-file JSON: degree and "p/q" terms, or the error text."""
+    try:
+        p = parse(text, degree)
+    except ParseError as err:
+        return {"error": str(err)}
+    degree = p.degree if isinstance(p.degree, int) else list(p.degree)
+    return {"degree": degree, "terms": [[list(m), str(c)] for m, c in sorted(p.terms.items())]}
+
+
+def test_parse_replays_the_golden_corpus():
+    """tests/parse_golden.json pins every parser outcome: one hand-written row
+    per error message first, then seeded random texts over both rings."""
+    rows = json.loads(Path(__file__).with_name("parse_golden.json").read_text(encoding="utf-8"))
+    assert len(rows) > 300
+    for row in rows:
+        parse = parse_hompoly if row["ring"] == "plane" else parse_bipoly
+        assert parse_outcome(parse, row["text"], row["degree"]) == row["result"], row
 
 
 # ---------------------------------------------------------------- calculus
@@ -572,9 +600,8 @@ def test_plane_calculus_matches_the_fraction_reference():
     forms = arithmetic_forms(rng, PLANE_DEGREES, mono_basis)
     linear = [f for f in arithmetic_forms(rng, [1], mono_basis) if not f.is_zero()]
     for p in forms:
-        if p.degree:
-            for var in range(3):
-                assert_matches(p.derivative(var), p.degree - 1, terms_derivative(p.terms, var))
+        for var in range(3):
+            assert_matches(p.derivative(var), p.degree - 1, terms_derivative(p.terms, var))
         for _ in range(3):
             point = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7))) for _ in range(3)]
             assert p.evaluate(point) == terms_evaluate(p.terms, point)
@@ -612,9 +639,8 @@ def test_form_arithmetic_matches_sympy():
     images = [X - Fraction(1, 2) * Z, Y.scale(3) + X, Z - Fraction(2, 3) * Y]
     substitution = dict(zip(plane_gens, (poly(i).as_expr() for i in images)))
     for p in rings[0][0]:
-        if p.degree:
-            for var, sym in enumerate(plane_gens):
-                same(p.derivative(var), poly(p).diff(sym))
+        for var, sym in enumerate(plane_gens):
+            same(p.derivative(var), poly(p).diff(sym))
         point = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(3)]
         value = poly(p).as_expr().subs(dict(zip(plane_gens, map(rational, point))))
         assert rational(p.evaluate(point)) == value
