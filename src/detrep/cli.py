@@ -34,7 +34,7 @@ from .bundles import (
     select_E_d,
 )
 from .detmatrix import GpliError, Section
-from .ideals import containment_degree, diagram_crosscheck
+from .ideals import containment_degree, diagram_crosscheck, mult_map_matrix, u_generators
 from .linalg import CertificateError, in_column_space
 from .biprojective import dpsi_report, monomial_cover_check, witness_quad
 from .polynomials import HomPoly, ParseError, h0_p2, parse_hompoly
@@ -225,8 +225,9 @@ def cmd_mult(args) -> RunReport:
             k = (2 * n + 3) // 3
             probe1 = HomPoly.monomial((k, k, k))
             probe2 = HomPoly.monomial((k + 1, k, k - 1))
-            m1 = in_column_space(cross.mult_matrix, probe1.coeff_vector())
-            m2 = in_column_space(cross.mult_matrix, probe2.coeff_vector())
+            matrix = mult_map_matrix(u_generators(f, g, n))
+            m1 = in_column_space(matrix, probe1.coeff_vector())
+            m2 = in_column_space(matrix, probe2.coeff_vector())
             data["probe_balanced"] = str(probe1)
             data["probe_balanced_member"] = m1.member
             data["probe_shifted"] = str(probe2)

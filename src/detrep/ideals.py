@@ -13,11 +13,14 @@ degeneracy construction at the pair, after restriction to the curve.
 ``diagram_crosscheck`` computes both verdicts from one build of the minors and
 compares them.  The two sides share the matrix builder
 ``linalg.multiplication_matrix``: the tangent matrix is a column subset of the
-multiplication matrix of the same six forms, signed.  They differ in their
-index sets (every monomial of degree n+1 against the lifts of a quotient
-basis) and in the curve column that augments the tangent matrix.  What tests
-them independently is the determinant-based oracle ``tangent_column`` of
-``tests/oracles.py``.
+multiplication matrix of the same six forms, signed, and the curve column
+that augments it lies in the same span, since F = v1 ^ v2 = sum_j (v2)_j *
+C_j(v1).  So the cross-check ranks the augmented tangent matrix first.  When
+it is full, the multiplication verdict follows from that inclusion, whose
+identity is checked exactly on the forms, and the multiplication matrix is
+neither built nor ranked on its own; otherwise it is ranked as well.  What
+tests the tangent columns independently is the determinant-based oracle
+``tangent_column`` of ``tests/oracles.py``.
 
 The same graded machinery decides ideal containment: the power of the
 irrelevant maximal ideal sits inside the ideal generated by given forms as
@@ -162,7 +165,6 @@ class CrosscheckReport:
     tangent_surjective: bool
     agree: bool
     mult_rank: int
-    mult_matrix: ExactMatrix
 
 
 def diagram_crosscheck(
@@ -174,31 +176,42 @@ def diagram_crosscheck(
 
     The two must agree whenever the pair is generically independent; a
     degenerate pair cuts no curve, and both sides then count as
-    non-surjective.  The minors are built once and feed both matrices.  The
+    non-surjective.  The minors are built once and feed both sides.  The
     tangent side builds the one wedge curve and raises ``GpliError`` when it
     vanishes, which is what marks the pair degenerate.
+
+    The augmented tangent matrix is ranked first.  Each of its columns is a
+    signed column of the multiplication matrix, and its curve column F is
+    sum_j (v2)_j * C_j(v1), a combination of multiplication columns too.  So
+    when it has full rank the multiplication map is onto: that identity is
+    checked exactly on the forms, ``CertificateError`` if it fails, and the
+    multiplication matrix is not ranked on its own.  A tangent map that is
+    not onto, or a degenerate pair, ranks the multiplication matrix as well.
     """
     u = u_generators(f, g, n)
     bundle = T(u.n)
-    s1 = Section(bundle, u.f)
-    s2 = Section(bundle, u.g)
-    matrix = mult_map_matrix(u)
-    mult_rank = rank(matrix)
-    mult_surjective = mult_rank == matrix.rows
+    c1, c2 = u.generators[:3], u.generators[3:]
     try:
-        tangent_surj = _tangent_report(bundle, s1, s2, u.generators[:3], u.generators[3:]).surjective
-        gpli = True
+        tangent = _tangent_report(bundle, Section(bundle, u.f), Section(bundle, u.g), c1, c2)
     except GpliError:
-        gpli = False
-        tangent_surj = False
-    agree = mult_surjective == tangent_surj if gpli else True
+        tangent = None
+    gpli = tangent is not None
+    tangent_surj = gpli and tangent.surjective
+    target = h0_p2(2 * u.n + 3)
+    if tangent_surj:
+        g1, g2, g3 = u.g
+        if g1 * c1[0] + g2 * c1[1] + g3 * c1[2] != tangent.curve:
+            raise CertificateError("the wedge curve must be sum_j (v2)_j * C_j(v1)")
+        mult_rank = target
+    else:
+        mult_rank = rank(mult_map_matrix(u))
+    mult_surjective = mult_rank == target
     return CrosscheckReport(
         gpli=gpli,
         mult_surjective=mult_surjective,
         tangent_surjective=tangent_surj,
-        agree=agree,
+        agree=mult_surjective == tangent_surj if gpli else True,
         mult_rank=mult_rank,
-        mult_matrix=matrix,
     )
 
 

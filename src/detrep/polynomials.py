@@ -466,6 +466,13 @@ def format_poly(terms: Dict, names: Tuple[str, ...]) -> str:
     return "".join(pieces)
 
 
+def _too_long(body: str) -> ParseError:
+    """The error for a term holding an integer with more digits than the
+    interpreter converts; the term is shown cut short, as it is that long."""
+    shown = repr(body) if len(body) <= 40 else repr(body[:40]) + "..."
+    return ParseError(f"number with too many digits in term {shown}")
+
+
 def _parse_form(text: str, ring: _Ring, degree) -> HomPoly:
     """Parse a form of ``ring`` in one pass, inferring its degree from the
     terms; a declared degree is checked, and is required for the literal zero."""
@@ -488,6 +495,8 @@ def _parse_form(text: str, ring: _Ring, degree) -> HomPoly:
                 coeff = Fraction(m[1])
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in term {body!r}") from None
+            except ValueError:  # the interpreter's limit on digits in an int
+                raise _too_long(body) from None
             star, pos = m[2], m.end()
         expo = [0] * len(names)
         while pos < len(body):
@@ -498,7 +507,10 @@ def _parse_form(text: str, ring: _Ring, degree) -> HomPoly:
             if m[2]:
                 if not m[3]:
                     raise ParseError(f"malformed exponent in term {body!r}")
-                power = int(m[3])
+                try:
+                    power = int(m[3])
+                except ValueError:
+                    raise _too_long(body) from None
                 if power < 1:
                     raise ParseError(f"exponent must be positive in term {body!r}")
             expo[names.index(m[1])] += power

@@ -143,8 +143,9 @@ def test_mult_membership_probes_at_multiple_of_three(capsys):
 
 @pytest.mark.parametrize("n", [2, 0])
 def test_mult_builds_the_mult_side_once(n, monkeypatch, capsys):
-    # The cross-check builds the minors and their matrix and reports both;
-    # the membership probes (2n+3 divisible by 3) read its matrix.
+    # On a surjective pair the cross-check ranks only the tangent side and
+    # builds no multiplication matrix; the membership probes (2n+3 divisible
+    # by 3) build it once, from the minors built again.
     calls = {"u_generators": 0, "mult_map_matrix": 0}
     for name in calls:
         original = getattr(detrep.ideals, name)
@@ -153,11 +154,14 @@ def test_mult_builds_the_mult_side_once(n, monkeypatch, capsys):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(detrep.ideals, name, counted)
+        for module in (detrep.ideals, detrep.cli):
+            monkeypatch.setattr(module, name, counted)
     code, rep = run_json(capsys, ["mult", "--n", str(n), "--seed", "1"])
     assert code == 0
     assert "mult_rank" in rep["data"]
-    assert calls == {"u_generators": 1, "mult_map_matrix": 1}
+    probes = int("probe_balanced" in rep["data"])
+    assert probes == (n == 0)
+    assert calls == {"u_generators": 1 + probes, "mult_map_matrix": probes}
 
 
 # ---------------------------------------------------------------- others
@@ -248,6 +252,16 @@ def test_containment_bad_polynomial(tmp_path, capsys):
     path = tmp_path / "gens.txt"
     path.write_text("x + w\n")
     assert main(["containment", "--gens-file", str(path)]) == 2
+
+
+def test_containment_overlong_number(tmp_path, capsys):
+    # Past the interpreter's limit on digits in an int, the usage error names
+    # the term instead of passing on the interpreter's advice.
+    path = tmp_path / "gens.txt"
+    path.write_text("x^" + "9" * 5000 + "\n")
+    assert main(["containment", "--gens-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: number with too many digits in term {'x^' + '9' * 38!r}...\n"
 
 
 def test_report_renders_through_json():

@@ -20,11 +20,29 @@ from detrep.detmatrix import Section, wedge_curve
 from detrep.linalg import ExactMatrix, in_column_space, multiplication_matrix, rank
 from detrep.polynomials import HomPoly, X, Y, Z, h0_p2, mono_basis, parse_hompoly
 from detrep.sampling import derive_rng, random_hompoly, random_pair
-from detrep.tangent import cofactor_forms, smoothness_check
+from detrep.tangent import cofactor_forms, section_space, smoothness_check, tangent_map
 
 
 def triple(*texts):
     return tuple(parse_hompoly(t) for t in texts)
+
+
+def special_pair(n):
+    """The monomial pair (z^(n+1), x^(n+1), 0), (0, z^(n+1), y^(n+1)); at
+    n = (3k - 3)/2 it is the special pair at k."""
+    zero = HomPoly.zero(n + 1)
+    f = (HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((n + 1, 0, 0)), zero)
+    g = (zero, HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((0, n + 1, 0)))
+    return f, g
+
+
+def signed_columns_inside(small, big):
+    """Every column of ``small`` is plus or minus some column of ``big``."""
+    big_columns = set(zip(*big.entries))
+    return all(
+        col in big_columns or tuple(-x for x in col) in big_columns
+        for col in zip(*small.entries)
+    )
 
 
 # ---------------------------------------------------------------- generators
@@ -94,9 +112,7 @@ def test_mult_map_matrix_matches_reference_products():
         assert mult_map_matrix(u) == reference_mult_map_matrix(u)
     # the special pair at k = 3, which is n = 3
     n = 3
-    zero = HomPoly.zero(n + 1)
-    f = (HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((n + 1, 0, 0)), zero)
-    g = (zero, HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((0, n + 1, 0)))
+    f, g = special_pair(n)
     u = u_generators(f, g)
     assert mult_map_matrix(u) == reference_mult_map_matrix(u)
 
@@ -236,8 +252,11 @@ def test_crosscheck_builds_one_wedge_curve(monkeypatch):
     rep = diagram_crosscheck(s1, s2)
     assert rep.gpli and rep.agree
     assert {name: len(out) for name, out in results.items()} == {"wedge_curve": 1, "cofactor_forms": 2}
+    # The inclusion the surjective verdict rests on: every tangent column is
+    # a signed column of the multiplication matrix of the same minors.
     c1, c2 = results["cofactor_forms"]
-    assert rep.mult_matrix == multiplication_matrix(c1 + c2, 5)
+    tangent = tangent_map(T(1), s1, s2).matrix
+    assert signed_columns_inside(tangent, multiplication_matrix(c1 + c2, 5))
 
 
 def test_ring_operations_skip_the_validating_constructor(monkeypatch):
@@ -273,21 +292,85 @@ def test_crosscheck_takes_no_cokernel_witness(monkeypatch):
 
     monkeypatch.setattr(detrep.linalg, "_left_kernel", counted)
     n = 3  # the special pair at k = 3
-    zero = HomPoly.zero(n + 1)
-    f = (HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((n + 1, 0, 0)), zero)
-    g = (zero, HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((0, n + 1, 0)))
+    f, g = special_pair(n)
     rep = diagram_crosscheck(f, g)
     assert (rep.mult_rank, rep.mult_surjective, rep.tangent_surjective) == (54, False, False)
     assert rep.gpli and rep.agree
     assert calls == []
 
 
+def crosscheck_pairs():
+    """Seeded T(0..4) pairs, the special pairs at k = 3 and k = 5, and the
+    degenerate pair f = g."""
+    pairs = []
+    for n in range(5):
+        for i in range(2):
+            s1, s2 = random_pair(derive_rng(31, f"shortcut:{n}", i), T(n))
+            pairs.append((s1.components, s2.components))
+    pairs += [special_pair(3), special_pair(6)]
+    f = triple("x^2", "y^2", "x*z")
+    return pairs + [(f, f)]
+
+
+def test_crosscheck_verdicts_match_the_ranked_multiplication_matrix():
+    # On a surjective pair the multiplication rank is not computed but
+    # implied; it must be the rank an elimination of the matrix gives.
+    verdicts = set()
+    for f, g in crosscheck_pairs():
+        rep = diagram_crosscheck(f, g)
+        u = u_generators(f, g)
+        matrix = mult_map_matrix(u)
+        mult_rank = rank(matrix)
+        assert rep.mult_rank == mult_rank
+        assert rep.mult_surjective == (mult_rank == matrix.rows)
+        assert rep.tangent_surjective == (rep.gpli and rep.mult_surjective)
+        assert rep.agree
+        verdicts.add((rep.gpli, rep.mult_surjective))
+        if rep.gpli:
+            bundle = T(u.n)
+            tangent = tangent_map(bundle, Section(bundle, f), Section(bundle, g))
+            assert signed_columns_inside(tangent.matrix, matrix)
+    assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+def count_calls(monkeypatch, owner, name, sites):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in sites:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, "special"])
+def test_crosscheck_eliminates_once_on_a_surjective_pair(n, monkeypatch):
+    # A full augmented tangent matrix decides both verdicts with one rank and
+    # one matrix build; the special pair at k = 3 ranks and builds both.
+    import detrep.ideals
+    import detrep.tangent
+
+    if n == "special":
+        n, (f, g), want = 3, special_pair(3), 2
+    else:
+        s1, s2 = random_pair(derive_rng(31, "one-elimination", n), T(n))
+        f, g, want = s1.components, s2.components, 1
+    section_space(T(n))  # built and cached outside the count
+    sites = (detrep.linalg, detrep.ideals, detrep.tangent)
+    ranks = count_calls(monkeypatch, detrep.linalg, "rank", sites)
+    builds = count_calls(monkeypatch, detrep.linalg, "multiplication_matrix", sites)
+    rep = diagram_crosscheck(f, g)
+    assert rep.gpli and rep.agree and rep.mult_surjective == (want == 1)
+    assert (len(ranks), len(builds)) == (want, want)
+
+
 def test_disjointness_of_the_special_pair():
     # vanishing loci {y=z=0} and {x=z=0} share no projective point
     n = 1
-    zero = HomPoly.zero(n + 1)
-    f = (HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((n + 1, 0, 0)), zero)
-    g = (zero, HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((0, n + 1, 0)))
+    f, g = special_pair(n)
     rep = disjointness_check(f, g)
     assert rep.disjoint_certified
 
