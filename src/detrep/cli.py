@@ -17,6 +17,7 @@ and a ``CertificateError`` to ``internal error: ...`` with exit 3.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -45,10 +46,14 @@ USAGE_ERROR = 2
 VERDICT_ERROR = 1
 INTERNAL_ERROR = 3
 
-# The largest --n that mult and tangent accept.  `detrep mult --seed 1` on a
-# 2-core machine took 0.8 s at n = 11 and 28 s at n = 9, where 2n + 3 is a
-# multiple of 3 and the membership probes run; at n = 12, with the probes, it
-# took 242 s.  `detrep tangent` stayed under 2 s up to n = 16.
+# The largest --n that mult and tangent accept.  The slowest mult pair is one
+# whose multiplication map is not onto: both sides of the cross-check fall
+# back to Bareiss, and so do the membership probes when 3 divides 2n + 3.
+# With f = L*f' and g = L*g', L = x + 2y + 3z and f', g' dense and seeded, it
+# took 47 s at n = 9 (probes included) and 80 s at n = 11 (no probes) on a
+# 2-core machine.  An onto pair reads its probes off the verdict: `detrep mult
+# --seed 1` took 0.09 s at n = 9.  `detrep tangent` stayed under 2 s up to
+# n = 16.
 MAX_N = 11
 
 # The largest m*a and m*b that p1p1 accepts; dpsi_matrix is dense, with
@@ -76,6 +81,16 @@ MAX_CONTAINMENT_GENERATORS = 10
 # 2 * 10^5 twists, printing 1.1, 11 and 23 MB with a maximum RSS of 43, 170
 # and 312 MB.
 MAX_AUDIT_TWISTS = 10_000
+
+# The most bytes a containment --gens-file may hold; a larger file is refused
+# after reading one byte past the bound.  Parsing sums the coefficients of a
+# repeated monomial, and distinct denominators make that sum grow with every
+# term: `detrep containment` on one generator repeating x^2 over distinct
+# 16-digit denominators took 0.85 and 3.0 s at 64 and 128 KiB on a 2-core
+# machine, and parsing it alone took 64 s at 1 MiB.  Repeating a plain x^2
+# took 0.25 s at 64 KiB and 1.2 s at 1 MiB; maximum RSS stayed under 60 MB.
+# Ten dense degree-8 forms with 100-digit coefficients fit in the bound.
+MAX_GENS_FILE_BYTES = 64 * 1024
 
 
 @dataclass
@@ -223,15 +238,13 @@ def cmd_mult(args) -> RunReport:
         data["target_dim"] = h0_p2(2 * n + 3)
         if (2 * n + 3) % 3 == 0:
             k = (2 * n + 3) // 3
-            probe1 = HomPoly.monomial((k, k, k))
-            probe2 = HomPoly.monomial((k + 1, k, k - 1))
-            matrix = mult_map_matrix(u_generators(f, g, n))
-            m1 = in_column_space(matrix, probe1.coeff_vector())
-            m2 = in_column_space(matrix, probe2.coeff_vector())
-            data["probe_balanced"] = str(probe1)
-            data["probe_balanced_member"] = m1.member
-            data["probe_shifted"] = str(probe2)
-            data["probe_shifted_member"] = m2.member
+            # An onto map, a certified verdict, has every form in its image.
+            matrix = None if cross.mult_surjective else mult_map_matrix(u_generators(f, g, n))
+            for name, mono in (("balanced", (k, k, k)), ("shifted", (k + 1, k, k - 1))):
+                probe = HomPoly.monomial(mono)
+                member = matrix is None or in_column_space(matrix, probe.coeff_vector()).member
+                data[f"probe_{name}"] = str(probe)
+                data[f"probe_{name}_member"] = member
     verdicts = {
         "gpli": cross.gpli,
         "mult_surjective": cross.mult_surjective,
@@ -337,10 +350,14 @@ def cmd_audit(args) -> RunReport:
 
 def cmd_containment(args) -> RunReport:
     try:
-        with open(args.gens_file, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
+        with open(args.gens_file, "rb") as fh:
+            raw = fh.read(MAX_GENS_FILE_BYTES + 1)
     except OSError as exc:
         raise ValueError(f"cannot read {args.gens_file}: {exc}") from exc
+    if len(raw) > MAX_GENS_FILE_BYTES:
+        raise ValueError(f"{args.gens_file} holds more than {MAX_GENS_FILE_BYTES} bytes")
+    # utf-8-sig drops a leading byte-order mark; the lines split as in a text file.
+    lines = [line.strip() for line in io.StringIO(raw.decode("utf-8-sig"), newline=None)]
     texts = [line for line in lines if line and not line.startswith("#")]
     if not texts:
         raise ValueError("no generators in file")

@@ -353,9 +353,12 @@ class HomPoly:
 
     def evaluate(self, point: Sequence) -> Fraction:
         """The value at a point; with the point over a common denominator q,
-        it is one integer sum over den * q^degree, the form being homogeneous."""
+        it is one integer sum over den * q^degree, the form being homogeneous.
+        A form with no terms, of negative degree among them, is 0."""
         _plane_only(self)
         (nx, dx), (ny, dy), (nz, dz) = (_rat(v).as_integer_ratio() for v in point)
+        if not self._nums:
+            return Fraction(0)
         q = math.lcm(dx, dy, dz)
         px, py, pz = nx * (q // dx), ny * (q // dy), nz * (q // dz)
         total = sum(c * px**a * py**b * pz**e for (a, b, e), c in self._nums.items())

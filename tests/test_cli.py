@@ -10,8 +10,10 @@ import pytest
 import detrep.cli
 import detrep.ideals
 from detrep.cli import RunReport, build_parser, main
-from detrep.linalg import CertificateError
-from detrep.polynomials import HomPoly, mono_basis
+from detrep.ideals import mult_map_matrix, u_generators
+from detrep.linalg import CertificateError, in_column_space
+from detrep.polynomials import HomPoly, mono_basis, parse_hompoly
+from detrep.sampling import derive_rng, random_hompoly
 
 
 def run_json(capsys, argv):
@@ -141,27 +143,68 @@ def test_mult_membership_probes_at_multiple_of_three(capsys):
     assert rep["verdicts"]["crosscheck_agree"] is True
 
 
+def counting(monkeypatch, name, *modules):
+    """Count the calls to ``name`` at each module's import site; the original,
+    read from the first module, still answers them."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("n", [2, 0])
 def test_mult_builds_the_mult_side_once(n, monkeypatch, capsys):
     # On a surjective pair the cross-check ranks only the tangent side and
-    # builds no multiplication matrix; the membership probes (2n+3 divisible
-    # by 3) build it once, from the minors built again.
-    calls = {"u_generators": 0, "mult_map_matrix": 0}
-    for name in calls:
-        original = getattr(detrep.ideals, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        for module in (detrep.ideals, detrep.cli):
-            monkeypatch.setattr(module, name, counted)
+    # builds no multiplication matrix, and the membership probes (2n+3
+    # divisible by 3) read the onto verdict without building one either.
+    calls = {name: counting(monkeypatch, name, detrep.ideals, detrep.cli)
+             for name in ("u_generators", "mult_map_matrix")}
     code, rep = run_json(capsys, ["mult", "--n", str(n), "--seed", "1"])
     assert code == 0
     assert "mult_rank" in rep["data"]
     probes = int("probe_balanced" in rep["data"])
     assert probes == (n == 0)
-    assert calls == {"u_generators": 1 + probes, "mult_map_matrix": probes}
+    assert {name: len(made) for name, made in calls.items()} == {"u_generators": 1, "mult_map_matrix": 0}
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_mult_probes_of_an_onto_pair_match_the_column_space(n, monkeypatch, capsys):
+    # The probes of an onto pair are read off its verdict; a membership query
+    # on the built multiplication matrix gives the same answers.
+    queries = counting(monkeypatch, "in_column_space", detrep.cli)
+    code, rep = run_json(capsys, ["mult", "--n", str(n), "--seed", "1"])
+    assert code == 0
+    assert rep["verdicts"]["mult_surjective"] is True
+    assert queries == []
+    f, g = ([parse_hompoly(p, degree=n + 1) for p in rep["inputs"][key]] for key in ("f", "g"))
+    matrix = mult_map_matrix(u_generators(f, g, n))
+    for name in ("balanced", "shifted"):
+        probe = parse_hompoly(rep["data"][f"probe_{name}"])
+        assert rep["data"][f"probe_{name}_member"] == in_column_space(matrix, probe.coeff_vector()).member
+
+
+def test_mult_probes_a_pair_that_is_not_onto(monkeypatch, capsys):
+    # f = L*f' and g = L*g': L divides every minor and so every form in the
+    # image, which no monomial probe is.
+    line = parse_hompoly("x + 2*y + 3*z")
+    rng = derive_rng(1, "mult-not-onto", 0)
+    f, g = ([line * random_hompoly(rng, 0) for _ in range(3)] for _ in range(2))
+    builds = counting(monkeypatch, "mult_map_matrix", detrep.cli)
+    queries = counting(monkeypatch, "in_column_space", detrep.cli)
+    argv = ["mult", "--n", "0", "--f", ", ".join(map(str, f)), "--g", ", ".join(map(str, g))]
+    code, rep = run_json(capsys, argv)
+    assert code == 1
+    assert rep["verdicts"]["gpli"] is True
+    assert rep["verdicts"]["mult_surjective"] is False
+    assert (len(builds), len(queries)) == (1, 2)
+    assert rep["data"]["probe_balanced_member"] is False
+    assert rep["data"]["probe_shifted_member"] is False
 
 
 # ---------------------------------------------------------------- others
@@ -262,6 +305,33 @@ def test_containment_overlong_number(tmp_path, capsys):
     assert main(["containment", "--gens-file", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: number with too many digits in term {'x^' + '9' * 38!r}...\n"
+
+
+def test_containment_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(b"x^2\ny^2\nz^2\n")
+    marked.write_bytes(b"\xef\xbb\xbfx^2\ny^2\nz^2\n")
+    reports = [run_json(capsys, ["containment", "--gens-file", str(path)]) for path in (plain, marked)]
+    for _, rep in reports:
+        rep.pop("timing")
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0
+
+
+def test_containment_file_size_bound(tmp_path, capsys):
+    # A file of exactly the bound is read; one byte more is refused unparsed.
+    bound = detrep.cli.MAX_GENS_FILE_BYTES
+    gens = b"x^2\ny^2\nz^2\n"
+    padding = bound - len(gens)
+    path = tmp_path / "gens.txt"
+    path.write_bytes(b"#" * (padding - 1) + b"\n" + gens)
+    assert path.stat().st_size == bound
+    code, rep = run_json(capsys, ["containment", "--gens-file", str(path)])
+    assert code == 0
+    assert rep["data"]["containment_degree"] == 4
+    path.write_bytes(b"#" * padding + b"\n" + gens)
+    assert main(["containment", "--gens-file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path} holds more than {bound} bytes\n"
 
 
 def test_report_renders_through_json():

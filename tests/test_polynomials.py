@@ -605,6 +605,9 @@ def test_plane_calculus_matches_the_fraction_reference():
         for _ in range(3):
             point = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7))) for _ in range(3)]
             assert p.evaluate(point) == terms_evaluate(p.terms, point)
+            for var in range(3):
+                dp = p.derivative(var)
+                assert dp.evaluate(point) == terms_evaluate(dp.terms, point)
         images = [rng.choice(linear) for _ in range(3)]
         reference = terms_compose(p.terms, [image.terms for image in images])
         assert_matches(p.compose_linear(images), p.degree, reference)
