@@ -82,6 +82,13 @@ MAX_CONTAINMENT_GENERATORS = 10
 # and 312 MB.
 MAX_AUDIT_TWISTS = 10_000
 
+# The largest |m| that --m-range accepts at either end.  An audit row's lhs
+# and rhs grow like m^2 (about 2m^2 for T(n)), and Python prints no int of more
+# than 4300 digits: a T twist of 2200 digits made both report formats fail.
+# The paper's twists are below 100; at |m| = 10^6 the rows of every family at
+# small parameters (n <= 1, k <= 6, r <= 4) have at most 15 digits.
+MAX_AUDIT_TWIST = 10**6
+
 # The most bytes a containment --gens-file may hold; a larger file is refused
 # after reading one byte past the bound.  Parsing sums the coefficients of a
 # repeated monomial, and distinct denominators make that sum grow with every
@@ -312,6 +319,11 @@ def _parse_range(text: str):
     width = m_range.stop - m_range.start
     if width > MAX_AUDIT_TWISTS:
         raise ValueError(f"--m-range must span at most {MAX_AUDIT_TWISTS} twists, got {width}")
+    for m in (m_range[0], m_range[-1]):
+        if abs(m) > MAX_AUDIT_TWIST:
+            raise ValueError(
+                f"--m-range endpoints must be at most {MAX_AUDIT_TWIST} in absolute value, got {m}"
+            )
     return m_range
 
 

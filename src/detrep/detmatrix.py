@@ -43,7 +43,7 @@ from .bundles import (
     relation_rows,
     relation_source_degrees,
 )
-from .linalg import CertificateError, ExactMatrix, _bareiss_echelon, rref
+from .linalg import CertificateError, _bareiss_echelon
 from .polynomials import HomPoly, X, Y, Z, _plane_only
 
 
@@ -263,6 +263,11 @@ class ReductionResult:
     scale: Fraction
 
 
+def _cross(a: Sequence, b: Sequence) -> Tuple:
+    """The cross product a x b of two 3-vectors."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
 def column_reduce_normalize(M: PolyMatrix) -> ReductionResult:
     """Bring a 3x3 matrix with last row (l, m, Q) to last row (x, y, z^2).
 
@@ -277,17 +282,17 @@ def column_reduce_normalize(M: PolyMatrix) -> ReductionResult:
         raise ValueError("last row must have degrees (1, 1, 2)")
     l, m, q = last
     # Deterministic completion of (l, m) to a coordinate frame: the first unit
-    # row e_t with A = (l; m; e_t) invertible, so that rref(A | I) = (I | A^-1).
-    # No e_t completes it exactly when l and m are dependent.
+    # row e_t with A = (l; m; e_t) invertible.  det A = (l x m)_t, so no e_t
+    # completes it exactly when l and m are dependent.  By the adjugate, the
+    # columns of A^-1 are m x e_t, e_t x l and l x m, each over det A.
     lc, mc = l.coeff_vector(), m.coeff_vector()
-    unit = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    for t in range(3):
-        reduced, pivots = rref(ExactMatrix([lc + unit[0], mc + unit[1], unit[t] + unit[2]]))
-        if pivots == [0, 1, 2]:
-            break
-    else:
+    normal = _cross(lc, mc)
+    t = next((t for t in range(3) if normal[t]), None)
+    if t is None:
         raise ValueError("the two linear forms are dependent")
-    frame = [row[3:] for row in reduced]
+    unit = tuple(int(j == t) for j in range(3))
+    columns = (_cross(mc, unit), _cross(unit, lc), normal)
+    frame = tuple(tuple(col[i] / normal[t] for col in columns) for i in range(3))
     images = [HomPoly.from_coeff_vector(1, row) for row in frame]
     moved = [[e.compose_linear(images) for e in row] for row in M.entries]
     # Split Q = x*A + y*B + scale*z^2: A takes the terms with x, B the other
@@ -305,7 +310,7 @@ def column_reduce_normalize(M: PolyMatrix) -> ReductionResult:
         raise CertificateError("reduced last row must be (x, y, z^2)")
     return ReductionResult(
         matrix=out,
-        substitution=tuple(tuple(r) for r in frame),
+        substitution=frame,
         col_op_a=col_a,
         col_op_b=col_b,
         scale=scale,

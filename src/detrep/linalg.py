@@ -5,8 +5,8 @@ fraction-free (Bareiss) elimination over the integers (``_bareiss_echelon``)
 and back-substitution on its echelon form.  ``_solve`` back-substitutes one
 column: a preimage, a cokernel functional solved on the transposed rows, or
 a free column on the pivot columns left of it, which ``kernel_basis`` negates
-and ``rref`` writes into its pivot rows (its one library caller is the 3x3
-frame inverse of ``detmatrix.column_reduce_normalize``).  Section spaces
+into a re-checked kernel vector; ``rref`` (no library caller) reads its rows
+off those vectors.  Section spaces
 and their quotients read pivot columns off ``_bareiss_echelon`` directly,
 since those depend only on the row span.  An ``ExactMatrix`` clears its
 rows of denominators once, at construction, and stores them in the integer
@@ -351,8 +351,6 @@ def _modp_rank(rows: Sequence[Sequence[int]]) -> int:
     """
     p = _FAST_PRIME
     n = len(rows)
-    if n == 0:
-        return 0
     try:
         arr = np.array(rows, dtype=np.int64) % p
     except OverflowError:
@@ -396,32 +394,22 @@ def rank(M: ExactMatrix) -> int:
     return len(pivots)
 
 
-def _free_columns(
-    echelon: List[List[int]], pivots: List[Tuple[int, int]], cols: int
-) -> Iterator[Tuple[int, List[Fraction]]]:
-    """(f, y) for each column f without a pivot, solved as it is taken:
-    column f == y @ the pivot columns left of f.
-
-    With every column eligible for a pivot, only those pivots' rows are
-    nonzero up to f, so ``_solve`` on them solves the whole system.
-    """
-    left = 0  # pivots[:left] are the pivots left of f
-    for f in range(cols):
-        if left < len(pivots) and pivots[left][1] == f:
-            left += 1
-            continue
-        yield f, _solve(echelon, pivots[:left], f)
-
-
 def _kernel(rows: Sequence[Sequence[int]], cols: int) -> Iterator[Vector]:
     """Right kernel basis of integer rows with ``cols`` columns, each vector
     re-checked as it is yielded: a caller pays only for the vectors it takes.
 
     Free column f gives x_f = 1, 0 on the other free columns, and -y on the
-    pivot columns left of f, where column f is y @ those pivot columns.
+    pivot columns left of f, where column f is y @ those pivot columns.  With
+    every column eligible for a pivot, only those pivots' rows are nonzero up
+    to f, so ``_solve`` on them solves the whole system.
     """
     echelon, pivots, _ = _bareiss_echelon(rows, cols)
-    for f, y in _free_columns(echelon, pivots, cols):
+    left = 0  # pivots[:left] are the pivots left of f
+    for f in range(cols):
+        if left < len(pivots) and pivots[left][1] == f:
+            left += 1
+            continue
+        y = _solve(echelon, pivots[:left], f)
         vec = (*(-e for e in y), Fraction(1), *[_ZERO] * (cols - f - 1))
         if not _annihilates(rows, vec):
             raise CertificateError("kernel vector must verify")
@@ -487,19 +475,17 @@ def rref(M: ExactMatrix) -> Tuple[List[Vector], List[int]]:
 
     Returns the nonzero rows (pivot entries normalized to 1, pivot columns
     cleared elsewhere) and the pivot column indices, both deterministic.
-    Row i holds, in each free column f, y at pivot i's column from
-    ``_free_columns`` (0 when pivot i lies right of f).
+    Both are read off the re-checked kernel basis: the vector of free column
+    f ends in its 1 at f, the pivot columns are the columns with no vector,
+    and the row of pivot column c holds -vec_f[c] at each free column f.
     """
-    echelon, pivots, _ = _bareiss_echelon(M.ints, M.cols)
-    rows = [[_ZERO] * M.cols for _ in pivots]
-    for row, (_, c) in zip(rows, pivots):
-        row[c] = Fraction(1)
-    for f, y in _free_columns(echelon, pivots, M.cols):
-        for row, (_, c) in zip(rows, pivots):
-            if c > f:
-                break
-            row[f] = y[c]
-    return [tuple(row) for row in rows], [c for _, c in pivots]
+    free = {max(j for j, e in enumerate(vec) if e): vec for vec in _kernel(M.ints, M.cols)}
+    pivots = [c for c in range(M.cols) if c not in free]
+    rows = [
+        tuple(-free[j][c] if j in free else Fraction(int(j == c)) for j in range(M.cols))
+        for c in pivots
+    ]
+    return rows, pivots
 
 
 def report(M: ExactMatrix) -> LinearMapReport:

@@ -56,6 +56,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -443,6 +444,13 @@ def divide_exact(p: HomPoly, q: HomPoly) -> HomPoly:
 _COEFF_RE = re.compile(r"(\d+(?:/\d+)?)(\*?)")
 
 
+def _digits(q: Fraction) -> str:
+    """``str(q)`` for a rational, with no limit on its length: ``Decimal``
+    prints an int's digits where ``str`` stops at 4300 of them."""
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
 def format_poly(terms: Dict, names: Tuple[str, ...]) -> str:
     if not terms:
         return "0"
@@ -457,11 +465,11 @@ def format_poly(terms: Dict, names: Tuple[str, ...]) -> str:
                 factors.append(f"{name}^{exp}")
         mag = abs(coeff)
         if not factors:
-            body = str(mag)
+            body = _digits(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
+            body = "*".join([_digits(mag)] + factors)
         if not pieces:
             pieces.append(body if coeff > 0 else "-" + body)
         else:

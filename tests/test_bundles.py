@@ -197,6 +197,12 @@ def test_linearity_onset_none_when_quadratic():
     assert linearity_onset([3 * n + 1 for n in range(8)]) == 0
 
 
+def test_linearity_onset_needs_three_values():
+    for values in ([], [5], [1, 2]):
+        assert linearity_onset(values) is None
+    assert linearity_onset([1, 2, 3]) == 0
+
+
 def test_select_even_degree():
     spec = select_E_d(2)
     assert spec.family == "N"

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,8 +10,11 @@ import pytest
 
 import detrep.cli
 import detrep.ideals
+import detrep.polynomials
+from detrep.bundles import T
 from detrep.cli import RunReport, build_parser, main
 from detrep.ideals import mult_map_matrix, u_generators
+from detrep.detmatrix import Section, wedge_curve
 from detrep.linalg import CertificateError, in_column_space
 from detrep.polynomials import HomPoly, mono_basis, parse_hompoly
 from detrep.sampling import derive_rng, random_hompoly
@@ -20,6 +24,19 @@ def run_json(capsys, argv):
     code = main(argv + ["--json"])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def str_rendered(form):
+    """``str(form)`` with every coefficient printed by ``str()`` itself, the
+    interpreter's limit on int-string digits lifted for the call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(detrep.polynomials, "_digits", str)
+            return str(form)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------- examples
@@ -90,6 +107,21 @@ def test_tangent_special_pair_not_surjective(capsys):
     assert rep["verdicts"]["gpli"] is True
     assert rep["verdicts"]["surjective"] is False
     assert rep["data"]["curve"] == "x^5*y^4 - y^5*z^4 + z^9"
+
+
+def test_tangent_renders_coefficients_past_the_int_string_limit(capsys):
+    # The curve's coefficients have about 6000 digits, more than str() of an
+    # int converts; the report still prints each one whole.
+    sevens = "7" * 3000
+    v1, v2 = f"{sevens}*x, 2*y, 3*z", f"y, {sevens}*z, x"
+    code = main(["tangent", "--bundle", "T", "--n", "0", "--v1", v1, "--v2", v2, "--json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    rep = json.loads(captured.out)
+    curve = wedge_curve(*(Section(T(0), tuple(map(parse_hompoly, v.split(",")))) for v in (v1, v2)))
+    assert max(abs(c).numerator for c in curve.terms.values()) > 10**4300
+    assert rep["data"]["curve"] == str_rendered(curve)
 
 
 def test_tangent_bad_polynomial_usage_error(capsys):
@@ -240,6 +272,34 @@ def test_audit_table(capsys):
     assert len(rep["data"]["rows"]) == 5
 
 
+def test_audit_twist_bound(capsys):
+    # Both ends at the bound are audited; one past it, at either end, is
+    # refused before any row is computed.
+    bound = detrep.cli.MAX_AUDIT_TWIST
+    code, rep = run_json(capsys, ["audit", "--family", "T", f"--m-range={bound - 1}:{bound}"])
+    assert code == 0
+    assert [row["m"] for row in rep["data"]["rows"]] == [bound - 1, bound]
+    code, rep = run_json(
+        capsys, ["audit", "--family", "T", "--params", f"n={bound}", f"--m-range=-{bound}:-{bound}"]
+    )
+    assert code == 0
+    assert [row["m"] for row in rep["data"]["rows"]] == [-bound]
+    for m_range, past in ((f"{bound}:{bound + 1}", bound + 1), (f"-{bound + 1}:-{bound}", -bound - 1)):
+        assert main(["audit", "--family", "T", f"--m-range={m_range}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --m-range endpoints must be at most {bound} in absolute value, got {past}\n"
+        )
+    # A 2200-digit twist gives rows past 4300 digits, which neither format could print.
+    long_twist = "9" * 2200
+    for fmt in ([], ["--json"]):
+        assert main(["audit", "--family", "T", f"--m-range={long_twist}:{long_twist}", *fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --m-range endpoints must be at most")
+
+
 def test_audit_bad_family(capsys):
     assert main(["audit", "--family", "Q"]) == 2
 
@@ -305,6 +365,23 @@ def test_containment_overlong_number(tmp_path, capsys):
     assert main(["containment", "--gens-file", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: number with too many digits in term {'x^' + '9' * 38!r}...\n"
+
+
+def test_containment_renders_a_generator_past_the_int_string_limit(tmp_path, capsys):
+    # x^2 over 2400 distinct 16-digit denominators sums to one coefficient
+    # whose denominator has far more digits than str() of an int converts.
+    line = " + ".join(f"1/{10**15 + i}*x^2" for i in range(2400))
+    assert len(line) < detrep.cli.MAX_GENS_FILE_BYTES
+    path = tmp_path / "gens.txt"
+    path.write_text(line + "\n")
+    code = main(["containment", "--gens-file", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 1  # (x^2) alone never fills a degree
+    assert captured.err == ""
+    rep = json.loads(captured.out)
+    [gen] = rep["inputs"]["gens"]
+    assert gen == str_rendered(parse_hompoly(line))
+    assert len(gen) > 4300
 
 
 def test_containment_byte_order_mark(tmp_path, capsys):

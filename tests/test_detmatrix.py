@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+import detrep.detmatrix
+import detrep.linalg
 from detrep.bundles import E, M, N, T, ambient_degrees
 from detrep.detmatrix import (
     GpliError,
     PolyMatrix,
+    ReductionResult,
     Section,
     column_reduce_normalize,
     degeneracy_matrix,
@@ -60,6 +63,15 @@ def test_poly_matrix_is_read_only():
             setattr(m, attr, value)
     assert (m.size, m.entries) == (2, ((X, Y), (Y, Z)))
     assert det_poly(m) == X * Z - Y * Y
+
+
+def test_poly_matrix_equality_and_repr():
+    m = PolyMatrix([[X, Y], [Y, Z]])
+    assert m == PolyMatrix([[X, Y], [Y, Z]])
+    assert m != PolyMatrix([[X, Y], [Y, X]])
+    assert m.__eq__(((X, Y), (Y, Z))) is NotImplemented
+    assert m != ((X, Y), (Y, Z))
+    assert repr(m) == "PolyMatrix(2x2, det degree 2)"
 
 
 def test_poly_matrix_refuses_bidegree_entries():
@@ -379,6 +391,41 @@ def test_normalize_rejects_quadric_in_ideal():
     with pytest.raises(ValueError) as err:
         column_reduce_normalize(m)
     assert "ideal" in str(err.value)
+
+
+def test_normalize_runs_no_elimination(monkeypatch):
+    # The frame inverse is the adjugate over det A, so neither the elimination
+    # core nor rref runs; the expected frames are those that rref(A | I) gives.
+    def no_elimination(*args):
+        raise AssertionError("column_reduce_normalize must not eliminate")
+
+    for module in (detrep.linalg, detrep.detmatrix):
+        monkeypatch.setattr(module, "_bareiss_echelon", no_elimination)
+    monkeypatch.setattr(detrep.linalg, "rref", no_elimination)
+    one, zero = parse_hompoly("1"), HomPoly.zero(0)
+    already_normal = PolyMatrix([[zero, one, Y], [one, zero, X], [X, Y, parse_hompoly("z^2 + x*y")]])
+    assert column_reduce_normalize(already_normal) == ReductionResult(
+        matrix=PolyMatrix([[zero, one, Y], [one, zero, parse_hompoly("x - y")], [X, Y, Z * Z]]),
+        substitution=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        col_op_a=Y,
+        col_op_b=HomPoly.zero(1),
+        scale=1,
+    )
+    general = PolyMatrix(
+        [[one, zero, Z], [zero, one, Y], [X + Z, Y - Z, parse_hompoly("x^2 + y^2 - z^2")]]
+    )
+    assert column_reduce_normalize(general) == ReductionResult(
+        matrix=PolyMatrix(
+            [[one, zero, parse_hompoly("x - 2*y - z")], [zero, one, X + Z], [X, Y, Z * Z]]
+        ),
+        substitution=((0, 0, 1), (1, 1, -1), (1, 0, -1)),
+        col_op_a=parse_hompoly("2*y"),
+        col_op_b=parse_hompoly("y - 2*z"),
+        scale=1,
+    )
+    for last, message in (([X, X.scale(2), Z * Z], "dependent"), ([X, Y, X * Z + Y * Z], "ideal")):
+        with pytest.raises(ValueError, match=message):
+            column_reduce_normalize(PolyMatrix([[one, zero, Z], [zero, one, Y], last]))
 
 
 def test_normalize_frames_match_sympy_for_every_completion():

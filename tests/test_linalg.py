@@ -252,6 +252,8 @@ def test_matrices_without_rows_keep_their_columns():
     empty = ExactMatrix.zero(0, 3)
     assert (empty.rows, empty.cols, empty.ints, empty.dens) == (0, 3, (), ())
     assert repr(empty) == "ExactMatrix(0x3)"
+    assert empty.__eq__(((0, 0, 0),)) is NotImplemented
+    assert empty != ()
     assert ExactMatrix.from_columns([(), ()]) == ExactMatrix.zero(0, 2)
     assert ExactMatrix.from_columns([(), ()], rows=0) == ExactMatrix.zero(0, 2)
     # Columns of different lengths, or of a length other than rows, and no
@@ -341,6 +343,14 @@ def test_rref_matches_sympy(sympy):
         assert rows == [
             tuple(Fraction(int(e.p), int(e.q)) for e in ref.row(i)) for i in range(len(ref_pivots))
         ]
+
+
+def test_rref_matches_sympy_on_empty_and_zero_matrices(sympy):
+    # seeded_matrices draws no empty dimension and no all-zero 2x2.
+    for M in (ExactMatrix.zero(0, 3), ExactMatrix([[], [], []]), ExactMatrix.zero(2, 2)):
+        ref, ref_pivots = to_sympy(sympy, M).rref()
+        assert rref(M) == ([], list(ref_pivots)) == ([], [])
+        assert ref == sympy.zeros(M.rows, M.cols)
 
 
 def test_augment_column_matches_rebuilt_matrix():
@@ -522,6 +532,7 @@ CHECKS_UNDER_O = textwrap.dedent(
         "preimage": lambda: la.in_column_space(la.ExactMatrix([[1, 0], [0, 0]]), [1, 0]),
         "kernel": lambda: la.kernel_basis(la.ExactMatrix([[1, 1]])),
         "crosscheck": lambda: diagram_crosscheck(*pair),
+        "rref": lambda: la.rref(la.ExactMatrix([[1, 1]])),
     }
     la._solve = corrupt_solve
     tg.wedge_curve = doubled_wedge
@@ -543,7 +554,7 @@ def test_certificate_checks_raise_under_python_O():
         [sys.executable, "-O", "-c", CHECKS_UNDER_O],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     ).stdout.split()
-    assert out == ["1", "bareiss", "kronecker", "membership", "left_kernel", "preimage", "kernel", "crosscheck"]
+    assert out == ["1", "bareiss", "kronecker", "membership", "left_kernel", "preimage", "kernel", "crosscheck", "rref"]
 
 
 # ------------------------------------------------- builder and mod-p sweep

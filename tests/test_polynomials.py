@@ -120,6 +120,14 @@ def test_zero_polynomial_keeps_degree():
         z3.leading()
 
 
+def test_repr_and_equality_with_other_types():
+    assert repr(parse_hompoly("x^2 - 1/2*y*z")) == "HomPoly(2, x^2 - 1/2*y*z)"
+    assert repr(parse_bipoly("X0*Y1")) == "HomPoly((1, 1), X0*Y1)"
+    one = parse_hompoly("1")
+    assert one.__eq__(1) is NotImplemented
+    assert one != 1 and X != "x"
+
+
 def test_mul_degrees_add():
     p = X + Y
     q = X + Z
