@@ -22,6 +22,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Dict, Optional, Sequence
 
 from .bundles import (
@@ -82,11 +83,13 @@ MAX_CONTAINMENT_GENERATORS = 10
 # and 312 MB.
 MAX_AUDIT_TWISTS = 10_000
 
-# The largest |m| that --m-range accepts at either end.  An audit row's lhs
-# and rhs grow like m^2 (about 2m^2 for T(n)), and Python prints no int of more
-# than 4300 digits: a T twist of 2200 digits made both report formats fail.
-# The paper's twists are below 100; at |m| = 10^6 the rows of every family at
-# small parameters (n <= 1, k <= 6, r <= 4) have at most 15 digits.
+# The largest absolute value of every integer an audit row is computed from:
+# either end of --m-range and each --params value.  An audit row's lhs and rhs
+# grow like m^2 (about 2m^2 for T(n)), and Python prints no int of more than
+# 4300 digits: a T twist of 2200 digits made both report formats fail, and so
+# did n = 10^2200.  The paper's twists are below 100; at |m| = 10^6 the rows of
+# every family at small parameters (n <= 1, k <= 6, r <= 4) have at most 15
+# digits, and with every parameter at the bound too a report stays under 1 KB.
 MAX_AUDIT_TWIST = 10**6
 
 # The most bytes a containment --gens-file may hold; a larger file is refused
@@ -266,7 +269,10 @@ def cmd_p1p1(args) -> RunReport:
         raise ValueError("a, b, m must all be at least 1")
     ma, mb = args.m * args.a, args.m * args.b
     if max(ma, mb) > MAX_P1P1_DEGREE:
-        raise ValueError(f"m*a and m*b must be at most {MAX_P1P1_DEGREE}, got {ma} and {mb}")
+        # Decimal prints an int of any length; m*a can pass the 4300-digit limit of str().
+        raise ValueError(
+            f"m*a and m*b must be at most {MAX_P1P1_DEGREE}, got {Decimal(ma)} and {Decimal(mb)}"
+        )
     cover = monomial_cover_check(args.a, args.b, args.m)
     quad = witness_quad(args.a, args.b, args.m)
     rep = dpsi_report(quad)
@@ -303,6 +309,10 @@ def _parse_params(text: Optional[str]) -> Dict[str, int]:
             params[key] = int(value)
         except ValueError:
             raise ValueError(f"--params: {key} must be an integer, got {value.strip()!r}") from None
+        if abs(params[key]) > MAX_AUDIT_TWIST:
+            raise ValueError(
+                f"--params: {key} must be at most {MAX_AUDIT_TWIST} in absolute value, got {params[key]}"
+            )
     return params
 
 
@@ -432,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="section-count inequality table for a bundle family")
     p.add_argument("--family", choices=FAMILIES, default=None)
     p.add_argument("--params", default=None, help="e.g. n=2 or n=1,k=2")
-    p.add_argument("--m-range", default="0:10", help="inclusive lo:hi twist range")
+    p.add_argument("--m-range", default="0:10",
+                   help="inclusive lo:hi twist range; write a negative lo as --m-range=-3:0")
     p.add_argument("--g", type=int, default=8)
     p.add_argument("--select-degree", type=int, default=None,
                    help="echo the rank-two bundle selected for a target degree")

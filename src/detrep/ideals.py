@@ -14,13 +14,13 @@ degeneracy construction at the pair, after restriction to the curve.
 compares them.  The two sides share the matrix builder
 ``linalg.multiplication_matrix``: the tangent matrix is a column subset of the
 multiplication matrix of the same six forms, signed, and the curve column
-that augments it lies in the same span, since F = v1 ^ v2 = sum_j (v2)_j *
-C_j(v1).  So the cross-check ranks the augmented tangent matrix first.  When
-it is full, the multiplication verdict follows from that inclusion, whose
-identity is checked exactly on the forms, and the multiplication matrix is
-neither built nor ranked on its own; otherwise it is ranked as well.  What
-tests the tangent columns independently is the determinant-based oracle
-``tangent_column`` of ``tests/oracles.py``.
+that augments it is built from the same forms, as F = v1 ^ v2 = sum_j (v2)_j
+* C_j(v1).  So the augmented tangent matrix lies in the span of the
+multiplication matrix by construction, and the cross-check ranks it first.
+When it is full, the multiplication map is onto and its matrix is neither
+built nor ranked on its own; otherwise it is ranked as well.  What tests the
+tangent columns and the curve independently are the determinant-based oracles
+of ``tests/oracles.py``.
 
 The same graded machinery decides ideal containment: the power of the
 irrelevant maximal ideal sits inside the ideal generated by given forms as
@@ -52,8 +52,8 @@ class USpace:
 
     n: int
     generators: Tuple[HomPoly, ...]
-    f: Tuple[HomPoly, ...]
-    g: Tuple[HomPoly, ...]
+    f: Section
+    g: Section
 
 
 def u_generators(
@@ -72,8 +72,8 @@ def u_generators(
     gt = g.components if isinstance(g, Section) else tuple(g)
     if n is None:
         n = max((comp.degree for comp in ft), default=0) - 1
-    gens = cofactor_forms(Section(T(n), ft)) + cofactor_forms(Section(T(n), gt))
-    return USpace(n=n, generators=gens, f=ft, g=gt)
+    fs, gs = Section(T(n), ft), Section(T(n), gt)
+    return USpace(n=n, generators=cofactor_forms(fs) + cofactor_forms(gs), f=fs, g=gs)
 
 
 def mult_map_matrix(u: USpace) -> ExactMatrix:
@@ -177,34 +177,26 @@ def diagram_crosscheck(
     The two must agree whenever the pair is generically independent; a
     degenerate pair cuts no curve, and both sides then count as
     non-surjective.  The minors are built once and feed both sides.  The
-    tangent side builds the one wedge curve and raises ``GpliError`` when it
-    vanishes, which is what marks the pair degenerate.
+    tangent side expands the curve F = sum_j (v2)_j * C_j(v1) from them and
+    raises ``GpliError`` when it vanishes, which marks the pair degenerate.
 
     The augmented tangent matrix is ranked first.  Each of its columns is a
-    signed column of the multiplication matrix, and its curve column F is
-    sum_j (v2)_j * C_j(v1), a combination of multiplication columns too.  So
-    when it has full rank the multiplication map is onto: that identity is
-    checked exactly on the forms, ``CertificateError`` if it fails, and the
-    multiplication matrix is not ranked on its own.  A tangent map that is
-    not onto, or a degenerate pair, ranks the multiplication matrix as well.
+    signed column of the multiplication matrix, and its curve column F is a
+    combination of multiplication columns by its definition.  So when it has
+    full rank the multiplication map is onto, and its matrix is not ranked on
+    its own.  A tangent map that is not onto, or a degenerate pair, ranks the
+    multiplication matrix as well.
     """
     u = u_generators(f, g, n)
-    bundle = T(u.n)
     c1, c2 = u.generators[:3], u.generators[3:]
     try:
-        tangent = _tangent_report(bundle, Section(bundle, u.f), Section(bundle, u.g), c1, c2)
+        tangent = _tangent_report(T(u.n), u.f, u.g, c1, c2)
     except GpliError:
         tangent = None
     gpli = tangent is not None
     tangent_surj = gpli and tangent.surjective
     target = h0_p2(2 * u.n + 3)
-    if tangent_surj:
-        g1, g2, g3 = u.g
-        if g1 * c1[0] + g2 * c1[1] + g3 * c1[2] != tangent.curve:
-            raise CertificateError("the wedge curve must be sum_j (v2)_j * C_j(v1)")
-        mult_rank = target
-    else:
-        mult_rank = rank(mult_map_matrix(u))
+    mult_rank = target if tangent_surj else rank(mult_map_matrix(u))
     mult_surjective = mult_rank == target
     return CrosscheckReport(
         gpli=gpli,

@@ -30,9 +30,11 @@ monomial m in one ambient block j, so the column of phi: v1 -> m is
 column subset of the multiplication matrix of the cofactor forms, and no
 polynomial determinant is taken per column (the tests take one per column,
 with ``tangent_column`` of ``tests/oracles.py``, as the independent
-reference).  For T(n) the C_j of the two sections are exactly the minors
-that ``ideals.u_generators`` calls U.  Surjectivity onto sections of the
-curve is decided by ranking the matrix augmented with the curve's own
+reference).  The curve v1 ^ v2 = sum_j (v2)_j * C_j(v1) is read off the same
+forms, so no determinant is taken at all (``detmatrix.wedge_curve`` is its
+reference in the tests).  For T(n) the C_j of the two sections are exactly
+the minors that ``ideals.u_generators`` calls U.  Surjectivity onto sections
+of the curve is decided by ranking the matrix augmented with the curve's own
 coefficient vector, since the curve spans the kernel of restriction.
 """
 
@@ -53,7 +55,7 @@ from .bundles import (
     relation_rows,
     relation_source_degrees,
 )
-from .detmatrix import GpliError, Section, wedge_curve
+from .detmatrix import GpliError, Section
 from .linalg import CertificateError, ExactMatrix, _bareiss_echelon, multiplication_matrix, rank
 from .polynomials import HomPoly, h0_p2, mono_basis
 
@@ -218,8 +220,10 @@ def _tangent_report(
     bundle: BundleSpec, v1: Section, v2: Section, c1: Sequence[HomPoly], c2: Sequence[HomPoly]
 ) -> TangentReport:
     """``tangent_map`` on validated input, given c1 and c2, the cofactor
-    forms of v1 and v2, so that a caller holding them builds them once."""
-    curve = wedge_curve(v1, v2)
+    forms of v1 and v2, so that a caller holding them builds them once.  The
+    curve is det(v1; v2; r) expanded along v2's row."""
+    q1, q2, q3 = v2.components
+    curve = q1 * c1[0] + q2 * c1[1] + q3 * c1[2]
     if curve.is_zero():
         raise GpliError("sections are generically dependent; no curve is cut")
     space = section_space(bundle)

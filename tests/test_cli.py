@@ -454,6 +454,60 @@ def test_failed_certificate_is_an_internal_error(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def _huge_integer_cases():
+    """Every integer the CLI reads, at 2200 and 4299 digits, with both signs
+    where the parser takes them: argv, and the DETREP_SEED value or None."""
+    pair = ["--v1", "x, y, z", "--v2", "y, z, x"]
+    for digits in (2200, 4299):
+        for sign in ("", "-"):
+            big = sign + "9" * digits
+            yield f"tangent-n{sign}{digits}", ["tangent", "--bundle", "T", "--n", big, *pair], None
+            yield f"mult-n{sign}{digits}", ["mult", "--n", big, "--seed", "1"], None
+            yield f"mult-seed{sign}{digits}", ["mult", "--n", "0", "--seed", big], None
+            yield f"mult-env-seed{sign}{digits}", ["mult", "--n", "0"], big
+            yield f"p1p1-a{sign}{digits}", ["p1p1", "--a", big, "--b", "1", "--m", "1"], None
+            yield f"p1p1-b{sign}{digits}", ["p1p1", "--a", "1", "--b", big, "--m", "1"], None
+            yield f"p1p1-m{sign}{digits}", ["p1p1", "--a", "1", "--b", "1", "--m", big], None
+            # m*a is 2 digits longer than a.
+            yield f"p1p1-product{sign}{digits}", ["p1p1", "--a", big, "--b", "1", "--m", "99"], None
+            yield f"audit-g{sign}{digits}", ["audit", "--family", "T", "--g", big], None
+            yield f"audit-select-degree{sign}{digits}", ["audit", "--select-degree", big], None
+            yield f"audit-m-lo{sign}{digits}", ["audit", "--family", "T", f"--m-range={big}:0"], None
+            yield f"audit-m-hi{sign}{digits}", ["audit", "--family", "T", f"--m-range=0:{big}"], None
+            yield f"audit-params-n{sign}{digits}", ["audit", "--family", "T", "--params", f"n={big}"], None
+            yield f"audit-params-k{sign}{digits}", ["audit", "--family", "M", "--params", f"n=0,k={big}"], None
+    yield "audit-params-blank-item", ["audit", "--family", "M", "--params", "n=0,,k=2"], None
+
+
+HUGE_INTEGER_CASES = list(_huge_integer_cases())
+
+
+@pytest.mark.parametrize("fmt", [["--json"], []], ids=["json", "text"])
+@pytest.mark.parametrize("argv, env_seed", [case[1:] for case in HUGE_INTEGER_CASES],
+                         ids=[case[0] for case in HUGE_INTEGER_CASES])
+def test_huge_integers_keep_the_exit_code_contract(argv, env_seed, fmt, monkeypatch, capsys):
+    # An integer of any length is answered, a verdict failed or a usage error,
+    # never a crash or the interpreter's advice on int-string limits.
+    if env_seed is None:
+        monkeypatch.delenv("DETREP_SEED", raising=False)
+    else:
+        monkeypatch.setenv("DETREP_SEED", env_seed)
+    code = main(argv + fmt)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert "set_int_max_str_digits" not in captured.err
+    else:
+        assert captured.err == ""
+        if fmt:
+            json.loads(captured.out)
+        else:
+            assert captured.out.startswith(f"subcommand: {argv[0]}")
+
+
 # ---------------------------------------------------------------- golden reports
 
 # Every subcommand's full report, pinned: the JSON minus "timing" (key order

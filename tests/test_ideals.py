@@ -16,7 +16,7 @@ from detrep.ideals import (
     u_generators,
 )
 from detrep.bundles import T
-from detrep.detmatrix import Section, wedge_curve
+from detrep.detmatrix import GpliError, Section, shifted, wedge_curve
 from detrep.linalg import ExactMatrix, in_column_space, multiplication_matrix, rank
 from detrep.polynomials import HomPoly, X, Y, Z, h0_p2, mono_basis, parse_hompoly
 from detrep.sampling import derive_rng, random_hompoly, random_pair
@@ -229,15 +229,16 @@ def test_crosscheck_equal_triples_degenerate():
 
 
 def test_crosscheck_builds_one_wedge_curve(monkeypatch):
-    # One wedge curve, and the pair's minors built once: the cofactor forms
-    # of each section feed both the multiplication and the tangent matrix.
+    # The pair's minors built once, and no determinant taken: the cofactor
+    # forms of each section feed the multiplication matrix, the tangent
+    # matrix and the curve, which is their expansion along v2's row.
     import detrep.detmatrix
     import detrep.ideals
     import detrep.tangent
 
-    results = {"wedge_curve": [], "cofactor_forms": []}
+    results = {"det_poly": [], "cofactor_forms": []}
     for name, owner, sites in (
-        ("wedge_curve", detrep.detmatrix, (detrep.detmatrix, detrep.tangent)),
+        ("det_poly", detrep.detmatrix, (detrep.detmatrix,)),
         ("cofactor_forms", detrep.tangent, (detrep.tangent, detrep.ideals)),
     ):
         original = getattr(owner, name)
@@ -251,12 +252,59 @@ def test_crosscheck_builds_one_wedge_curve(monkeypatch):
     s1, s2 = random_pair(derive_rng(31, "cross-count", 0), T(1))
     rep = diagram_crosscheck(s1, s2)
     assert rep.gpli and rep.agree
-    assert {name: len(out) for name, out in results.items()} == {"wedge_curve": 1, "cofactor_forms": 2}
+    assert {name: len(out) for name, out in results.items()} == {"det_poly": 0, "cofactor_forms": 2}
     # The inclusion the surjective verdict rests on: every tangent column is
-    # a signed column of the multiplication matrix of the same minors.
+    # a signed column of the multiplication matrix of the same minors, and
+    # the curve column lies in its span.
     c1, c2 = results["cofactor_forms"]
-    tangent = tangent_map(T(1), s1, s2).matrix
-    assert signed_columns_inside(tangent, multiplication_matrix(c1 + c2, 5))
+    tangent = tangent_map(T(1), s1, s2)
+    mult = multiplication_matrix(c1 + c2, 5)
+    assert signed_columns_inside(tangent.matrix, mult)
+    assert in_column_space(mult, tangent.curve.coeff_vector()).member
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_generically_dependent_pair_cuts_no_curve(n):
+    # v2 = c*v1 plus a relation shift is the class of c*v1: the expansion of
+    # det(v1; v2; r) vanishes, with no determinant engine to say so.
+    rng = derive_rng(31, "dependent", n)
+    v1, _ = random_pair(rng, T(n))
+    scaled = Section(T(n), tuple(comp.scale(Fraction(-3, 2)) for comp in v1.components))
+    v2 = shifted(scaled, random_hompoly(rng, n))
+    assert v2.components != scaled.components
+    with pytest.raises(GpliError):
+        tangent_map(T(n), v1, v2)
+    rep = diagram_crosscheck(v1, v2)
+    assert not rep.gpli and not rep.mult_surjective and not rep.tangent_surjective
+    assert rep.agree
+
+
+def test_verdicts_take_no_determinant(monkeypatch):
+    # Both verdicts rest on the cofactor forms alone: with the determinant
+    # engine gone, onto, deficient and degenerate pairs report as before.
+    import detrep.detmatrix
+
+    pairs = [random_pair(derive_rng(31, "no-det", n), T(n)) for n in range(4)]
+    pairs += [tuple(Section(T(3), triple) for triple in special_pair(3)), (pairs[0][0], pairs[0][0])]
+    tangents = []
+    for s1, s2 in pairs:
+        try:
+            tangents.append(tangent_map(s1.bundle, s1, s2))
+        except GpliError as exc:
+            tangents.append(str(exc))
+    crosschecks = [diagram_crosscheck(s1, s2) for s1, s2 in pairs]
+    assert [rep.mult_surjective for rep in crosschecks] == [True] * 4 + [False, False]
+
+    def no_determinant(M):
+        raise AssertionError("det_poly must not run")
+
+    monkeypatch.setattr(detrep.detmatrix, "det_poly", no_determinant)
+    for (s1, s2), tangent, cross in zip(pairs, tangents, crosschecks):
+        try:
+            assert tangent_map(s1.bundle, s1, s2) == tangent
+        except GpliError as exc:
+            assert str(exc) == tangent
+        assert diagram_crosscheck(s1, s2) == cross
 
 
 def test_ring_operations_skip_the_validating_constructor(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 import detrep.tangent
 from detrep.bundles import E, M, N, T, ambient_degrees, det_degree, h0_bundle, relation_source_degrees
-from detrep.detmatrix import GpliError, Section, relation_shift, shifted, wedge_curve
+from detrep.detmatrix import GpliError, Section, degeneracy_matrix, relation_shift, shifted, wedge_curve
 from detrep.linalg import ExactMatrix, rank
 from detrep.polynomials import HomPoly, X, Y, h0_p2, mono_basis, parse_hompoly
 from detrep.sampling import derive_rng, random_hompoly, random_pair, random_section
@@ -18,7 +18,7 @@ from detrep.tangent import (
     smoothness_check,
     tangent_map,
 )
-from oracles import tangent_column
+from oracles import det_cofactor, tangent_column
 
 
 def sec(bundle, *texts):
@@ -334,7 +334,31 @@ def test_wedge_curve_is_cofactor_expansion():
             assert wedge_curve(v, q) == expansion
 
 
-def test_tangent_map_takes_one_determinant(monkeypatch):
+def rational_section(rng, spec):
+    """A section whose coefficients have mixed denominators, any may vanish."""
+    return Section(spec, tuple(
+        HomPoly(d, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for m in mono_basis(d)})
+        for d in ambient_degrees(spec)
+    ))
+
+
+@pytest.mark.parametrize("draw", [random_section, rational_section], ids=["integer", "rational"])
+def test_tangent_curve_matches_both_determinant_engines(draw):
+    # The tangent map reads its curve off the cofactor forms; the Kronecker
+    # engine behind wedge_curve and a plain cofactor expansion of the
+    # degeneracy matrix must give the same form.
+    for family, twists in ((T, range(-1, 5)), (N, range(5))):
+        for n in twists:
+            spec = family(n)
+            rng = derive_rng(9, f"curve-{draw.__name__}-{spec.label()}", 0)
+            v1, v2 = draw(rng, spec), draw(rng, spec)
+            m = degeneracy_matrix([v1, v2])
+            curve = tangent_map(spec, v1, v2).curve
+            assert curve == wedge_curve(v1, v2) == det_cofactor(m.entries, m.det_deg), spec.label()
+            assert curve.degree == det_degree(spec)
+
+
+def test_tangent_map_takes_no_determinant(monkeypatch):
     import detrep.detmatrix
 
     calls = []
@@ -349,7 +373,7 @@ def test_tangent_map_takes_one_determinant(monkeypatch):
     v1, v2 = random_pair(derive_rng(9, "one-det", 0), spec)
     rep = tangent_map(spec, v1, v2)
     assert rep.hom_dim > 0
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_column_shift_by_other_generator_cancels():
