@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -142,6 +143,31 @@ def _textual(value):
     if isinstance(value, (list, tuple)):
         return ", ".join(str(v) for v in value)
     return str(value)
+
+
+def _integer(text: str, invalid: str, echo: Optional[str] = None) -> int:
+    """``int(text)``, or a ValueError: ``invalid`` followed by ``echo`` (``text``
+    by default), shown cut to 40 characters.  An integer past the
+    interpreter's int-string limit is not parsed, and its message names the
+    limit."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    echo = text if echo is None else echo
+    shown = repr(echo) if len(echo) <= 40 else repr(echo[:40]) + "..."
+    if re.fullmatch(r"\s*[+-]?\d+\s*", text, re.ASCII):
+        shown += f" (integers are limited to {sys.get_int_max_str_digits()} digits)"
+    raise ValueError(invalid + shown)
+
+
+def _int_option(text: str) -> int:
+    """The ``type`` of every integer option: argparse's message for an
+    invalid int, cut short and naming the int-string limit as ``_integer``'s."""
+    try:
+        return _integer(text, "invalid int value: ")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _check_n(n: int) -> None:
@@ -305,10 +331,7 @@ def _parse_params(text: Optional[str]) -> Dict[str, int]:
         key = key.strip()
         if key in params:
             raise ValueError(f"--params: {key} is given twice")
-        try:
-            params[key] = int(value)
-        except ValueError:
-            raise ValueError(f"--params: {key} must be an integer, got {value.strip()!r}") from None
+        params[key] = _integer(value, f"--params: {key} must be an integer, got ", value.strip())
         if abs(params[key]) > MAX_AUDIT_TWIST:
             raise ValueError(
                 f"--params: {key} must be at most {MAX_AUDIT_TWIST} in absolute value, got {params[key]}"
@@ -320,10 +343,8 @@ def _parse_range(text: str):
     lo, sep, hi = text.partition(":")
     if not sep:
         raise ValueError(f"malformed range {text!r}, expected lo:hi")
-    try:
-        m_range = range(int(lo), int(hi) + 1)
-    except ValueError:
-        raise ValueError(f"--m-range: expected integers lo:hi, got {text!r}") from None
+    lo, hi = (_integer(end, "--m-range: expected integers lo:hi, got ", text) for end in (lo, hi))
+    m_range = range(lo, hi + 1)
     if not m_range:
         raise ValueError(f"empty range {text!r}, expected lo <= hi")
     width = m_range.stop - m_range.start
@@ -421,22 +442,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tangent", help="tangent-map surjectivity for an explicit pair")
     p.add_argument("--bundle", choices=TANGENT_FAMILIES, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
     p.add_argument("--v1", required=True, help="comma-separated components")
     p.add_argument("--v2", required=True, help="comma-separated components")
     p.set_defaults(func=cmd_tangent)
 
     p = sub.add_parser("mult", help="multiplication-map image audit with cross-check")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--seed", type=_int_option, default=None)
     p.add_argument("--f", default=None, help="comma-separated triple of degree n+1 forms")
     p.add_argument("--g", default=None, help="comma-separated triple of degree n+1 forms")
     p.set_defaults(func=cmd_mult)
 
     p = sub.add_parser("p1p1", help="derivative-of-determinant audit on a product of lines")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--a", type=_int_option, required=True)
+    p.add_argument("--b", type=_int_option, required=True)
+    p.add_argument("--m", type=_int_option, required=True)
     p.set_defaults(func=cmd_p1p1)
 
     p = sub.add_parser("audit", help="section-count inequality table for a bundle family")
@@ -444,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None, help="e.g. n=2 or n=1,k=2")
     p.add_argument("--m-range", default="0:10",
                    help="inclusive lo:hi twist range; write a negative lo as --m-range=-3:0")
-    p.add_argument("--g", type=int, default=8)
-    p.add_argument("--select-degree", type=int, default=None,
+    p.add_argument("--g", type=_int_option, default=8)
+    p.add_argument("--select-degree", type=_int_option, default=None,
                    help="echo the rank-two bundle selected for a target degree")
     p.set_defaults(func=cmd_audit)
 

@@ -25,15 +25,21 @@ of ``tests/oracles.py``.
 The same graded machinery decides ideal containment: the power of the
 irrelevant maximal ideal sits inside the ideal generated by given forms as
 soon as one graded piece fills up, and filling is monotone upward (checked,
-not assumed).
+not assumed).  Every rung below the fill has a deficient rank.  Known
+syzygies of the generators give kernel vectors of its matrix, re-checked in
+integers, which bound that rank from above: the Koszul syzygies for any
+generators, and five more that the construction gives for the minors U.
+Where the bound meets the mod-p rank the rung is decided without integer
+elimination; elsewhere Bareiss decides.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .bundles import T
+from .bundles import T, relation_rows
 from .detmatrix import GpliError, Section
 from .linalg import (
     CertificateError,
@@ -45,6 +51,11 @@ from .linalg import (
 )
 from .polynomials import HomPoly, h0_p2
 from .tangent import _tangent_report, cofactor_forms
+
+# A syzygy of generators g_i: one form s_i per generator, of degree d - deg g_i
+# for one degree d, with sum_i s_i * g_i == 0.  A zero entry keeps its degree.
+Syzygy = Tuple[HomPoly, ...]
+
 
 @dataclass(frozen=True)
 class USpace:
@@ -76,6 +87,19 @@ def u_generators(
     return USpace(n=n, generators=cofactor_forms(fs) + cofactor_forms(gs), f=fs, g=gs)
 
 
+def u_syzygies(u: USpace) -> List[Syzygy]:
+    """Five syzygies of the six minors that the construction gives.
+
+    With v ^ q = sum_j q_j * C_j(v) over the relation row r: v ^ r = 0 and
+    v ^ v = 0 for each triple v (on T(n), r = (x, y, z) is Euler's relation),
+    and f ^ g + g ^ f = 0.
+    """
+    [r] = relation_rows(T(u.n))
+    r, f, g = tuple(r), u.f.components, u.g.components
+    zero_r, zero_v = (tuple(HomPoly.zero(e.degree) for e in row) for row in (r, f))
+    return [r + zero_r, zero_r + r, f + zero_v, zero_v + g, g + f]
+
+
 def mult_map_matrix(u: USpace) -> ExactMatrix:
     """Matrix of multiplication H0(O(n+1)) (x) U -> H0(O(2n+3)).
 
@@ -99,8 +123,68 @@ def component_matrix(generators: Sequence[HomPoly], k: int) -> ExactMatrix:
     return multiplication_matrix([gen for gen in generators if not gen.is_zero()], k)
 
 
-def component_dim(generators: Sequence[HomPoly], k: int) -> int:
-    return rank(component_matrix(generators, k))
+def koszul_syzygies(generators: Sequence[HomPoly]) -> List[Syzygy]:
+    """g_j * e_i - g_i * e_j for every pair i < j of nonzero generators.
+
+    They hold for any generators, and for three forms with no common
+    projective zero (a regular sequence) they generate every syzygy, since
+    the Koszul complex of a regular sequence is exact.
+    """
+    live = [i for i, gen in enumerate(generators) if not gen.is_zero()]
+    out: List[Syzygy] = []
+    for a, i in enumerate(live):
+        for j in live[a + 1 :]:
+            d = generators[i].degree + generators[j].degree
+            entries = [HomPoly.zero(d - gen.degree) for gen in generators]
+            entries[i], entries[j] = generators[j], -generators[i]
+            out.append(tuple(entries))
+    return out
+
+
+def syzygy_columns(
+    generators: Sequence[HomPoly], k: int, syzygies: Sequence[Syzygy]
+) -> List[Tuple[int, ...]]:
+    """Kernel vectors of ``component_matrix(generators, k)``: the column m*s
+    for every syzygy s and every monomial m of degree k - deg s.
+
+    The rows of generator g_i are ``multiplication_matrix`` of the syzygies'
+    entries s_i in degree k - deg g_i, stacked in generator order; a zero
+    generator has no columns in the component matrix and gives no rows.  Each
+    syzygy is first scaled to integer numerators, so every block is stored
+    with denominator 1 and its columns are the vectors themselves.
+    """
+    scaled = []
+    for syz in syzygies:
+        if syz[0].degree + generators[0].degree > k:
+            continue  # no monomial of degree k - deg s
+        den = math.lcm(*(entry.den for entry in syz))
+        scaled.append(syz if den == 1 else tuple(entry.scale(den) for entry in syz))
+    if not scaled:
+        return []
+    rows = [
+        row
+        for i, gen in enumerate(generators)
+        if not gen.is_zero()
+        for row in multiplication_matrix([syz[i] for syz in scaled], k - gen.degree).ints
+    ]
+    return list(zip(*rows))
+
+
+def component_dim(
+    generators: Sequence[HomPoly], k: int, syzygies: Optional[Sequence[Syzygy]] = None
+) -> int:
+    """Dimension of the degree-k piece of the ideal.
+
+    A deficient rank is bounded above by the kernel columns of ``syzygies``,
+    the Koszul syzygies of the generators by default (built only when the
+    mod-p sweep comes out deficient), and Bareiss decides where that bound
+    is not tight.
+    """
+    def kernel() -> List[Tuple[int, ...]]:
+        syz = koszul_syzygies(generators) if syzygies is None else syzygies
+        return syzygy_columns(generators, k, syz)
+
+    return rank(component_matrix(generators, k), kernel=kernel)
 
 
 @dataclass(frozen=True)
@@ -127,7 +211,9 @@ class ContainmentReport:
     ladder: Tuple[LadderRow, ...]
 
 
-def containment_degree(generators: Sequence[HomPoly]) -> ContainmentReport:
+def containment_degree(
+    generators: Sequence[HomPoly], syzygies: Optional[Sequence[Syzygy]] = None
+) -> ContainmentReport:
     # Three generic forms of degree D in the ideal form a regular sequence
     # when the generators have no common zero, and a complete intersection
     # of three degree-D forms contains every form of degree 3D-2 (Macaulay).
@@ -136,7 +222,7 @@ def containment_degree(generators: Sequence[HomPoly]) -> ContainmentReport:
     ladder: List[LadderRow] = []
     reached: Optional[int] = None
     for k in range(0, bound + 1):
-        dim = component_dim(generators, k)
+        dim = component_dim(generators, k, syzygies)
         full = dim == h0_p2(k)
         ladder.append(LadderRow(k=k, dim=dim, full=full))
         if full:
@@ -145,7 +231,7 @@ def containment_degree(generators: Sequence[HomPoly]) -> ContainmentReport:
     if reached is not None:
         # Filling is monotone upward; verify rather than assume.
         nxt = reached + 1
-        dim = component_dim(generators, nxt)
+        dim = component_dim(generators, nxt, syzygies)
         full = dim == h0_p2(nxt)
         ladder.append(LadderRow(k=nxt, dim=dim, full=full))
         if not full:
@@ -223,9 +309,10 @@ def disjointness_check(
     have no common projective zero exactly when some power of the irrelevant
     ideal lies in the ideal they generate, which the containment ladder
     decides.  A ladder that never fills proves that the minors share one.
+    Its deficient rungs are bounded by the five syzygies of ``u_syzygies``.
     """
     u = u_generators(f, g)
-    containment = containment_degree(u.generators)
+    containment = containment_degree(u.generators, u_syzygies(u))
     return DisjointnessReport(
         disjoint_certified=containment.reached is not None,
         containment=containment,

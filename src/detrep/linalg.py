@@ -26,18 +26,23 @@ on the way.
 ``rank`` carries one internal shortcut: the matrix is first eliminated modulo
 the prime 2^31 - 1.  A full-rank outcome there exhibits a nonzero minor mod p,
 and an integer minor that is nonzero mod p is nonzero, so that verdict is
-already exact.  Any deficient outcome is recomputed by integer Bareiss, which
-is the sole authority for deficient ranks.  The sweep reduces the whole
-matrix mod p in one int64 numpy call, and reduces entry by entry in Python
-only when some entry needs more than 63 bits (numpy's ``OverflowError``).  At
-each pivot it updates only the rows below whose pivot-column entry is
-nonzero; the dense update would leave the others unchanged.
+already exact.  A deficient outcome is a lower bound.  A caller that knows
+vectors the matrix kills (the syzygy columns of a multiplication matrix) may
+hand them to ``rank``; once the integer product re-checks that they are
+killed, cols minus their rank mod p is an upper bound, and when the two
+bounds meet the rank is exact.  Any other deficient outcome is recomputed by
+integer Bareiss.  The sweep reduces the whole matrix mod p in one int64 numpy
+call, and reduces entry by entry in Python only when some entry needs more
+than 63 bits (numpy's ``OverflowError``).  At each pivot it updates only the
+rows below whose pivot-column entry is nonzero; the dense update would leave
+the others unchanged.
 
 Membership and surjectivity verdicts come with certificates (a preimage or a
 cokernel functional) that are re-verified against the original matrix before
-being returned, and so are kernel vectors.  Every re-check is one integer
-product with the stored cleared rows (``_annihilates``).  A failed re-check
-raises ``CertificateError``, which ``python -O`` does not strip.
+being returned, and so are kernel vectors and the vectors behind a syzygy
+bound.  Every re-check is one integer product with the stored cleared rows
+(``_annihilates``).  A failed re-check raises ``CertificateError``, which
+``python -O`` does not strip.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -232,6 +237,8 @@ class LinearMapReport:
 
 def _clear(row: Sequence) -> Tuple[Tuple[int, ...], int]:
     """A row of exact rationals as integers over the lcm of its denominators."""
+    if all(type(e) is int for e in row):
+        return tuple(row), 1
     ratios = [_rat(e).as_integer_ratio() for e in row]
     den = math.lcm(*{d for _, d in ratios})
     return tuple([n * (den // d) for n, d in ratios]), den
@@ -382,14 +389,29 @@ def _modp_rank(rows: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def rank(M: ExactMatrix) -> int:
-    """Exact rank over the rationals."""
+def rank(M: ExactMatrix, kernel: Optional[Callable[[], Sequence[Sequence[int]]]] = None) -> int:
+    """Exact rank over the rationals.
+
+    ``kernel``, when given, returns integer vectors of length ``M.cols`` that
+    M is known to kill, such as the kernel columns that syzygies of a
+    multiplication matrix's generators give.  It is called only when the
+    mod-p sweep comes out deficient.  Once M @ K == 0 is re-checked in
+    integers, rank_p(M) <= rank(M) <= cols - rank(K) <= cols - rank_p(K), so
+    when the two ends meet the sweep's rank is exact; otherwise Bareiss
+    decides.
+    """
     if M.rows == 0 or M.cols == 0:
         return 0
     if USE_MODP_FAST_PATH:
         fast = _modp_rank(M.ints)
         if fast == min(M.rows, M.cols):
             return fast
+        if kernel is not None:
+            vectors = kernel()
+            if not all(len(v) == M.cols and _annihilates(M.ints, v) for v in vectors):
+                raise CertificateError("syzygy vectors must lie in the kernel")
+            if vectors and fast + _modp_rank(vectors) == M.cols:
+                return fast
     _, pivots, _ = _bareiss_echelon(M.ints, M.cols)
     return len(pivots)
 

@@ -508,6 +508,35 @@ def test_huge_integers_keep_the_exit_code_contract(argv, env_seed, fmt, monkeypa
             assert captured.out.startswith(f"subcommand: {argv[0]}")
 
 
+def _past_int_string_limit_cases():
+    """Every integer option and parser, given 5000 digits."""
+    big = "9" * 5000
+    pair = ["--v1", "x, y, z", "--v2", "y, z, x"]
+    yield "tangent-n", ["tangent", "--bundle", "T", "--n", big, *pair]
+    yield "mult-n", ["mult", "--n", big, "--seed", "1"]
+    yield "mult-seed", ["mult", "--n", "0", "--seed", "-" + big]
+    yield "p1p1-a", ["p1p1", "--a", big, "--b", "1", "--m", "1"]
+    yield "p1p1-b", ["p1p1", "--a", "1", "--b", big, "--m", "1"]
+    yield "p1p1-m", ["p1p1", "--a", "1", "--b", "1", "--m", big]
+    yield "audit-g", ["audit", "--family", "T", "--g", big]
+    yield "audit-select-degree", ["audit", "--select-degree", big]
+    yield "audit-params", ["audit", "--family", "M", "--params", f"n=0,k={big}"]
+    yield "audit-m-lo", ["audit", "--family", "T", f"--m-range=-{big}:0"]
+
+
+@pytest.mark.parametrize("argv", [case[1] for case in _past_int_string_limit_cases()],
+                         ids=[case[0] for case in _past_int_string_limit_cases()])
+def test_integers_past_the_int_string_limit_name_it(argv, capsys):
+    # Past 4300 digits the interpreter parses no integer: the usage error
+    # names that limit and echoes at most 40 characters of the value.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last.endswith(f"... (integers are limited to {sys.get_int_max_str_digits()} digits)")
+    assert len(last) < 200
+
+
 # ---------------------------------------------------------------- golden reports
 
 # Every subcommand's full report, pinned: the JSON minus "timing" (key order

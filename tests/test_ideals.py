@@ -14,6 +14,7 @@ from detrep.ideals import (
     mult_map_matrix,
     mult_map_report,
     u_generators,
+    u_syzygies,
 )
 from detrep.bundles import T
 from detrep.detmatrix import GpliError, Section, shifted, wedge_curve
@@ -427,3 +428,122 @@ def test_disjointness_fails_for_equal_triples():
     f = triple("x", "y", "z")
     rep = disjointness_check(f, f)
     assert not rep.disjoint_certified
+
+
+# ---------------------------------------------------------------- syzygy bounds
+#
+# A deficient rung is decided from the mod-p sweep and the kernel columns of
+# known syzygies when the two bounds meet, and by Bareiss otherwise; either
+# way it must be the rank that Bareiss alone gives.
+
+
+def rung(generators, k, syzygies=None):
+    """component_dim at k, whether it ran Bareiss, and the Bareiss-only rank."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_calls(mp, detrep.linalg, "_bareiss_echelon", [detrep.linalg])
+        got = component_dim(generators, k, syzygies)
+        fell_back = bool(calls)
+        mp.setattr(detrep.linalg, "USE_MODP_FAST_PATH", False)
+        want = rank(component_matrix(generators, k))
+    return got, fell_back, want
+
+
+def deficient_rungs(generators, ladder):
+    """The rungs of a ladder whose rank is below both sides of the matrix."""
+    out = []
+    for row in ladder:
+        matrix = component_matrix(generators, row.k)
+        if row.dim < min(matrix.rows, matrix.cols):
+            out.append(row.k)
+    return out
+
+
+def disjointness_pairs(n):
+    """Two seeded T(n) pairs, and one with rational coefficients."""
+    pairs = []
+    for i in range(2):
+        s1, s2 = random_pair(derive_rng(41, f"syzygy:{n}", i), T(n))
+        pairs.append((s1.components, s2.components))
+    f, g = pairs[0]
+    pairs.append((tuple(c.scale(Fraction(1, j + 2)) for j, c in enumerate(f)), g))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_u_syzygies_decide_every_disjointness_rung(n):
+    for f, g in disjointness_pairs(n):
+        u = u_generators(f, g)
+        ladder = disjointness_check(f, g).containment.ladder
+        rungs = deficient_rungs(u.generators, ladder)
+        assert bool(rungs) == (n > 1)  # T(1) ladders have none
+        for k in rungs:
+            assert rung(u.generators, k, u_syzygies(u)) == (ladder[k].dim, False, ladder[k].dim)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_koszul_syzygies_decide_every_rung_of_three_generic_forms(degree):
+    rng = derive_rng(43, "koszul", degree)
+    gens = [random_hompoly(rng, degree) for _ in range(3)]
+    rep = containment_degree(gens)
+    assert rep.reached == 3 * degree - 2
+    rungs = deficient_rungs(gens, rep.ladder)
+    assert bool(rungs) == (degree > 2)  # three quadrics have none
+    for k in rungs:
+        assert rung(gens, k) == (rep.ladder[k].dim, False, rep.ladder[k].dim)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_disjointness_takes_no_bareiss(n, monkeypatch):
+    pairs = disjointness_pairs(n)
+    monkeypatch.setattr(detrep.linalg, "USE_MODP_FAST_PATH", False)
+    want = [disjointness_check(f, g) for f, g in pairs]
+    monkeypatch.setattr(detrep.linalg, "USE_MODP_FAST_PATH", True)
+
+    def refuse(*args):
+        raise AssertionError("Bareiss ran")
+
+    monkeypatch.setattr(detrep.linalg, "_bareiss_echelon", refuse)
+    assert [disjointness_check(f, g) for f, g in pairs] == want
+
+
+def common_factor_pair(n):
+    """f = L*f', g = L*g' with L = x + 2y + 3z and seeded f', g'."""
+    L = parse_hompoly("x + 2*y + 3*z")
+    s1, s2 = random_pair(derive_rng(47, "common-factor", n), T(n - 1))
+    return tuple(L * c for c in s1.components), tuple(L * c for c in s2.components)
+
+
+@pytest.mark.parametrize("f, g, n", [(*special_pair(3), 3), (*special_pair(6), 6), (*common_factor_pair(2), 2)],
+                         ids=["special-k3", "special-k5", "common-factor"])
+def test_u_syzygies_that_fall_short_fall_back(f, g, n):
+    u = u_generators(f, g)
+    got, fell_back, want = rung(u.generators, 2 * n + 3, u_syzygies(u))
+    assert fell_back and got == want < h0_p2(2 * n + 3)
+
+
+def through_a_point(rng, degree, count):
+    """Seeded forms of one degree, all vanishing at [0:0:1]."""
+    forms = []
+    for _ in range(count):
+        form = random_hompoly(rng, degree)
+        forms.append(form - HomPoly.monomial((0, 0, degree), form.coeff((0, 0, degree))))
+    return forms
+
+
+@pytest.mark.parametrize("case", ["three-through-a-point", "four-through-a-point", "shared-factors"])
+def test_koszul_syzygies_that_fall_short_fall_back(case):
+    # Koszul syzygies generate all syzygies of a regular sequence only.  Four
+    # or more generic forms have no deficient rung at all (every rung below
+    # the fill has full column rank), so the cases that fall back are forms
+    # with a common zero: through [0:0:1], or x*q1, x*q2, y*q3, y*q4, whose
+    # shared factors also give syzygies below the Koszul degree.
+    rng = derive_rng(53, "koszul-short", case)
+    if case == "shared-factors":
+        gens = [v * random_hompoly(rng, 2) for v in (X, X, Y, Y)]
+    else:
+        gens = through_a_point(rng, 3, {"three-through-a-point": 3, "four-through-a-point": 4}[case])
+    rep = containment_degree(gens)
+    assert rep.reached is None
+    outcomes = [rung(gens, k) for k in deficient_rungs(gens, rep.ladder)]
+    assert all(got == want for got, _, want in outcomes)
+    assert any(fell_back for _, fell_back, _ in outcomes)

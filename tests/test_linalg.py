@@ -90,6 +90,106 @@ def test_fast_path_and_bareiss_agree():
     assert ranks_fast == ranks_exact
 
 
+# ------------------------------------------------- syzygy upper bounds
+#
+# rank(M, kernel) against pure Bareiss: vectors M kills bound the rank from
+# above, and a deficient rank is exact where that bound meets the sweep's.
+
+
+def integer_kernel(m):
+    """The kernel basis of m, each vector scaled to integers."""
+    out = []
+    for vec in kernel_basis(m):
+        den = math.lcm(*(e.denominator for e in vec))
+        out.append(tuple(int(e * den) for e in vec))
+    return out
+
+
+def deficient_pool():
+    """Seeded matrices of rank below min(rows, cols): a product of random
+    rows x r and r x cols factors, each row over its own denominator."""
+    rng = random.Random("syzygy-bound")
+    pool = []
+    while len(pool) < 40:
+        rows, cols = rng.randint(1, 7), rng.randint(2, 8)
+        r = rng.randint(0, min(rows, cols) - 1)
+        left = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(rows)]
+        right = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(r)]
+        pool.append(ExactMatrix([
+            [Fraction(sum(a * right[t][j] for t, a in enumerate(row)), den) for j in range(cols)]
+            for row, den in ((row, rng.choice([1, 1, 2, 3, 35])) for row in left)
+        ]))
+    return pool
+
+
+def bareiss_rank(m, monkeypatch):
+    monkeypatch.setattr(la, "USE_MODP_FAST_PATH", False)
+    want = rank(m)
+    monkeypatch.setattr(la, "USE_MODP_FAST_PATH", True)
+    return want
+
+
+def test_a_whole_kernel_decides_a_deficient_rank_without_bareiss(monkeypatch):
+    pool = deficient_pool()
+    wants = [bareiss_rank(m, monkeypatch) for m in pool]
+    kernels = [integer_kernel(m) for m in pool]
+
+    def refuse(*args):
+        raise AssertionError("Bareiss ran")
+
+    monkeypatch.setattr(la, "_bareiss_echelon", refuse)
+    for m, want, kern in zip(pool, wants, kernels):
+        assert want < min(m.rows, m.cols)
+        # repeats and a scaled copy leave the bound as it is
+        padded = kern + kern[:1] + [tuple(-3 * e for e in v) for v in kern[1:2]]
+        assert rank(m, kernel=lambda: kern) == want
+        assert rank(m, kernel=lambda: padded) == want
+
+
+def test_a_partial_kernel_falls_back_and_agrees(monkeypatch):
+    calls = []
+    real = la._bareiss_echelon
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for m in deficient_pool():
+        want = bareiss_rank(m, monkeypatch)
+        kern = integer_kernel(m)
+        monkeypatch.setattr(la, "_bareiss_echelon", counted)
+        for given in (kern[:-1], [], [(0,) * m.cols]):
+            calls.clear()
+            assert rank(m, kernel=lambda: given) == want
+            assert len(calls) == 1
+        monkeypatch.setattr(la, "_bareiss_echelon", real)
+
+
+def test_kernel_is_asked_for_only_on_a_deficient_sweep(monkeypatch):
+    asked = []
+
+    def kernel():
+        asked.append(1)
+        return []
+
+    assert rank(frac_matrix([[1, 0], [0, 1], [1, 1]]), kernel=kernel) == 2
+    assert rank(ExactMatrix.zero(0, 3), kernel=kernel) == 0
+    assert asked == []
+    monkeypatch.setattr(la, "USE_MODP_FAST_PATH", False)
+    assert rank(frac_matrix([[1, 2], [2, 4]]), kernel=kernel) == 1
+    assert asked == []
+    monkeypatch.setattr(la, "USE_MODP_FAST_PATH", True)
+    assert rank(frac_matrix([[1, 2], [2, 4]]), kernel=kernel) == 1
+    assert asked == [1]
+
+
+@pytest.mark.parametrize("vectors", [[(1, 0)], [(1, -1), (1, 0)], [(1, -1, 0)], [(1,)]],
+                         ids=["outside", "one-outside", "too-long", "too-short"])
+def test_a_vector_the_matrix_does_not_kill_is_a_defect(vectors):
+    with pytest.raises(la.CertificateError, match="syzygy"):
+        rank(frac_matrix([[1, 1], [1, 1]]), kernel=lambda: vectors)
+
+
 def test_kernel_vectors_annihilate():
     m = frac_matrix([[1, 2, 3], [4, 5, 6]])
     basis = kernel_basis(m)
@@ -519,6 +619,7 @@ CHECKS_UNDER_O = textwrap.dedent(
         "preimage": lambda: la.in_column_space(la.ExactMatrix([[1, 0], [0, 0]]), [1, 0]),
         "kernel": lambda: la.kernel_basis(la.ExactMatrix([[1, 1]])),
         "rref": lambda: la.rref(la.ExactMatrix([[1, 1]])),
+        "syzygy": lambda: la.rank(la.ExactMatrix([[1, 1], [1, 1]]), kernel=lambda: [(1, 0)]),
     }
     la._solve = corrupt_solve
     raised = []
@@ -539,7 +640,7 @@ def test_certificate_checks_raise_under_python_O():
         [sys.executable, "-O", "-c", CHECKS_UNDER_O],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     ).stdout.split()
-    assert out == ["1", "bareiss", "kronecker", "membership", "left_kernel", "preimage", "kernel", "rref"]
+    assert out == ["1", "bareiss", "kronecker", "membership", "left_kernel", "preimage", "kernel", "rref", "syzygy"]
 
 
 # ------------------------------------------------- builder and mod-p sweep
