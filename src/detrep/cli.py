@@ -65,17 +65,22 @@ MAX_N = 11
 MAX_P1P1_DEGREE = 20
 
 # The largest generator degree D that containment accepts; its ladder climbs to
-# 3D - 2.  With three dense random degree-D forms on a 2-core machine it took
-# 0.4, 1.3 and 16 s at D = 4, 6 and 8 (maximum RSS under 40 MB); an earlier
-# run at D = 10 took 133 s.
+# 3D - 2.  Three dense random forms with no common zero are decided by their
+# Koszul syzygy bounds: 0.1 and 0.4 s at D = 6 and 8 on a 2-core machine,
+# where Bareiss alone took 0.75 s and, on another draw, 16 s.  Forms with a common zero fall back
+# to Bareiss on the rungs those bounds miss: three dense degree-8 forms through
+# [0:0:1] took 8.7 s (maximum RSS 40 MB), and by Bareiss alone three dense
+# forms at D = 10 took 133 s.
 MAX_CONTAINMENT_DEGREE = 8
 
 # The most generators containment accepts; each adds columns to every rung.
 # With g dense random degree-8 forms sharing one zero, so that every rung up
-# to 22 is deficient, it took 24, 84, 161 and 186 s at g = 3, 6, 10 and 12 on
-# a 2-core machine (maximum RSS 42, 54, 71 and 75 MB); ten such forms without
-# a common zero took 0.05 s.  The bound admits the six minors of a T(n) pair
-# and the ten cubic monomials.
+# to 22 is deficient, Bareiss alone took 24, 84, 161 and 186 s at g = 3, 6, 10
+# and 12 on a 2-core machine (maximum RSS 42, 54, 71 and 75 MB).  The Koszul
+# bounds miss by the zero on the upper rungs, and another draw of such forms
+# took 8.7 and 122 s at g = 3 and 10 (23 and 129 s by Bareiss alone; maximum
+# RSS 40 and 83 MB); ten such forms without a common zero took 0.05 s.  The
+# bound admits the six minors of a T(n) pair and the ten cubic monomials.
 MAX_CONTAINMENT_GENERATORS = 10
 
 # The most twists one audit accepts, hi - lo + 1.  `detrep audit --family N

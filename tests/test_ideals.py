@@ -513,8 +513,11 @@ def common_factor_pair(n):
     return tuple(L * c for c in s1.components), tuple(L * c for c in s2.components)
 
 
-@pytest.mark.parametrize("f, g, n", [(*special_pair(3), 3), (*special_pair(6), 6), (*common_factor_pair(2), 2)],
-                         ids=["special-k3", "special-k5", "common-factor"])
+@pytest.mark.parametrize(
+    "f, g, n",
+    [(*special_pair(3), 3), (*special_pair(6), 6), (*common_factor_pair(2), 2)],
+    ids=["special-k3", "special-k5", "common-factor"],
+)
 def test_u_syzygies_that_fall_short_fall_back(f, g, n):
     u = u_generators(f, g)
     got, fell_back, want = rung(u.generators, 2 * n + 3, u_syzygies(u))
