@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -40,7 +39,7 @@ from .detmatrix import GpliError, Section
 from .ideals import containment_degree, diagram_crosscheck, mult_map_matrix, u_generators
 from .linalg import CertificateError, in_column_space
 from .biprojective import dpsi_report, monomial_cover_check, witness_quad
-from .polynomials import HomPoly, ParseError, h0_p2, parse_hompoly
+from .polynomials import HomPoly, ParseError, h0_p2, parse_hompoly, parse_integer
 from .sampling import derive_rng, random_pair, resolve_seed
 from .tangent import TANGENT_FAMILIES, smoothness_check, tangent_map
 
@@ -79,8 +78,12 @@ MAX_CONTAINMENT_DEGREE = 8
 # and 12 on a 2-core machine (maximum RSS 42, 54, 71 and 75 MB).  The Koszul
 # bounds miss by the zero on the upper rungs, and another draw of such forms
 # took 8.7 and 122 s at g = 3 and 10 (23 and 129 s by Bareiss alone; maximum
-# RSS 40 and 83 MB); ten such forms without a common zero took 0.05 s.  The
-# bound admits the six minors of a T(n) pair and the ten cubic monomials.
+# RSS 40 and 83 MB); ten such forms without a common zero took 0.05 s.  Those
+# forms shared the zero [0:0:1], so every rung has a zero row, and since
+# ``linalg.rank`` peels it a draw of three and ten such forms takes 0.26 and
+# 0.8 s.  A zero off the coordinate points leaves no line to peel: three and
+# ten forms through [1:2:3] took 31 and 492 s.  The bound admits the six
+# minors of a T(n) pair and the ten cubic monomials.
 MAX_CONTAINMENT_GENERATORS = 10
 
 # The most twists one audit accepts, hi - lo + 1.  `detrep audit --family N
@@ -150,27 +153,11 @@ def _textual(value):
     return str(value)
 
 
-def _integer(text: str, invalid: str, echo: Optional[str] = None) -> int:
-    """``int(text)``, or a ValueError: ``invalid`` followed by ``echo`` (``text``
-    by default), shown cut to 40 characters.  An integer past the
-    interpreter's int-string limit is not parsed, and its message names the
-    limit."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    echo = text if echo is None else echo
-    shown = repr(echo) if len(echo) <= 40 else repr(echo[:40]) + "..."
-    if re.fullmatch(r"\s*[+-]?\d+\s*", text, re.ASCII):
-        shown += f" (integers are limited to {sys.get_int_max_str_digits()} digits)"
-    raise ValueError(invalid + shown)
-
-
 def _int_option(text: str) -> int:
     """The ``type`` of every integer option: argparse's message for an
-    invalid int, cut short and naming the int-string limit as ``_integer``'s."""
+    invalid int, cut short and naming the int-string limit as ``parse_integer``'s."""
     try:
-        return _integer(text, "invalid int value: ")
+        return parse_integer(text, "invalid int value: ")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -336,7 +323,7 @@ def _parse_params(text: Optional[str]) -> Dict[str, int]:
         key = key.strip()
         if key in params:
             raise ValueError(f"--params: {key} is given twice")
-        params[key] = _integer(value, f"--params: {key} must be an integer, got ", value.strip())
+        params[key] = parse_integer(value, f"--params: {key} must be an integer, got ", value.strip())
         if abs(params[key]) > MAX_AUDIT_TWIST:
             raise ValueError(
                 f"--params: {key} must be at most {MAX_AUDIT_TWIST} in absolute value, got {params[key]}"
@@ -348,7 +335,7 @@ def _parse_range(text: str):
     lo, sep, hi = text.partition(":")
     if not sep:
         raise ValueError(f"malformed range {text!r}, expected lo:hi")
-    lo, hi = (_integer(end, "--m-range: expected integers lo:hi, got ", text) for end in (lo, hi))
+    lo, hi = (parse_integer(end, "--m-range: expected integers lo:hi, got ", text) for end in (lo, hi))
     m_range = range(lo, hi + 1)
     if not m_range:
         raise ValueError(f"empty range {text!r}, expected lo <= hi")

@@ -23,26 +23,32 @@ reads each generator's integer numerators and writes the stored integer rows
 straight through the shift table of ``polynomials``; no ``Fraction`` is built
 on the way.
 
-``rank`` carries one internal shortcut: the matrix is first eliminated modulo
-the prime 2^31 - 1.  A full-rank outcome there exhibits a nonzero minor mod p,
-and an integer minor that is nonzero mod p is nonzero, so that verdict is
+``rank`` first peels the matrix on its integer nonzero pattern (``_peel``):
+a column whose one nonzero lies in row i is a multiple of e_i, so it and row
+i add exactly 1 to the rank and leave, a row with one nonzero leaves with its
+column the same way, and a zero line adds 0.  The peel's pivots are
+re-checked on the integer entries, triangular on a nonzero diagonal, and a
+core with no rows or no columns settles the rank with no arithmetic, as for
+the monomial special pair.  What is left, the core, is eliminated modulo
+the prime 2^31 - 1.  A full-rank outcome there exhibits a nonzero minor mod
+p, and an integer minor that is nonzero mod p is nonzero, so that verdict is
 already exact.  A deficient outcome is a lower bound.  A caller that knows
 vectors the matrix kills (the syzygy columns of a multiplication matrix) may
 hand them to ``rank``; once the integer product re-checks that they are
 killed, cols minus their rank mod p is an upper bound, and when the two
-bounds meet the rank is exact.  Any other deficient outcome is recomputed by
-integer Bareiss.  The sweep reduces the whole matrix mod p in one int64 numpy
-call, and reduces entry by entry in Python only when some entry needs more
-than 63 bits (numpy's ``OverflowError``).  At each pivot it updates only the
-rows below whose pivot-column entry is nonzero; the dense update would leave
-the others unchanged.
+bounds meet the rank is exact.  Any other deficient core is recomputed by
+integer Bareiss.  The stored rows become one int64 array in one numpy call,
+shared by the peel and the sweep, and stay Python ints only when some entry
+needs more than 63 bits (numpy's ``OverflowError``).  At each pivot the
+sweep updates only the rows below whose pivot-column entry is nonzero; the
+dense update would leave the others unchanged.
 
 Membership and surjectivity verdicts come with certificates (a preimage or a
 cokernel functional) that are re-verified against the original matrix before
 being returned, and so are kernel vectors and the vectors behind a syzygy
-bound.  Every re-check is one integer product with the stored cleared rows
-(``_annihilates``).  A failed re-check raises ``CertificateError``, which
-``python -O`` does not strip.
+bound.  Every re-check of a vector is one integer product with the stored
+cleared rows (``_annihilates``).  A failed re-check, of a vector or of the
+peel, raises ``CertificateError``, which ``python -O`` does not strip.
 """
 
 from __future__ import annotations
@@ -348,21 +354,26 @@ def _annihilates(rows: Sequence[Sequence[int]], x: Sequence[Fraction]) -> bool:
     return not any(sum(row[j] * e for j, e in support) for row in rows)
 
 
+def _integer_array(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Integer rows as one int64 array in one numpy call, or, when some entry
+    does not fit in int64 (``OverflowError``), as an array of Python ints."""
+    try:
+        return np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
 def _modp_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix modulo 2^31 - 1 (a lower bound on the rank).
 
     The matrix is reduced mod p in one numpy call; only when some entry does
-    not fit in int64 (``OverflowError``) is each entry reduced in Python.
-    Each pivot step updates only the rows below the pivot whose entry in the
-    pivot column is nonzero: for any other row the dense update subtracts 0.
+    not fit in int64 is each entry reduced in Python.  Each pivot step
+    updates only the rows below the pivot whose entry in the pivot column is
+    nonzero: for any other row the dense update subtracts 0.
     """
     p = _FAST_PRIME
-    n = len(rows)
-    try:
-        arr = np.array(rows, dtype=np.int64) % p
-    except OverflowError:
-        arr = np.array([[e % p for e in row] for row in rows], dtype=np.int64)
-    width = arr.shape[1]
+    arr = (_integer_array(rows) % p).astype(np.int64, copy=False)
+    n, width = arr.shape
     r = 0
     for col in range(width):
         if r == n:
@@ -384,6 +395,98 @@ def _modp_rank(rows: Sequence[Sequence[int]]) -> int:
     return r
 
 
+def _peel(nz: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]]:
+    """Singleton and zero lines of a nonzero pattern, peeled in bulk rounds.
+
+    A column whose one nonzero lies in row i is a multiple of e_i over any
+    field, so it and row i add 1 to the rank together and leave; so does a
+    row with one nonzero, with its column; a zero line adds 0.  Each round
+    takes every column singleton at once (each hit row once, so at most one
+    pivot per row), else every row singleton, else every zero line, and the
+    peel stops when every line left has at least 2 nonzeros.
+
+    Returns the row and column orders, pivots first in peel order, then the
+    core's lines, then the zero lines; whether pivot k came from a column
+    singleton; and the core's shape.  Returns None when there is nothing to
+    peel.
+    """
+    n, m = nz.shape
+    rc, cc = nz.sum(1), nz.sum(0)
+    if rc.min() > 1 and cc.min() > 1:
+        return None
+    ri, ci = np.divmod(np.flatnonzero(nz), m)  # the nonzeros left, as (row, column) pairs
+    rows_left, cols_left = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
+    prows, pcols, kinds, zrows, zcols = [], [], [], [], []
+    while True:
+        single = cols_left & (cc == 1)
+        if single.any():
+            hit = single[ci]
+            r, first = np.unique(ri[hit], return_index=True)
+            c, by_col = ci[hit][first], True
+        else:
+            single = rows_left & (rc == 1)
+            if not single.any():
+                zr, zc = np.flatnonzero(rows_left & (rc == 0)), np.flatnonzero(cols_left & (cc == 0))
+                if not (zr.size or zc.size):
+                    break
+                rows_left[zr], cols_left[zc] = False, False
+                zrows.append(zr)
+                zcols.append(zc)
+                continue
+            hit = single[ri]
+            c, first = np.unique(ci[hit], return_index=True)
+            r, by_col = ri[hit][first], False
+        prows.append(r)
+        pcols.append(c)
+        kinds.append(np.full(r.size, by_col))
+        rows_left[r], cols_left[c] = False, False
+        live = rows_left[ri] & cols_left[ci]
+        ri, ci = ri[live], ci[live]
+        rc, cc = np.bincount(ri, minlength=n), np.bincount(ci, minlength=m)
+    core_rows, core_cols = np.flatnonzero(rows_left), np.flatnonzero(cols_left)
+    return (
+        np.concatenate(prows + [core_rows] + zrows),
+        np.concatenate(pcols + [core_cols] + zcols),
+        np.concatenate(kinds + [np.zeros(0, dtype=bool)]),
+        core_rows.size,
+        core_cols.size,
+    )
+
+
+def _peeled_core(arr: np.ndarray) -> Tuple[int, np.ndarray]:
+    """The peel's pivot count k and its core, with rank(arr) = k + rank(core).
+
+    The peel is re-checked on the nonzero pattern of the integer entries,
+    gathered in its order as N = [[S, *], [*, core]], then the zero lines.
+    S has a nonzero diagonal, a column pivot's column is zero below N[k, k]
+    and a row pivot's row is zero right of it, so pivot by pivot the rank
+    drops by exactly 1; past the pivots, N is zero outside the core.  A
+    failed re-check raises ``CertificateError``.
+    """
+    nz = arr != 0
+    peel = _peel(nz)
+    if peel is None:
+        return 0, arr
+    rows, cols, by_col, a, b = peel
+    k = by_col.size
+    n, m = arr.shape
+    if not (np.array_equal(np.sort(rows), np.arange(n)) and np.array_equal(np.sort(cols), np.arange(m))):
+        raise CertificateError("the peel must order every line once")
+    pattern = nz[rows][:, cols]
+    step = np.arange(k)
+    last_row = n - 1 - pattern[::-1, :k].argmax(0)
+    last_col = m - 1 - pattern[:k, ::-1].argmax(1)
+    if not (
+        pattern.diagonal()[:k].all()
+        and np.array_equal(last_row[by_col], step[by_col])
+        and np.array_equal(last_col[~by_col], step[~by_col])
+        and not pattern[k + a:, k:].any()
+        and not pattern[k:k + a, k + b:].any()
+    ):
+        raise CertificateError("peeled pivots must be triangular on a nonzero diagonal")
+    return k, arr[rows[k:k + a]][:, cols[k:k + b]]
+
+
 # ---------------------------------------------------------------------------
 # Public verdicts
 # ---------------------------------------------------------------------------
@@ -392,26 +495,37 @@ def _modp_rank(rows: Sequence[Sequence[int]]) -> int:
 def rank(M: ExactMatrix, kernel: Optional[Callable[[], Sequence[Sequence[int]]]] = None) -> int:
     """Exact rank over the rationals.
 
+    The singleton and zero lines are peeled first (``_peel``), and the peel
+    is re-checked on the integer entries, so rank(M) = peeled + rank(core):
+    a core with no rows or no columns settles the rank with no elimination.
+    The core is then swept mod p, which bounds the rank below by peeled +
+    rank_p(core) and above by peeled + min(core shape); when they meet, the
+    lower bound is exact.
+
     ``kernel``, when given, returns integer vectors of length ``M.cols`` that
     M is known to kill, such as the kernel columns that syzygies of a
     multiplication matrix's generators give.  It is called only when the
-    mod-p sweep comes out deficient.  Once M @ K == 0 is re-checked in
-    integers, rank_p(M) <= rank(M) <= cols - rank(K) <= cols - rank_p(K), so
-    when the two ends meet the sweep's rank is exact; otherwise Bareiss
-    decides.
+    two bounds differ.  Once M @ K == 0 is re-checked in integers,
+    rank(M) <= cols - rank(K) <= cols - rank_p(K), so when that meets the
+    lower bound the rank is exact; otherwise Bareiss decides on the core.
     """
     if M.rows == 0 or M.cols == 0:
         return 0
     if USE_MODP_FAST_PATH:
-        fast = _modp_rank(M.ints)
-        if fast == min(M.rows, M.cols):
-            return fast
+        peeled, core = _peeled_core(_integer_array(M.ints))
+        if core.size == 0:
+            return peeled
+        lower = peeled + _modp_rank(core)
+        if lower == peeled + min(core.shape):
+            return lower
         if kernel is not None:
             vectors = kernel()
             if not all(len(v) == M.cols and _annihilates(M.ints, v) for v in vectors):
                 raise CertificateError("syzygy vectors must lie in the kernel")
-            if vectors and fast + _modp_rank(vectors) == M.cols:
-                return fast
+            if vectors and lower + _modp_rank(vectors) == M.cols:
+                return lower
+        _, pivots, _ = _bareiss_echelon(core.tolist(), core.shape[1])
+        return peeled + len(pivots)
     _, pivots, _ = _bareiss_echelon(M.ints, M.cols)
     return len(pivots)
 

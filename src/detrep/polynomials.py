@@ -56,6 +56,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -477,11 +478,39 @@ def format_poly(terms: Dict, names: Tuple[str, ...]) -> str:
     return "".join(pieces)
 
 
+def _shown(text: str) -> str:
+    """``repr(text)``, cut to its first 40 characters."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+
+
+def parse_integer(text: str, invalid: str, echo: str | None = None) -> int:
+    """``int(text)``, or a ValueError: ``invalid`` followed by ``echo`` (``text``
+    by default), shown cut to 40 characters.  An integer past the
+    interpreter's int-string limit is not parsed, and its message names the
+    limit."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    shown = _shown(text if echo is None else echo)
+    if re.fullmatch(r"\s*[+-]?\d+\s*", text, re.ASCII):
+        shown += f" (integers are limited to {sys.get_int_max_str_digits()} digits)"
+    raise ValueError(invalid + shown)
+
+
 def _too_long(body: str) -> ParseError:
     """The error for a term holding an integer with more digits than the
     interpreter converts; the term is shown cut short, as it is that long."""
-    shown = repr(body) if len(body) <= 40 else repr(body[:40]) + "..."
-    return ParseError(f"number with too many digits in term {shown}")
+    return ParseError(f"number with too many digits in term {_shown(body)}")
+
+
+def _pairwise_sum(values: List[Fraction]) -> Fraction:
+    """The sum of ``values``, added pairwise as a balanced tree.  A rational
+    running total's denominator grows with every distinct denominator it
+    takes in, so adding terms one by one costs quadratic time."""
+    while len(values) > 1:
+        values = [a + b for a, b in zip(values[::2], values[1::2])] + values[len(values) & ~1:]
+    return values[0]
 
 
 def _parse_form(text: str, ring: _Ring, degree) -> HomPoly:
@@ -495,7 +524,7 @@ def _parse_form(text: str, ring: _Ring, degree) -> HomPoly:
     pieces = re.split(r"([+-])", cleaned)
     pieces = ["+"] + pieces if pieces[0] else pieces[1:]  # an unsigned first term is positive
     seen = set()
-    terms: Dict[tuple, Fraction] = {}
+    terms: Dict[tuple, List[Fraction]] = {}
     for sign, body in zip(pieces[::2], pieces[1::2]):
         if not body:
             raise ParseError(f"empty term in {text!r}")
@@ -531,7 +560,7 @@ def _parse_form(text: str, ring: _Ring, degree) -> HomPoly:
         mono = tuple(expo)
         if coeff or any(mono):  # a bare 0 constrains nothing
             seen.add(ring.grade(mono))
-            terms[mono] = terms.get(mono, _ZERO) + (coeff if sign == "+" else -coeff)
+            terms.setdefault(mono, []).append(coeff if sign == "+" else -coeff)
     noun = f"{ring.prefix}degree"
     if len(seen) > 1:
         raise ParseError(
@@ -542,7 +571,7 @@ def _parse_form(text: str, ring: _Ring, degree) -> HomPoly:
         inferred = seen.pop()
         if degree is not None and degree != inferred:
             raise ParseError(f"declared {noun} {degree} but terms have {noun} {inferred}")
-        return HomPoly(inferred, terms)
+        return HomPoly(inferred, {mono: _pairwise_sum(parts) for mono, parts in terms.items()})
     if degree is None:
         raise ParseError(f"zero polynomial needs a declared {noun}")
     return HomPoly.zero(degree)

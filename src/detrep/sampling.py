@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 from .bundles import BundleSpec, ambient_degrees
 from .detmatrix import Section
-from .polynomials import HomPoly, mono_basis
+from .polynomials import HomPoly, mono_basis, parse_integer
 
 DEFAULT_SEED = 1729
 ENV_SEED_VAR = "DETREP_SEED"
@@ -33,10 +33,7 @@ def resolve_seed(explicit: Optional[int] = None) -> int:
         return explicit
     env = os.environ.get(ENV_SEED_VAR)
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_SEED_VAR} must be an integer, got {env!r}") from None
+        return parse_integer(env, f"{ENV_SEED_VAR} must be an integer, got ")
     return DEFAULT_SEED
 
 

@@ -153,6 +153,19 @@ def test_mult_seeded_deterministic(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: DETREP_SEED must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("value, limit", [("9" * 5000, True), ("x" * 5000, False)], ids=["digits", "letters"])
+def test_a_long_env_seed_is_echoed_cut_short(value, limit, monkeypatch, capsys):
+    # DETREP_SEED is read by the rule of the integer options: the echo is cut
+    # to 40 characters, and a value past the int-string limit names it.
+    monkeypatch.setenv("DETREP_SEED", value)
+    assert main(["mult", "--n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    shown = f"error: DETREP_SEED must be an integer, got {value[:40]!r}..."
+    note = f" (integers are limited to {sys.get_int_max_str_digits()} digits)" if limit else ""
+    assert captured.err == shown + note + "\n"
+
+
 def test_mult_equal_triples_fail(capsys):
     code, rep = run_json(
         capsys, ["mult", "--n", "0", "--f", "x, y, z", "--g", "x, y, z"]

@@ -513,40 +513,72 @@ def common_factor_pair(n):
     return tuple(L * c for c in s1.components), tuple(L * c for c in s2.components)
 
 
+def peeled_core(matrix):
+    """The core ``rank`` leaves to the sweep once the peel is done."""
+    return detrep.linalg._peeled_core(detrep.linalg._integer_array(matrix.ints))[1]
+
+
 @pytest.mark.parametrize(
-    "f, g, n",
-    [(*special_pair(3), 3), (*special_pair(6), 6), (*common_factor_pair(2), 2)],
+    "f, g, n, peeled_whole",
+    [(*special_pair(3), 3, True), (*special_pair(6), 6, True), (*common_factor_pair(2), 2, False)],
     ids=["special-k3", "special-k5", "common-factor"],
 )
-def test_u_syzygies_that_fall_short_fall_back(f, g, n):
+def test_u_syzygies_that_fall_short_fall_back(f, g, n, peeled_whole):
+    # The five syzygies of U fall short at these rungs.  The monomial special
+    # pair's matrix peels whole, so no elimination runs at all; the L-multiple
+    # pair's has no singleton or zero line, so Bareiss decides.
     u = u_generators(f, g)
-    got, fell_back, want = rung(u.generators, 2 * n + 3, u_syzygies(u))
-    assert fell_back and got == want < h0_p2(2 * n + 3)
+    k = 2 * n + 3
+    got, fell_back, want = rung(u.generators, k, u_syzygies(u))
+    assert got == want < h0_p2(k)
+    matrix = component_matrix(u.generators, k)
+    core = peeled_core(matrix)
+    if peeled_whole:
+        assert not fell_back and core.size == 0
+    else:
+        assert fell_back and core.shape == (matrix.rows, matrix.cols) == (36, 60) and want == 28
 
 
-def through_a_point(rng, degree, count):
-    """Seeded forms of one degree, all vanishing at [0:0:1]."""
+def through_a_point(rng, degree, count, point):
+    """Seeded forms of one degree, all vanishing at ``point``, one of whose
+    coordinates is 1."""
+    i = point.index(1)
+    power = HomPoly.monomial(tuple(degree * (j == i) for j in range(3)))
     forms = []
     for _ in range(count):
         form = random_hompoly(rng, degree)
-        forms.append(form - HomPoly.monomial((0, 0, degree), form.coeff((0, 0, degree))))
+        forms.append(form - power.scale(form.evaluate(point)))
     return forms
 
 
-@pytest.mark.parametrize("case", ["three-through-a-point", "four-through-a-point", "shared-factors"])
+@pytest.mark.parametrize("case", ["three-through-a-point", "four-through-a-point", "shared-factors",
+                                  "three-through-1-2-3", "four-through-1-2-3"])
 def test_koszul_syzygies_that_fall_short_fall_back(case):
     # Koszul syzygies generate all syzygies of a regular sequence only.  Four
     # or more generic forms have no deficient rung at all (every rung below
-    # the fill has full column rank), so the cases that fall back are forms
-    # with a common zero: through [0:0:1], or x*q1, x*q2, y*q3, y*q4, whose
-    # shared factors also give syzygies below the Koszul degree.
+    # the fill has full column rank), so the cases that fall short are forms
+    # with a common zero, or x*q1, x*q2, y*q3, y*q4, whose shared factors also
+    # give syzygies below the Koszul degree.  A common zero at [0:0:1], or the
+    # factors x and y, leave the z^k row of every rung zero: the peel drops
+    # it and the sweep decides the core.  Through [1:2:3] no line is zero or
+    # a singleton, and Bareiss decides.
     rng = derive_rng(53, "koszul-short", case)
+    count = 3 if case.startswith("three") else 4
     if case == "shared-factors":
         gens = [v * random_hompoly(rng, 2) for v in (X, X, Y, Y)]
+    elif case.endswith("a-point"):
+        gens = through_a_point(rng, 3, count, (0, 0, 1))
     else:
-        gens = through_a_point(rng, 3, {"three-through-a-point": 3, "four-through-a-point": 4}[case])
+        gens = through_a_point(rng, 3, count, (1, 2, 3))
     rep = containment_degree(gens)
     assert rep.reached is None
-    outcomes = [rung(gens, k) for k in deficient_rungs(gens, rep.ladder)]
+    rungs = deficient_rungs(gens, rep.ladder)
+    outcomes = [rung(gens, k) for k in rungs]
     assert all(got == want for got, _, want in outcomes)
-    assert any(fell_back for _, fell_back, _ in outcomes)
+    cores = [peeled_core(component_matrix(gens, k)).shape[0] for k in rungs]
+    if case.endswith("1-2-3"):
+        assert any(fell_back for _, fell_back, _ in outcomes)
+        assert cores == [h0_p2(k) for k in rungs]
+    else:
+        assert not any(fell_back for _, fell_back, _ in outcomes)
+        assert cores == [h0_p2(k) - 1 for k in rungs]

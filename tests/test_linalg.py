@@ -26,7 +26,10 @@ from detrep.linalg import (
     report,
     rref,
 )
+from detrep.bundles import T
+from detrep.detmatrix import Section
 from detrep.polynomials import BigradedPoly, HomPoly, bimono_basis, h0_p2, mono_basis
+from detrep.tangent import tangent_map
 from oracles import left_times, multiple_columns, times
 
 
@@ -88,6 +91,94 @@ def test_fast_path_and_bareiss_agree():
     finally:
         la.USE_MODP_FAST_PATH = old
     assert ranks_fast == ranks_exact
+
+
+# ------------------------------------------------- the peel
+#
+# rank peels singleton and zero lines before the sweep; every rank must be
+# the one pure Bareiss gives.
+
+
+WIDE = [2**63 - 1, -(2**63 - 1), -(2**63), 2**63, 2**70, -(2**70)]
+
+
+def peel_pool():
+    """Seeded matrices [[B, X], [0, C]] with their lines shuffled and zero
+    lines added: B upper bidiagonal, a chain whose column singletons appear
+    one at a time, and C a core of sparse or dense entries or of low rank.
+    Some nonzeros are widened past 63 bits."""
+    rng = random.Random("peel")
+    pool = []
+    for trial in range(400):
+        chain, rows, cols = rng.randint(0, 5), rng.randint(0, 6), rng.randint(0, 6)
+        if trial % 4 == 0:
+            r = rng.randint(0, min(rows, cols))
+            left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rows)]
+            right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(r)]
+            core = [[sum(a * right[t][j] for t, a in enumerate(row)) for j in range(cols)] for row in left]
+        else:
+            density = [1.0, 0.5, 0.25][trial % 3]
+            core = [[rng.choice([-2, -1, 1, 3]) if rng.random() < density else 0 for _ in range(cols)]
+                    for _ in range(rows)]
+        m = [[0] * (chain + cols) for _ in range(chain + rows)]
+        for i in range(chain):
+            m[i][i] = rng.choice([-1, 1, 2])
+            if i + 1 < chain:
+                m[i][i + 1] = rng.choice([-1, 1, 5])
+            for j in range(cols):
+                m[i][chain + j] = rng.choice([0, 0, 1, -4])
+        for i, row in enumerate(core):
+            m[chain + i][chain:] = row
+        m += [[0] * (chain + cols) for _ in range(rng.randint(0, 2))]
+        m = [row + [0] * extra for extra in [rng.randint(0, 1)] for row in m]
+        if not m or not m[0]:
+            continue
+        if trial % 5 == 2:
+            spots = [(i, j) for i, row in enumerate(m) for j, e in enumerate(row) if e]
+            for i, j in rng.sample(spots, min(len(spots), 3)):
+                m[i][j] = rng.choice(WIDE)
+        rng.shuffle(m)
+        order = list(range(len(m[0])))
+        rng.shuffle(order)
+        pool.append(ExactMatrix([[row[j] for j in order] for row in m]))
+    return pool
+
+
+def test_peeled_rank_matches_bareiss(monkeypatch):
+    pool = peel_pool()
+    monkeypatch.setattr(la, "USE_MODP_FAST_PATH", False)
+    wants = [rank(m) for m in pool]
+    monkeypatch.setattr(la, "USE_MODP_FAST_PATH", True)
+    assert [rank(m) for m in pool] == wants
+    # The pool reaches every outcome: peeled whole, a core left, a matrix the
+    # peel leaves alone, a deficient rank, and entries past int64.
+    peels = [la._peeled_core(la._integer_array(m.ints)) for m in pool]
+    assert any(k and core.size == 0 for k, core in peels)
+    assert any(k and core.size for k, core in peels)
+    assert any(core.shape == (m.rows, m.cols) for m, (_, core) in zip(pool, peels))
+    assert sum(want < min(m.rows, m.cols) for m, want in zip(pool, wants)) > 50
+    assert any(la._integer_array(m.ints).dtype == object for m in pool)
+
+
+def test_special_pair_ranks_need_no_elimination(monkeypatch):
+    # The monomial special pair at k = 3, 5, 7: its mult and augmented tangent
+    # matrices peel whole, so neither the sweep nor Bareiss runs on them.
+    def refuse(*args):
+        raise AssertionError("eliminated")
+
+    for k, want in ((3, 54), (5, 126), (7, 225)):
+        n = (3 * k - 3) // 2
+        zero = HomPoly.zero(n + 1)
+        f = (HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((n + 1, 0, 0)), zero)
+        g = (zero, HomPoly.monomial((0, 0, n + 1)), HomPoly.monomial((0, n + 1, 0)))
+        bundle = T(n)
+        report = tangent_map(bundle, Section(bundle, f), Section(bundle, g))
+        mult = mult_map_matrix(u_generators(f, g, n=n))
+        tangent = report.matrix.augment_column(report.curve.num_vector())
+        with monkeypatch.context() as mp:
+            mp.setattr(la, "_modp_rank", refuse)
+            mp.setattr(la, "_bareiss_echelon", refuse)
+            assert rank(mult) == rank(tangent) == report.augmented_rank == want
 
 
 # ------------------------------------------------- syzygy upper bounds
@@ -155,13 +246,19 @@ def test_a_partial_kernel_falls_back_and_agrees(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(la, "_bareiss_echelon", counted)
-    for m in deficient_pool():
+    pool, fell_back = deficient_pool(), 0
+    for m in pool:
         want = bareiss_rank(m, monkeypatch)
         kern = integer_kernel(m)
+        # Bareiss runs exactly when the peeled core stays deficient mod p.
+        _, core = la._peeled_core(la._integer_array(m.ints))
+        deficient = core.size > 0 and la._modp_rank(core) < min(core.shape)
+        fell_back += deficient
         for given in (kern[:-1], [], [(0,) * m.cols]):
             calls.clear()
             assert rank(m, kernel=lambda: given) == want
-            assert len(calls) == 1
+            assert len(calls) == deficient
+    assert 0 < fell_back < len(pool)  # the fallback stays covered
 
 
 def test_kernel_is_asked_for_only_on_a_deficient_sweep(monkeypatch):
@@ -610,6 +707,19 @@ CHECKS_UNDER_O = textwrap.dedent(
         x[0] += 1
         return x
 
+    real_peel = la._peel
+
+    def corrupt_peel(corrupt):
+        # rank of [[1, 1], [0, 1]] with the peel's order corrupted: it peels
+        # column 0, then column 1, each a column singleton
+        def check():
+            la._peel = lambda nz: corrupt(*real_peel(nz))
+            try:
+                la.rank(la.ExactMatrix([[1, 1], [0, 1]]))
+            finally:
+                la._peel = real_peel
+        return check
+
     checks = {
         "bareiss": lambda: la._combine([1], [0], 1, 0, 2, 0),
         "kronecker": lambda: _unpack(1 << 12, 4, 1, 1),
@@ -619,6 +729,10 @@ CHECKS_UNDER_O = textwrap.dedent(
         "kernel": lambda: la.kernel_basis(la.ExactMatrix([[1, 1]])),
         "rref": lambda: la.rref(la.ExactMatrix([[1, 1]])),
         "syzygy": lambda: la.rank(la.ExactMatrix([[1, 1], [1, 1]]), kernel=lambda: [(1, 0)]),
+        # a pivot moved onto the zero entry, and the triangle turned over
+        "peel_diagonal": corrupt_peel(lambda rows, cols, *rest: (rows, cols[::-1], *rest)),
+        "peel_triangle": corrupt_peel(lambda rows, cols, *rest: (rows[::-1], cols[::-1], *rest)),
+        "peel_order": corrupt_peel(lambda rows, cols, *rest: (rows[:1], cols, *rest)),
     }
     la._solve = corrupt_solve
     raised = []
@@ -639,7 +753,8 @@ def test_certificate_checks_raise_under_python_O():
         [sys.executable, "-O", "-c", CHECKS_UNDER_O],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     ).stdout.split()
-    assert out == ["1", "bareiss", "kronecker", "membership", "left_kernel", "preimage", "kernel", "rref", "syzygy"]
+    assert out == ["1", "bareiss", "kronecker", "membership", "left_kernel", "preimage", "kernel", "rref", "syzygy",
+                   "peel_diagonal", "peel_triangle", "peel_order"]
 
 
 # ------------------------------------------------- builder and mod-p sweep
@@ -730,9 +845,6 @@ def dense_modp_rank(rows):
         arr[r + 1:, col:] = (arr[r + 1:, col:] - factors[:, None] * arr[r, col:]) % p
         r += 1
     return r
-
-
-WIDE = [2**63 - 1, -(2**63 - 1), -(2**63), 2**63, 2**70, -(2**70)]
 
 
 def test_sparse_modp_sweep_matches_dense_sweep():

@@ -268,6 +268,19 @@ def test_parse_constant():
     assert parse_hompoly("0", degree=4) == HomPoly.zero(4)
 
 
+def test_parse_sums_repeated_monomials_to_the_left_to_right_sum():
+    # 16 000 terms over distinct denominators, alternating in sign, split
+    # between x^2 and y^2 (and a pair that cancels): the parser adds each
+    # monomial's terms pairwise, and must get the running total's value.
+    coeffs = [Fraction((-1) ** k, k + 2) for k in range(16000)]
+    text = " ".join(f"{'+' if c > 0 else '-'} {abs(c)}*{'xy'[k % 2]}^2" for k, c in enumerate(coeffs))
+    want = [Fraction(0), Fraction(0)]
+    for k, c in enumerate(coeffs):
+        want[k % 2] += c
+    assert parse_hompoly(text + " + 3*z^2 - 3*z^2") == HomPoly(2, {(2, 0, 0): want[0], (0, 2, 0): want[1]})
+    assert parse_hompoly("x - 1/2*x - 1/2*x + y") == Y
+
+
 def test_parse_rejects_inhomogeneous():
     with pytest.raises(ParseError) as err:
         parse_hompoly("x + y^2")
