@@ -103,12 +103,14 @@ MAX_AUDIT_TWIST = 10**6
 
 # The most bytes a containment --gens-file may hold; a larger file is refused
 # after reading one byte past the bound.  Parsing sums the coefficients of a
-# repeated monomial, and distinct denominators make that sum grow with every
-# term: `detrep containment` on one generator repeating x^2 over distinct
-# 16-digit denominators took 0.85 and 3.0 s at 64 and 128 KiB on a 2-core
-# machine, and parsing it alone took 64 s at 1 MiB.  Repeating a plain x^2
-# took 0.25 s at 64 KiB and 1.2 s at 1 MiB; maximum RSS stayed under 60 MB.
-# Ten dense degree-8 forms with 100-digit coefficients fit in the bound.
+# repeated monomial, and distinct denominators make that sum's denominator
+# grow with every term: `detrep containment` on one generator repeating x^2
+# over distinct 16-digit denominators took 0.32, 1.2 and 52 s at 64 KiB,
+# 128 KiB and 1 MiB on a 2-core machine (single runs), of which parsing took
+# 0.05, 0.13 and 4.2 s; most of the rest is `linalg.multiplication_matrix`
+# taking each row's gcd with that denominator.  Repeating a plain x^2 took
+# 0.05 s at 64 KiB and 1.2 s at 1 MiB; maximum RSS stayed under 70 MB.  Ten
+# dense degree-8 forms with 100-digit coefficients fit in the bound.
 MAX_GENS_FILE_BYTES = 64 * 1024
 
 
@@ -392,7 +394,12 @@ def cmd_containment(args) -> RunReport:
     if len(raw) > MAX_GENS_FILE_BYTES:
         raise ValueError(f"{args.gens_file} holds more than {MAX_GENS_FILE_BYTES} bytes")
     # utf-8-sig drops a leading byte-order mark; the lines split as in a text file.
-    lines = [line.strip() for line in io.StringIO(raw.decode("utf-8-sig"), newline=None)]
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ValueError(f"{args.gens_file} is not UTF-8 text ({exc.reason} 0x{byte:02x})") from exc
+    lines = [line.strip() for line in io.StringIO(text, newline=None)]
     texts = [line for line in lines if line and not line.startswith("#")]
     if not texts:
         raise ValueError("no generators in file")

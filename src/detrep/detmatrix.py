@@ -151,7 +151,7 @@ def det_poly(M: PolyMatrix) -> HomPoly:
         [sum(c << (s * a + step * b) for (a, b, _), c in terms) for terms in row]
         for row in rows
     ]
-    echelon, pivots, sign = _bareiss_echelon(packed, M.size)
+    echelon, pivots, sign = _bareiss_echelon(packed)
     if len(pivots) < M.size:
         return HomPoly.zero(degree)
     return _unpack(sign * echelon[-1][-1], s, degree, denominator)

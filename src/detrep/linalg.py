@@ -1,21 +1,22 @@
 """Exact linear algebra over the rationals with verifiable verdicts.
 
 Everything here returns exact answers, from one elimination core:
-fraction-free (Bareiss) elimination over the integers (``_bareiss_echelon``)
-and back-substitution on its echelon form.  ``_solve`` back-substitutes one
-column: a preimage, a cokernel functional solved on the transposed rows, or
-a free column on the pivot columns left of it, which ``kernel_basis`` negates
-into a re-checked kernel vector; ``rref`` (no library caller) reads its rows
-off those vectors.  Section spaces
-and their quotients read pivot columns off ``_bareiss_echelon`` directly,
-since those depend only on the row span.  An ``ExactMatrix`` clears its
-rows of denominators once, at construction, and stores them in the integer
-form the core reads.  Pivoting is deterministic (first nonzero entry in
-column order), so identical inputs give bit-identical outputs.  The
-elimination leaves a row alone while its entry in the pivot column is zero
-and divides its next update by the pivot that divided its last one (a lazy
-divisor, exact by telescoping), so the sparse relation and multiplication
-matrices cost only the updates they need.
+fraction-free (Bareiss) elimination over the integers (``_bareiss_echelon``),
+in which every column may host a pivot, and back-substitution on its echelon
+form.  ``_solve`` back-substitutes one column: a preimage, a cokernel
+functional solved on the transposed rows, or a free column on the pivot
+columns left of it, which ``kernel_basis`` negates into a re-checked kernel
+vector; ``rref`` (no library caller) reads its rows off those vectors.  A
+vector v lies outside the column span of M exactly when v's column hosts the
+last pivot of (M | v).  Section spaces and their quotients read pivot columns
+off ``_bareiss_echelon`` directly, since those depend only on the row span.
+An ``ExactMatrix`` clears its rows of denominators once, at construction, and
+stores them in the integer form the core reads.  Pivoting is deterministic
+(first nonzero entry in column order), so identical inputs give
+bit-identical outputs.  The elimination leaves a row alone while its entry
+in the pivot column is zero and divides its next update by the pivot that
+divided its last one (a lazy divisor, exact by telescoping), so the sparse
+relation and multiplication matrices cost only the updates they need.
 
 Multiplication matrices, whose columns are the products m*g of generators g
 with monomials m, come from one builder, ``multiplication_matrix``.  It
@@ -25,23 +26,23 @@ on the way.
 
 ``rank`` first peels the matrix on its integer nonzero pattern (``_peel``):
 a column whose one nonzero lies in row i is a multiple of e_i, so it and row
-i add exactly 1 to the rank and leave, a row with one nonzero leaves with its
-column the same way, and a zero line adds 0.  The peel's pivots are
-re-checked on the integer entries, triangular on a nonzero diagonal, and a
-core with no rows or no columns settles the rank with no arithmetic, as for
-the monomial special pair.  What is left, the core, is eliminated modulo
-the prime 2^31 - 1.  A full-rank outcome there exhibits a nonzero minor mod
-p, and an integer minor that is nonzero mod p is nonzero, so that verdict is
-already exact.  A deficient outcome is a lower bound.  A caller that knows
-vectors the matrix kills (the syzygy columns of a multiplication matrix) may
-hand them to ``rank``; once the integer product re-checks that they are
-killed, cols minus their rank mod p is an upper bound, and when the two
-bounds meet the rank is exact.  Any other deficient core is recomputed by
-integer Bareiss.  The stored rows become one int64 array in one numpy call,
-shared by the peel and the sweep, and stay Python ints only when some entry
-needs more than 63 bits (numpy's ``OverflowError``).  At each pivot the
-sweep updates only the rows below whose pivot-column entry is nonzero; the
-dense update would leave the others unchanged.
+i add exactly 1 to the rank and leave, and a zero line adds 0.  The peel's
+pivots are re-checked on the integer entries, triangular on a nonzero
+diagonal, and a core with no rows or no columns settles the rank with no
+arithmetic, as for the monomial special pair.  What is left, the core, is
+eliminated modulo the prime 2^31 - 1.  A full-rank outcome there exhibits a
+nonzero minor mod p, and an integer minor that is nonzero mod p is nonzero,
+so that verdict is already exact.  A deficient outcome is a lower bound.  A
+caller that knows vectors the matrix kills (the syzygy columns of a
+multiplication matrix) may hand them to ``rank``; once the integer product
+re-checks that they are killed, cols minus their rank mod p is an upper
+bound, and when the two bounds meet the rank is exact.  Any other deficient
+core is recomputed by integer Bareiss.  The stored rows become one int64
+array in one numpy call, shared by the peel and the sweep, and stay Python
+ints only when some entry needs more than 63 bits (numpy's
+``OverflowError``).  At each pivot the sweep updates only the rows below
+whose pivot-column entry is nonzero; the dense update would leave the others
+unchanged.
 
 Membership and surjectivity verdicts come with certificates (a preimage or a
 cokernel functional) that are re-verified against the original matrix before
@@ -259,16 +260,13 @@ def _combine(row: List[int], other: List[int], a: int, b: int, d: int, start: in
         row[j] = q
 
 
-def _bareiss_echelon(
-    rows: List[List[int]], pivot_cols: int
-) -> Tuple[List[List[int]], List[Tuple[int, int]], int]:
+def _bareiss_echelon(rows: List[List[int]]) -> Tuple[List[List[int]], List[Tuple[int, int]], int]:
     """Fraction-free row echelon form: the one elimination routine.
 
-    Only the first ``pivot_cols`` columns are eligible to host pivots; all
-    columns (including any caller-appended ones) are updated.  Returns the
-    echelon rows, the (row, col) pivot list and the sign (+1 or -1) of the
-    row permutation.  On a nonsingular square input the last pivot times
-    that sign is the determinant.
+    Every column may host a pivot.  Returns the echelon rows, the (row, col)
+    pivot list and the sign (+1 or -1) of the row permutation; the rows below
+    the last pivot are zero.  On a nonsingular square input the last pivot
+    times that sign is the determinant.
 
     Classic Bareiss updates every row below the pivot at every step; for a
     row whose entry in the pivot column is already zero that update is only
@@ -278,9 +276,8 @@ def _bareiss_echelon(
     the row's next update (piv * row_i - f * row_r) / div[i] is the classic
     one, and its division is exact because the classic entries are minors
     of the input.  A lagging row is brought up to date by prev/div[i] when it
-    becomes the pivot row, and the rows left below the last pivot, which are
-    zero on the first ``pivot_cols`` columns, are brought up to date on the
-    others at the end, so pivots and echelon are exactly classic Bareiss's.
+    becomes the pivot row, so pivots and echelon are exactly classic
+    Bareiss's.
     """
     work = [list(r) for r in rows]
     n = len(work)
@@ -289,15 +286,8 @@ def _bareiss_echelon(
     pivots: List[Tuple[int, int]] = []
     prev = 1
     sign = 1
-
-    def catch_up(i: int, start: int) -> None:
-        # Scale a lagging row by prev/div[i].
-        if div[i] != prev:
-            _combine(work[i], work[i], prev, 0, div[i], start)
-            div[i] = prev
-
     r = 0
-    for col in range(min(pivot_cols, width)):
+    for col in range(width):
         if r == n:
             break
         piv_row = next((i for i in range(r, n) if work[i][col]), None)
@@ -307,8 +297,10 @@ def _bareiss_echelon(
             work[r], work[piv_row] = work[piv_row], work[r]
             div[r], div[piv_row] = div[piv_row], div[r]
             sign = -sign
-        catch_up(r, col)
         row_r = work[r]
+        if div[r] != prev:
+            # Bring the lagging pivot row up to date: scale it by prev/div[r].
+            _combine(row_r, row_r, prev, 0, div[r], col)
         piv = row_r[col]
         for i in range(r + 1, n):
             row_i = work[i]
@@ -321,8 +313,6 @@ def _bareiss_echelon(
         prev = piv
         pivots.append((r, col))
         r += 1
-    for i in range(r, n):
-        catch_up(i, pivot_cols)
     return work, pivots, sign
 
 
@@ -395,59 +385,48 @@ def _modp_rank(rows: Sequence[Sequence[int]]) -> int:
     return r
 
 
-def _peel(nz: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]]:
-    """Singleton and zero lines of a nonzero pattern, peeled in bulk rounds.
+def _peel(nz: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray, int, int, int]]:
+    """Column singletons of a nonzero pattern, peeled in bulk rounds, then
+    the zero lines.
 
     A column whose one nonzero lies in row i is a multiple of e_i over any
-    field, so it and row i add 1 to the rank together and leave; so does a
-    row with one nonzero, with its column; a zero line adds 0.  Each round
+    field, so it and row i add 1 to the rank together and leave.  Each round
     takes every column singleton at once (each hit row once, so at most one
-    pivot per row), else every row singleton, else every zero line, and the
-    peel stops when every line left has at least 2 nonzeros.
+    pivot per row), until no column left is a singleton.  The zero lines left
+    then add 0 and are set aside once: dropping a zero line never makes a
+    column singleton.
 
     Returns the row and column orders, pivots first in peel order, then the
-    core's lines, then the zero lines; whether pivot k came from a column
-    singleton; and the core's shape.  Returns None when there is nothing to
-    peel.
+    core's lines, then the zero lines; the pivot count k; and the core's
+    shape.  Returns None when there is nothing to peel.
     """
     n, m = nz.shape
-    rc, cc = nz.sum(1), nz.sum(0)
-    if rc.min() > 1 and cc.min() > 1:
+    cc = nz.sum(0)
+    if cc.min() > 1 and nz.sum(1).min() > 0:
         return None
     ri, ci = np.divmod(np.flatnonzero(nz), m)  # the nonzeros left, as (row, column) pairs
     rows_left, cols_left = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
-    prows, pcols, kinds, zrows, zcols = [], [], [], [], []
+    prows, pcols = [], []
     while True:
         single = cols_left & (cc == 1)
-        if single.any():
-            hit = single[ci]
-            r, first = np.unique(ri[hit], return_index=True)
-            c, by_col = ci[hit][first], True
-        else:
-            single = rows_left & (rc == 1)
-            if not single.any():
-                zr, zc = np.flatnonzero(rows_left & (rc == 0)), np.flatnonzero(cols_left & (cc == 0))
-                if not (zr.size or zc.size):
-                    break
-                rows_left[zr], cols_left[zc] = False, False
-                zrows.append(zr)
-                zcols.append(zc)
-                continue
-            hit = single[ri]
-            c, first = np.unique(ci[hit], return_index=True)
-            r, by_col = ri[hit][first], False
+        if not single.any():
+            break
+        hit = single[ci]
+        r, first = np.unique(ri[hit], return_index=True)
+        c = ci[hit][first]
         prows.append(r)
         pcols.append(c)
-        kinds.append(np.full(r.size, by_col))
         rows_left[r], cols_left[c] = False, False
         live = rows_left[ri] & cols_left[ci]
         ri, ci = ri[live], ci[live]
-        rc, cc = np.bincount(ri, minlength=n), np.bincount(ci, minlength=m)
-    core_rows, core_cols = np.flatnonzero(rows_left), np.flatnonzero(cols_left)
+        cc = np.bincount(ci, minlength=m)
+    zero_rows = rows_left & (np.bincount(ri, minlength=n) == 0)
+    zero_cols = cols_left & (cc == 0)
+    core_rows, core_cols = np.flatnonzero(rows_left & ~zero_rows), np.flatnonzero(cols_left & ~zero_cols)
     return (
-        np.concatenate(prows + [core_rows] + zrows),
-        np.concatenate(pcols + [core_cols] + zcols),
-        np.concatenate(kinds + [np.zeros(0, dtype=bool)]),
+        np.concatenate(prows + [core_rows, np.flatnonzero(zero_rows)]),
+        np.concatenate(pcols + [core_cols, np.flatnonzero(zero_cols)]),
+        sum(map(len, prows)),
         core_rows.size,
         core_cols.size,
     )
@@ -458,28 +437,24 @@ def _peeled_core(arr: np.ndarray) -> Tuple[int, np.ndarray]:
 
     The peel is re-checked on the nonzero pattern of the integer entries,
     gathered in its order as N = [[S, *], [*, core]], then the zero lines.
-    S has a nonzero diagonal, a column pivot's column is zero below N[k, k]
-    and a row pivot's row is zero right of it, so pivot by pivot the rank
-    drops by exactly 1; past the pivots, N is zero outside the core.  A
-    failed re-check raises ``CertificateError``.
+    S has a nonzero diagonal and each pivot column is zero below N[k, k]
+    (its pivot), so pivot by pivot the rank drops by exactly 1; past the
+    pivots, N is zero outside the core.  A failed re-check raises
+    ``CertificateError``.
     """
     nz = arr != 0
     peel = _peel(nz)
     if peel is None:
         return 0, arr
-    rows, cols, by_col, a, b = peel
-    k = by_col.size
+    rows, cols, k, a, b = peel
     n, m = arr.shape
     if not (np.array_equal(np.sort(rows), np.arange(n)) and np.array_equal(np.sort(cols), np.arange(m))):
         raise CertificateError("the peel must order every line once")
     pattern = nz[rows][:, cols]
-    step = np.arange(k)
     last_row = n - 1 - pattern[::-1, :k].argmax(0)
-    last_col = m - 1 - pattern[:k, ::-1].argmax(1)
     if not (
         pattern.diagonal()[:k].all()
-        and np.array_equal(last_row[by_col], step[by_col])
-        and np.array_equal(last_col[~by_col], step[~by_col])
+        and np.array_equal(last_row, np.arange(k))
         and not pattern[k + a:, k:].any()
         and not pattern[k:k + a, k + b:].any()
     ):
@@ -495,9 +470,11 @@ def _peeled_core(arr: np.ndarray) -> Tuple[int, np.ndarray]:
 def rank(M: ExactMatrix, kernel: Optional[Callable[[], Sequence[Sequence[int]]]] = None) -> int:
     """Exact rank over the rationals.
 
-    The singleton and zero lines are peeled first (``_peel``), and the peel
-    is re-checked on the integer entries, so rank(M) = peeled + rank(core):
-    a core with no rows or no columns settles the rank with no elimination.
+    The column singletons and zero lines are peeled first (``_peel``), and
+    the peel is re-checked on the integer entries, so rank(M) = peeled +
+    rank(core): a core with no rows or no columns settles the rank with no
+    elimination.  A matrix with no column singleton and no zero line goes to
+    the sweep whole, even where its rows are singletons.
     The core is then swept mod p, which bounds the rank below by peeled +
     rank_p(core) and above by peeled + min(core shape); when they meet, the
     lower bound is exact.
@@ -524,9 +501,9 @@ def rank(M: ExactMatrix, kernel: Optional[Callable[[], Sequence[Sequence[int]]]]
                 raise CertificateError("syzygy vectors must lie in the kernel")
             if vectors and lower + _modp_rank(vectors) == M.cols:
                 return lower
-        _, pivots, _ = _bareiss_echelon(core.tolist(), core.shape[1])
+        _, pivots, _ = _bareiss_echelon(core.tolist())
         return peeled + len(pivots)
-    _, pivots, _ = _bareiss_echelon(M.ints, M.cols)
+    _, pivots, _ = _bareiss_echelon(M.ints)
     return len(pivots)
 
 
@@ -535,11 +512,11 @@ def _kernel(rows: Sequence[Sequence[int]], cols: int) -> Iterator[Vector]:
     re-checked as it is yielded: a caller pays only for the vectors it takes.
 
     Free column f gives x_f = 1, 0 on the other free columns, and -y on the
-    pivot columns left of f, where column f is y @ those pivot columns.  With
-    every column eligible for a pivot, only those pivots' rows are nonzero up
-    to f, so ``_solve`` on them solves the whole system.
+    pivot columns left of f, where column f is y @ those pivot columns.  The
+    free column f hosts no pivot, so only the rows of the pivots left of f are
+    nonzero up to f, and ``_solve`` on them solves the whole system.
     """
-    echelon, pivots, _ = _bareiss_echelon(rows, cols)
+    echelon, pivots, _ = _bareiss_echelon(rows)
     left = 0  # pivots[:left] are the pivots left of f
     for f in range(cols):
         if left < len(pivots) and pivots[left][1] == f:
@@ -563,14 +540,18 @@ def _functional(aug: ExactMatrix, pivots: List[Tuple[int, int]]) -> Vector:
 
     t @ aug.ints == e_last is solved on M's ``pivots`` columns and v's alone
     (rank(M) + 1 equations); t then kills M's other columns too, and the
-    re-check, against every column, also catches a system with no solution.
-    Row i of aug.ints is dens_i times row i of aug, so w_i = t_i * dens_i.
+    re-check, against every column, also catches a wrong solution.  The
+    rank(M) + 1 equations are independent, so the right-hand side's column
+    hosts no pivot; a pivot there raises ``CertificateError``.  Row i of
+    aug.ints is dens_i times row i of aug, so w_i = t_i * dens_i.
     """
     last = aug.cols - 1
     # Equation j: column j of aug.ints, right-hand side 1 at v's column, else 0.
     system = [(*col, int(j == last)) for j, col in enumerate(zip(*aug.ints))]
     chosen = [system[c] for _, c in pivots] + [system[last]]
-    echelon, chosen_pivots, _ = _bareiss_echelon(chosen, aug.rows)
+    echelon, chosen_pivots, _ = _bareiss_echelon(chosen)
+    if chosen_pivots[-1][1] == aug.rows:
+        raise CertificateError("the functional's equations must be independent")
     t = tuple(_solve(echelon, chosen_pivots, aug.rows))
     if not _annihilates(system, t + (-1,)):
         raise CertificateError("functional must kill M and pair to 1 with v")
@@ -584,10 +565,10 @@ def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
     non-member's functional (w @ v == 1) costs one of rank(M) + 1 rows.
     """
     aug = M.augment_column(v)
-    echelon, pivots, _ = _bareiss_echelon(aug.ints, M.cols)
-    # v lies in the span iff no leftover row has a nonzero entry in v's column.
-    if any(echelon[i][M.cols] for i in range(len(pivots), M.rows)):
-        return Membership(member=False, preimage=None, functional=_functional(aug, pivots))
+    echelon, pivots, _ = _bareiss_echelon(aug.ints)
+    # v lies outside the span iff its column hosts the last pivot.
+    if pivots and pivots[-1][1] == M.cols:
+        return Membership(member=False, preimage=None, functional=_functional(aug, pivots[:-1]))
     pre = tuple(_solve(echelon, pivots, M.cols))
     # M @ pre == v exactly when (M | v) @ (pre, -1) == 0.
     if not _annihilates(aug.ints, pre + (-1,)):

@@ -112,7 +112,7 @@ def section_space(bundle: BundleSpec) -> SectionSpace:
         if any(den != 1 for block in blocks for den in block.dens):
             raise CertificateError("relation rows must have integer coefficients")
         relations.extend(zip(*(line for block in blocks for line in block.ints)))
-    echelon, pivots, _ = _bareiss_echelon(relations, ambient_dim)
+    echelon, pivots, _ = _bareiss_echelon(relations)
     if len(pivots) != len(relations):
         raise CertificateError("defining relations must be independent")
     pivot_set = {c for _, c in pivots}
@@ -162,7 +162,7 @@ def quotient_by_pair(space: SectionSpace, v1: Section, v2: Section) -> SectionQu
             other, own = v.bundle.label(), space.bundle.label()
             raise ValueError(f"a section of {other} is not one of {own}")
     rows = space.relation_echelon + tuple(space.ambient_vector(v.components) for v in (v1, v2))
-    _, pivots, _ = _bareiss_echelon(rows, space.ambient_dim)
+    _, pivots, _ = _bareiss_echelon(rows)
     if len(pivots) != len(rows):
         raise GpliError("the two sections do not span a two-dimensional subspace")
     pivot_set = {c for _, c in pivots}

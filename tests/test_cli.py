@@ -555,7 +555,8 @@ def test_integers_past_the_int_string_limit_name_it(argv, capsys):
 # Every subcommand's full report, pinned: the JSON minus "timing" (key order
 # included), the text minus its "time:" line, the exit code and stderr.
 # "{tmp}" in an argument or a message stands for a per-test directory that
-# holds the case's files.
+# holds the case's files; a lone surrogate \udc80-\udcff in a file's content
+# stands for the byte 0x80-0xff, which is not UTF-8 on its own.
 GOLDEN_CASES = [
     dict(case)
     for case in json.loads(
@@ -574,7 +575,7 @@ def _ordered(text):
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=[case["id"] for case in GOLDEN_CASES])
 def test_golden_report(case, fmt, tmp_path, capsys):
     for name, content in case["files"]:
-        (tmp_path / name).write_text(content, encoding="utf-8")
+        (tmp_path / name).write_text(content, encoding="utf-8", errors="surrogateescape")
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in case["argv"]]
     code = main(argv + ["--json"] if fmt == "json" else argv)
     captured = capsys.readouterr()

@@ -137,11 +137,33 @@ def peel_pool():
             spots = [(i, j) for i, row in enumerate(m) for j, e in enumerate(row) if e]
             for i, j in rng.sample(spots, min(len(spots), 3)):
                 m[i][j] = rng.choice(WIDE)
-        rng.shuffle(m)
-        order = list(range(len(m[0])))
-        rng.shuffle(order)
-        pool.append(ExactMatrix([[row[j] for j in order] for row in m]))
+        pool.append(shuffled(rng, m))
+    # Transposes of staircases the column peel takes whole: r x (r + s),
+    # upper triangular with a nonzero diagonal and superdiagonal and no zero
+    # column.  Each transpose's only singletons are row singletons, so the
+    # peel leaves it whole to the sweep.
+    for _ in range(40):
+        r, s = rng.randint(1, 6), rng.randint(1, 3)
+        m = [[0] * (r + s) for _ in range(r)]
+        for i in range(r):
+            m[i][i], m[i][i + 1] = rng.choice([-1, 1, 2]), rng.choice([-1, 1, 5])
+            for j in range(i + 2, r + s):
+                m[i][j] = rng.choice([0, 0, 1, -4])
+        for j in range(r + 1, r + s):
+            m[rng.randrange(r)][j] = rng.choice([3, -2])
+        if rng.random() < 0.2:
+            i, j = rng.choice([(i, j) for i, row in enumerate(m) for j, e in enumerate(row) if e])
+            m[i][j] = rng.choice(WIDE)
+        pool.append(shuffled(rng, [list(col) for col in zip(*m)]))
     return pool
+
+
+def shuffled(rng, m):
+    """The matrix with its rows and its columns shuffled."""
+    rng.shuffle(m)
+    order = list(range(len(m[0])))
+    rng.shuffle(order)
+    return ExactMatrix([[row[j] for j in order] for row in m])
 
 
 def test_peeled_rank_matches_bareiss(monkeypatch):
@@ -151,11 +173,16 @@ def test_peeled_rank_matches_bareiss(monkeypatch):
     monkeypatch.setattr(la, "USE_MODP_FAST_PATH", True)
     assert [rank(m) for m in pool] == wants
     # The pool reaches every outcome: peeled whole, a core left, a matrix the
-    # peel leaves alone, a deficient rank, and entries past int64.
+    # peel leaves alone, one it leaves alone despite its row singletons, a
+    # deficient rank, and entries past int64.
     peels = [la._peeled_core(la._integer_array(m.ints)) for m in pool]
     assert any(k and core.size == 0 for k, core in peels)
     assert any(k and core.size for k, core in peels)
     assert any(core.shape == (m.rows, m.cols) for m, (_, core) in zip(pool, peels))
+    assert any(
+        core.shape == (m.rows, m.cols) and min(sum(map(bool, row)) for row in m.ints) == 1
+        for m, (_, core) in zip(pool, peels)
+    )
     assert sum(want < min(m.rows, m.cols) for m, want in zip(pool, wants)) > 50
     assert any(la._integer_array(m.ints).dtype == object for m in pool)
 
@@ -565,7 +592,15 @@ def test_augment_column_matches_rebuilt_matrix():
 
 def test_certificates_verify_with_sympy_dimensions(sympy):
     rng = random.Random("certificates-vs-sympy")
-    for M in seeded_matrices("certificates-vs-sympy", 120):
+    # Past the seeded matrices: an M with no columns, one with no rows, and
+    # a non-member whose last row lags: it skips both pivot steps of M, then
+    # hosts the pivot in v's column.
+    extra = {
+        ExactMatrix.from_columns([], rows=3): [(1, 0, 2), (0, 0, 0)],
+        ExactMatrix.zero(0, 3): [()],
+        frac_matrix([[2, 1], [0, 3], [0, 0]]): [(0, 0, 5), (1, 3, 0)],
+    }
+    for M in seeded_matrices("certificates-vs-sympy", 120) + list(extra):
         S = to_sympy(sympy, M)
         r = S.rank()
         assert rank(M) == r
@@ -582,7 +617,7 @@ def test_certificates_verify_with_sympy_dimensions(sympy):
             assert all(e == 0 for e in left_times(w, M))
         member_v = times(M, [Fraction(rng.randint(-3, 3)) for _ in range(M.cols)])
         random_v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(M.rows))
-        for v in (member_v, random_v):
+        for v in [member_v, random_v] + [tuple(map(Fraction, v)) for v in extra.get(M, [])]:
             res = in_column_space(M, v)
             assert res.member == (S.row_join(sympy.Matrix(v)).rank() == r)
             if res.member:
@@ -592,14 +627,14 @@ def test_certificates_verify_with_sympy_dimensions(sympy):
                 assert sum(wi * vi for wi, vi in zip(res.functional, v)) != 0
 
 
-def classic_bareiss(rows, pivot_cols):
+def classic_bareiss(rows):
     """Reference: Bareiss updating every row below the pivot at every step."""
     work = [list(r) for r in rows]
     n = len(work)
     width = len(work[0]) if work else 0
     pivots = []
     prev, r, sign = 1, 0, 1
-    for col in range(min(pivot_cols, width)):
+    for col in range(width):
         if r == n:
             break
         piv_row = next((i for i in range(r, n) if work[i][col]), None)
@@ -618,9 +653,9 @@ def classic_bareiss(rows, pivot_cols):
     return work, pivots, sign
 
 
-def check_against_classic(m, pivot_cols):
-    echelon, pivots, sign = la._bareiss_echelon(m, pivot_cols)
-    assert (echelon, pivots, sign) == classic_bareiss(m, pivot_cols)
+def check_against_classic(m):
+    echelon, pivots, sign = la._bareiss_echelon(m)
+    assert (echelon, pivots, sign) == classic_bareiss(m)
     return pivots
 
 
@@ -628,7 +663,7 @@ def test_lagging_row_becomes_pivot_row():
     # [0, 0, 3, 1] skips the pivot steps at columns 0 and 1, then hosts the
     # pivot at column 2 and is first brought up to date.
     m = [[2, 1, 1, 0], [0, 0, 3, 1], [4, 5, 0, 2]]
-    assert check_against_classic(m, 4) == [(0, 0), (1, 1), (2, 2)]
+    assert check_against_classic(m) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_skipped_rows_match_classic_bareiss():
@@ -641,8 +676,7 @@ def test_skipped_rows_match_classic_bareiss():
         m[0][0] = rng.choice([-3, -2, 2, 5])
         m[1][0], m[1][1] = 0, rng.choice([-7, 3, 4])
         m[-1][0] = m[-1][1] = 0
-        for pivot_cols in (cols, cols - 1):
-            assert check_against_classic(m, pivot_cols)[:2] == [(0, 0), (1, 1)]
+        assert check_against_classic(m)[:2] == [(0, 0), (1, 1)]
 
 
 def test_special_pair_k3_verdicts(monkeypatch):
@@ -653,9 +687,9 @@ def test_special_pair_k3_verdicts(monkeypatch):
     heights = []
     real = la._bareiss_echelon
 
-    def counted(rows, pivot_cols):
+    def counted(rows):
         heights.append(len(rows))
-        return real(rows, pivot_cols)
+        return real(rows)
 
     monkeypatch.setattr(la, "_bareiss_echelon", counted)
     for k, rows, r, shifted_member in ((3, 55, 54, True), (5, 136, 126, False)):
@@ -690,7 +724,7 @@ def test_bareiss_last_pivot_is_the_determinant():
                 * (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
                 for p in itertools.permutations(range(n))
             )
-            echelon, pivots, sign = la._bareiss_echelon(m, n)
+            echelon, pivots, sign = la._bareiss_echelon(m)
             assert (sign * echelon[-1][-1] if len(pivots) == n else 0) == det
 
 
@@ -733,6 +767,9 @@ CHECKS_UNDER_O = textwrap.dedent(
         "peel_diagonal": corrupt_peel(lambda rows, cols, *rest: (rows, cols[::-1], *rest)),
         "peel_triangle": corrupt_peel(lambda rows, cols, *rest: (rows[::-1], cols[::-1], *rest)),
         "peel_order": corrupt_peel(lambda rows, cols, *rest: (rows[:1], cols, *rest)),
+        # v = M's pivot column, so the functional's equations are dependent
+        # and its right-hand side hosts a pivot
+        "functional_rhs": lambda: la._functional(la.ExactMatrix([[1, 1]]), [(0, 0)]),
     }
     la._solve = corrupt_solve
     raised = []
@@ -754,7 +791,7 @@ def test_certificate_checks_raise_under_python_O():
         env=env, capture_output=True, text=True, timeout=60, check=True,
     ).stdout.split()
     assert out == ["1", "bareiss", "kronecker", "membership", "left_kernel", "preimage", "kernel", "rref", "syzygy",
-                   "peel_diagonal", "peel_triangle", "peel_order"]
+                   "peel_diagonal", "peel_triangle", "peel_order", "functional_rhs"]
 
 
 # ------------------------------------------------- builder and mod-p sweep
