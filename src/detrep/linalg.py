@@ -3,13 +3,11 @@
 Everything here returns exact answers, from one elimination core:
 fraction-free (Bareiss) elimination over the integers (``_bareiss_echelon``),
 in which every column may host a pivot, and back-substitution on its echelon
-form.  ``_solve`` back-substitutes one column: a preimage, a cokernel
-functional solved on the transposed rows, or a free column on the pivot
-columns left of it, which ``kernel_basis`` negates into a re-checked kernel
-vector; ``rref`` (no library caller) reads its rows off those vectors.  A
-vector v lies outside the column span of M exactly when v's column hosts the
-last pivot of (M | v).  Section spaces and their quotients read pivot columns
-off ``_bareiss_echelon`` directly, since those depend only on the row span.
+form.  ``_solve`` back-substitutes one column: a preimage, or a free column
+on the pivot columns left of it, which ``kernel_basis`` negates into a
+re-checked kernel vector; ``rref`` (no library caller) reads its rows off
+those vectors.  Section spaces and their quotients read pivot columns off
+``_bareiss_echelon`` directly, since those depend only on the row span.
 An ``ExactMatrix`` clears its rows of denominators once, at construction, and
 stores them in the integer form the core reads.  Pivoting is deterministic
 (first nonzero entry in column order), so identical inputs give
@@ -24,25 +22,28 @@ reads each generator's integer numerators and writes the stored integer rows
 straight through the shift table of ``polynomials``; no ``Fraction`` is built
 on the way.
 
-``rank`` first peels the matrix on its integer nonzero pattern (``_peel``):
-a column whose one nonzero lies in row i is a multiple of e_i, so it and row
-i add exactly 1 to the rank and leave, and a zero line adds 0.  The peel's
-pivots are re-checked on the integer entries, triangular on a nonzero
-diagonal, and a core with no rows or no columns settles the rank with no
-arithmetic, as for the monomial special pair.  What is left, the core, is
-eliminated modulo the prime 2^31 - 1.  A full-rank outcome there exhibits a
-nonzero minor mod p, and an integer minor that is nonzero mod p is nonzero,
-so that verdict is already exact.  A deficient outcome is a lower bound.  A
-caller that knows vectors the matrix kills (the syzygy columns of a
-multiplication matrix) may hand them to ``rank``; once the integer product
-re-checks that they are killed, cols minus their rank mod p is an upper
-bound, and when the two bounds meet the rank is exact.  Any other deficient
-core is recomputed by integer Bareiss.  The stored rows become one int64
-array in one numpy call, shared by the peel and the sweep, and stay Python
-ints only when some entry needs more than 63 bits (numpy's
-``OverflowError``).  At each pivot the sweep updates only the rows below
-whose pivot-column entry is nonzero; the dense update would leave the others
-unchanged.
+``rank``, membership and the left kernel peel the matrix on its integer
+nonzero pattern (``_peel``): a column whose one nonzero lies in row i is a
+multiple of e_i, so it and row i add exactly 1 to the rank and leave, and a
+zero line adds 0.  Re-checked on the integer entries and gathered in peel
+order, M is [[S, X], [0, core], [0, 0]], with S triangular on a nonzero
+diagonal, hence invertible.  So v is in M's span iff its part below the
+pivots is in the span of those rows, the only ones eliminated, and a
+left-kernel vector is zero on the pivot rows.  A core with no rows or no
+columns settles the rank with no arithmetic, as for the monomial special
+pair; otherwise ``rank`` eliminates the core modulo the prime 2^31 - 1.  A
+full-rank outcome there exhibits a nonzero minor mod p, and an integer minor
+that is nonzero mod p is nonzero, so that verdict is already exact.  A
+deficient outcome is a lower bound.  A caller that knows vectors the matrix
+kills (the syzygy columns of a multiplication matrix) may hand them to
+``rank``; once the integer product re-checks that they are killed, cols
+minus their rank mod p is an upper bound, and when the two bounds meet the
+rank is exact.  Any other deficient core is recomputed by integer Bareiss.
+The stored rows become one int64 array in one numpy call, shared by the peel
+and the sweep, and stay Python ints only when some entry needs more than 63
+bits (numpy's ``OverflowError``).  At each pivot the sweep updates only the
+rows below whose pivot-column entry is nonzero; the dense update would leave
+the others unchanged.
 
 Membership and surjectivity verdicts come with certificates (a preimage or a
 cokernel functional) that are re-verified against the original matrix before
@@ -432,22 +433,23 @@ def _peel(nz: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray, int, int, in
     )
 
 
-def _peeled_core(arr: np.ndarray) -> Tuple[int, np.ndarray]:
-    """The peel's pivot count k and its core, with rank(arr) = k + rank(core).
+def _peeled_core(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int, int, int]:
+    """``_peel``'s row and column orders, pivot count k and core shape (a, b),
+    re-checked; when nothing peels, identity orders with all of arr as core.
 
-    The peel is re-checked on the nonzero pattern of the integer entries,
-    gathered in its order as N = [[S, *], [*, core]], then the zero lines.
-    S has a nonzero diagonal and each pivot column is zero below N[k, k]
-    (its pivot), so pivot by pivot the rank drops by exactly 1; past the
-    pivots, N is zero outside the core.  A failed re-check raises
-    ``CertificateError``.
+    The nonzero pattern of the integer entries, gathered in peel order, is
+    N = [[S, *], [*, core]], then the zero lines.  S has a nonzero diagonal
+    and pivot column j is zero below N[j, j], so pivot by pivot the rank
+    drops by exactly 1; past the pivots, N is zero outside the core
+    ``arr[rows[k:k + a]][:, cols[k:k + b]]``, and rank(arr) = k + rank(core).
+    A failed re-check raises ``CertificateError``.
     """
-    nz = arr != 0
-    peel = _peel(nz)
-    if peel is None:
-        return 0, arr
-    rows, cols, k, a, b = peel
     n, m = arr.shape
+    nz = arr != 0
+    peel = _peel(nz) if nz.size else None
+    if peel is None:
+        return np.arange(n), np.arange(m), 0, n, m
+    rows, cols, k, a, b = peel
     if not (np.array_equal(np.sort(rows), np.arange(n)) and np.array_equal(np.sort(cols), np.arange(m))):
         raise CertificateError("the peel must order every line once")
     pattern = nz[rows][:, cols]
@@ -459,7 +461,7 @@ def _peeled_core(arr: np.ndarray) -> Tuple[int, np.ndarray]:
         and not pattern[k:k + a, k + b:].any()
     ):
         raise CertificateError("peeled pivots must be triangular on a nonzero diagonal")
-    return k, arr[rows[k:k + a]][:, cols[k:k + b]]
+    return peel
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +488,10 @@ def rank(M: ExactMatrix, kernel: Optional[Callable[[], Sequence[Sequence[int]]]]
     rank(M) <= cols - rank(K) <= cols - rank_p(K), so when that meets the
     lower bound the rank is exact; otherwise Bareiss decides on the core.
     """
-    if M.rows == 0 or M.cols == 0:
-        return 0
     if USE_MODP_FAST_PATH:
-        peeled, core = _peeled_core(_integer_array(M.ints))
+        arr = _integer_array(M.ints).reshape(M.rows, M.cols)
+        rows, cols, peeled, a, b = _peeled_core(arr)
+        core = arr if (a, b) == arr.shape else arr[rows[peeled:peeled + a]][:, cols[peeled:peeled + b]]
         if core.size == 0:
             return peeled
         lower = peeled + _modp_rank(core)
@@ -535,51 +537,51 @@ def kernel_basis(M: ExactMatrix) -> List[Vector]:
     return list(_kernel(M.ints, M.cols))
 
 
-def _functional(aug: ExactMatrix, pivots: List[Tuple[int, int]]) -> Vector:
-    """The w with w @ aug == e_last, for aug = (M | v), v outside M's span.
-
-    t @ aug.ints == e_last is solved on M's ``pivots`` columns and v's alone
-    (rank(M) + 1 equations); t then kills M's other columns too, and the
-    re-check, against every column, also catches a wrong solution.  The
-    rank(M) + 1 equations are independent, so the right-hand side's column
-    hosts no pivot; a pivot there raises ``CertificateError``.  Row i of
-    aug.ints is dens_i times row i of aug, so w_i = t_i * dens_i.
-    """
-    last = aug.cols - 1
-    # Equation j: column j of aug.ints, right-hand side 1 at v's column, else 0.
-    system = [(*col, int(j == last)) for j, col in enumerate(zip(*aug.ints))]
-    chosen = [system[c] for _, c in pivots] + [system[last]]
-    echelon, chosen_pivots, _ = _bareiss_echelon(chosen)
-    if chosen_pivots[-1][1] == aug.rows:
-        raise CertificateError("the functional's equations must be independent")
-    t = tuple(_solve(echelon, chosen_pivots, aug.rows))
-    if not _annihilates(system, t + (-1,)):
-        raise CertificateError("functional must kill M and pair to 1 with v")
-    return tuple(ti * di for ti, di in zip(t, aug.dens))
-
-
 def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
     """Decide v in col-span(M) with a re-verified certificate either way.
 
-    One elimination of (M | v) decides and gives a member's preimage; a
-    non-member's functional (w @ v == 1) costs one of rank(M) + 1 rows.
+    v is a member exactly when its column hosts no pivot of the rows of
+    (M | v) below the peel's pivots, the only rows eliminated.  A member's
+    preimage is back-substituted through their echelon and then the pivot
+    rows; a non-member's functional is the first left-kernel vector w with
+    w @ v != 0, solved on M's pivot columns of that echelon.
     """
     aug = M.augment_column(v)
-    echelon, pivots, _ = _bareiss_echelon(aug.ints)
-    # v lies outside the span iff its column hosts the last pivot.
+    arr = _integer_array(aug.ints).reshape(aug.rows, aug.cols)
+    rows, cols, k, _, _ = _peeled_core(arr[:, :-1])
+    order = np.append(cols, M.cols)
+    below, pivots, _ = _bareiss_echelon(arr[rows[k:]][:, order].tolist())
     if pivots and pivots[-1][1] == M.cols:
-        return Membership(member=False, preimage=None, functional=_functional(aug, pivots[:-1]))
-    pre = tuple(_solve(echelon, pivots, M.cols))
+        for w in _left_kernel(M, cols[[c for _, c in pivots[:-1]]]):
+            if sum(wi * _rat(vi) for wi, vi in zip(w, v) if wi):
+                return Membership(member=False, preimage=None, functional=w)
+        raise CertificateError("a non-member must have a separating functional")
+    echelon = arr[rows[:k]][:, order].tolist() + below
+    x = _solve(echelon, [(j, j) for j in range(k)] + [(k + r, c) for r, c in pivots], M.cols)
+    pre = tuple(x[j] for j in np.argsort(cols).tolist())
     # M @ pre == v exactly when (M | v) @ (pre, -1) == 0.
     if not _annihilates(aug.ints, pre + (-1,)):
         raise CertificateError("preimage must verify")
     return Membership(member=True, preimage=pre, functional=None)
 
 
-def _left_kernel(M: ExactMatrix) -> Iterator[Vector]:
-    """The kernel of the integer transpose, t_i scaled to w_i = t_i * dens_i."""
-    for t in _kernel(list(zip(*M.ints)), M.rows):
-        yield tuple(ti * di for ti, di in zip(t, M.dens))
+def _left_kernel(M: ExactMatrix, span: Optional[np.ndarray] = None) -> Iterator[Vector]:
+    """Left kernel basis of M, each vector re-checked against every column.
+
+    Since S is invertible, a left-kernel vector w is zero on the pivot rows:
+    t = w / dens is a kernel vector of the transpose of the rows below them
+    on the core's columns, or on the columns ``span`` that span those.
+    """
+    arr = _integer_array(M.ints).reshape(M.rows, M.cols)
+    rows, cols, k, _, b = _peeled_core(arr)
+    below = arr[rows[k:]][:, cols[k:k + b] if span is None else span]
+    columns = arr.T.tolist()
+    for s in _kernel(below.T.tolist(), M.rows - k):
+        t = np.full(M.rows, _ZERO, dtype=object)
+        t[rows[k:]] = s
+        if not _annihilates(columns, t):
+            raise CertificateError("left kernel vector must verify")
+        yield tuple(ti * di if ti else ti for ti, di in zip(t, M.dens))
 
 
 def left_kernel_basis(M: ExactMatrix) -> List[Vector]:
@@ -613,9 +615,7 @@ def report(M: ExactMatrix) -> LinearMapReport:
     """
     r = rank(M)
     surjective = r == M.rows
-    witness: Optional[Vector] = None
-    if not surjective:
-        witness = next(_left_kernel(M))
+    witness = None if surjective else next(_left_kernel(M))
     return LinearMapReport(
         domain_dim=M.cols,
         target_dim=M.rows,

@@ -515,7 +515,9 @@ def common_factor_pair(n):
 
 def peeled_core(matrix):
     """The core ``rank`` leaves to the sweep once the peel is done."""
-    return detrep.linalg._peeled_core(detrep.linalg._integer_array(matrix.ints))[1]
+    arr = detrep.linalg._integer_array(matrix.ints)
+    rows, cols, k, a, b = detrep.linalg._peeled_core(arr)
+    return arr[rows[k:k + a]][:, cols[k:k + b]]
 
 
 @pytest.mark.parametrize(

@@ -166,6 +166,14 @@ def shuffled(rng, m):
     return ExactMatrix([[row[j] for j in order] for row in m])
 
 
+def peeled(m):
+    """The peel's pivot count and the core ``rank`` sweeps, sliced from the
+    peel's re-checked orders."""
+    arr = la._integer_array(m.ints)
+    rows, cols, k, a, b = la._peeled_core(arr)
+    return k, arr[rows[k:k + a]][:, cols[k:k + b]]
+
+
 def test_peeled_rank_matches_bareiss(monkeypatch):
     pool = peel_pool()
     monkeypatch.setattr(la, "USE_MODP_FAST_PATH", False)
@@ -175,7 +183,7 @@ def test_peeled_rank_matches_bareiss(monkeypatch):
     # The pool reaches every outcome: peeled whole, a core left, a matrix the
     # peel leaves alone, one it leaves alone despite its row singletons, a
     # deficient rank, and entries past int64.
-    peels = [la._peeled_core(la._integer_array(m.ints)) for m in pool]
+    peels = [peeled(m) for m in pool]
     assert any(k and core.size == 0 for k, core in peels)
     assert any(k and core.size for k, core in peels)
     assert any(core.shape == (m.rows, m.cols) for m, (_, core) in zip(pool, peels))
@@ -278,7 +286,7 @@ def test_a_partial_kernel_falls_back_and_agrees(monkeypatch):
         want = bareiss_rank(m, monkeypatch)
         kern = integer_kernel(m)
         # Bareiss runs exactly when the peeled core stays deficient mod p.
-        _, core = la._peeled_core(la._integer_array(m.ints))
+        _, core = peeled(m)
         deficient = core.size > 0 and la._modp_rank(core) < min(core.shape)
         fell_back += deficient
         for given in (kern[:-1], [], [(0,) * m.cols]):
@@ -590,6 +598,18 @@ def test_augment_column_matches_rebuilt_matrix():
             assert augmented.cols == M.cols + 1
 
 
+def rationals(sympy, rows, cols, values):
+    """The sympy matrix of these Fractions, row by row."""
+    return sympy.Matrix(rows, cols, [sympy.Rational(e.numerator, e.denominator) for e in values])
+
+
+def with_rational_rows(rng, m):
+    """m with each row divided by a small denominator; the nonzero pattern,
+    and so the peel, is m's."""
+    dens = rng.choices([1, 2, 6, 35], k=m.rows)
+    return ExactMatrix([[e / d for e in row] for row, d in zip(m.entries, dens)])
+
+
 def test_certificates_verify_with_sympy_dimensions(sympy):
     rng = random.Random("certificates-vs-sympy")
     # Past the seeded matrices: an M with no columns, one with no rows, and
@@ -600,7 +620,18 @@ def test_certificates_verify_with_sympy_dimensions(sympy):
         ExactMatrix.zero(0, 3): [()],
         frac_matrix([[2, 1], [0, 3], [0, 0]]): [(0, 0, 5), (1, 3, 0)],
     }
-    for M in seeded_matrices("certificates-vs-sympy", 120) + list(extra):
+    # Then the peel pool, every third matrix with rational rows, each with
+    # a rational random v, so that denominators merge in (M | v).
+    pool = [with_rational_rows(rng, m) if i % 3 == 0 else m for i, m in enumerate(peel_pool())]
+    peels = [peeled(m) for m in pool]
+    assert any(k and core.size == 0 for k, core in peels)
+    assert any(k and core.size for k, core in peels)
+    assert any(core.shape == (m.rows, m.cols) for m, (_, core) in zip(pool, peels))
+    assert any(la._integer_array(m.ints).dtype == object for m in pool)
+    assert any(d > 1 for m in pool for d in m.dens)
+    matrices = seeded_matrices("certificates-vs-sympy", 120) + list(extra)
+    pool_verdicts = set()
+    for i, M in enumerate(matrices + pool):
         S = to_sympy(sympy, M)
         r = S.rank()
         assert rank(M) == r
@@ -612,19 +643,31 @@ def test_certificates_verify_with_sympy_dimensions(sympy):
             assert all(e == 0 for e in times(M, x))
         left = left_kernel_basis(M)
         assert len(left) == M.rows - r
+        # The left kernel vectors are independent and kill S.
+        W = rationals(sympy, len(left), M.rows, [e for w in left for e in w])
+        assert W.rank() == len(left) and (W * S).is_zero_matrix
         for w in left:
             assert any(e != 0 for e in w)
             assert all(e == 0 for e in left_times(w, M))
         member_v = times(M, [Fraction(rng.randint(-3, 3)) for _ in range(M.cols)])
-        random_v = tuple(Fraction(rng.randint(-3, 3)) for _ in range(M.rows))
+        dens = [1] if i < len(matrices) else [1, 1, 2, 5]
+        random_v = tuple(Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(M.rows))
         for v in [member_v, random_v] + [tuple(map(Fraction, v)) for v in extra.get(M, [])]:
             res = in_column_space(M, v)
-            assert res.member == (S.row_join(sympy.Matrix(v)).rank() == r)
+            if i >= len(matrices):
+                pool_verdicts.add((peels[i - len(matrices)][0] > 0, res.member))
+            V = rationals(sympy, M.rows, 1, v)
+            assert res.member == (S.row_join(V).rank() == r)
             if res.member:
                 assert times(M, res.preimage) == v
+                assert S * rationals(sympy, M.cols, 1, res.preimage) == V
             else:
+                w = rationals(sympy, 1, M.rows, res.functional)
+                assert (w * S).is_zero_matrix and (w * V)[0] != 0
                 assert all(e == 0 for e in left_times(res.functional, M))
                 assert sum(wi * vi for wi, vi in zip(res.functional, v)) != 0
+    # Members and non-members, with and without peeled pivots.
+    assert pool_verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def classic_bareiss(rows):
@@ -682,8 +725,10 @@ def test_skipped_rows_match_classic_bareiss():
 def test_special_pair_k3_verdicts(monkeypatch):
     # The monomial special pair at k = 3 (n = 3) and k = 5 (n = 6), mapped
     # into degree 3k.  x^k y^k z^k is never in the image; x^(k+1) y^k z^(k-1)
-    # is at k = 3 only.  A member costs one elimination, of (M | v); a
-    # non-member's functional costs a second one, of at most rank(M) + 1 rows.
+    # is at k = 3 only.  The matrix peels whole, so a member costs one
+    # elimination, of the rows - rank rows of (M | v) below the peel's pivots;
+    # a non-member's functional costs a second one, of the transpose of those
+    # rows on the empty core, which has no rows.
     heights = []
     real = la._bareiss_echelon
 
@@ -705,10 +750,10 @@ def test_special_pair_k3_verdicts(monkeypatch):
             res = in_column_space(matrix, v)
             assert res.member == member
             if member:
-                assert heights == [rows]
+                assert heights == [rows - r]
                 assert times(matrix, res.preimage) == v
             else:
-                assert len(heights) == 2 and heights[0] == rows and heights[1] <= r + 1
+                assert heights == [rows - r, 0]
                 assert all(e == 0 for e in left_times(res.functional, matrix))
                 assert sum(wi * vi for wi, vi in zip(res.functional, v)) != 0
 
@@ -743,41 +788,74 @@ CHECKS_UNDER_O = textwrap.dedent(
 
     real_peel = la._peel
 
-    def corrupt_peel(corrupt):
-        # rank of [[1, 1], [0, 1]] with the peel's order corrupted: it peels
-        # column 0, then column 1, each a column singleton
+    def corrupt_peel(corrupt, verdict=lambda m: la.rank(m)):
+        # a verdict on [[1, 1], [0, 1]] with the peel's order corrupted: it
+        # peels column 0, then column 1, each a column singleton
         def check():
             la._peel = lambda nz: corrupt(*real_peel(nz))
             try:
-                la.rank(la.ExactMatrix([[1, 1], [0, 1]]))
+                verdict(la.ExactMatrix([[1, 1], [0, 1]]))
             finally:
                 la._peel = real_peel
         return check
 
+    def with_kernel(vectors, verdict):
+        # a verdict with ``_kernel`` yielding these vectors
+        def check():
+            real_kernel = la._kernel
+            la._kernel = lambda rows, cols: iter(vectors)
+            try:
+                verdict()
+            finally:
+                la._kernel = real_kernel
+        return check
+
+    def raises(check):
+        try:
+            check()
+        except la.CertificateError:
+            return True
+        return False
+
+    def each(*checks):
+        def check():
+            if all(map(raises, checks)):
+                raise la.CertificateError("every check raised")
+        return check
+
+    def membership(m):
+        return la.in_column_space(m, [0, 1])
+
+    # a pivot moved onto the zero entry, the triangle turned over, and an
+    # order that misses a row
+    corruptions = [
+        lambda rows, cols, *rest: (rows, cols[::-1], *rest),
+        lambda rows, cols, *rest: (rows[::-1], cols[::-1], *rest),
+        lambda rows, cols, *rest: (rows[:1], cols, *rest),
+    ]
     checks = {
         "bareiss": lambda: la._combine([1], [0], 1, 0, 2, 0),
         "kronecker": lambda: _unpack(1 << 12, 4, 1, 1),
-        "membership": lambda: la.in_column_space(la.ExactMatrix([[1, 0], [0, 0]]), [0, 1]),
-        "left_kernel": lambda: la.left_kernel_basis(la.ExactMatrix([[1, 0], [0, 0]])),
+        # [[1, 1], [1, 1]] peels nothing, so its left kernel is solved for
+        "membership": lambda: la.in_column_space(la.ExactMatrix([[1, 1], [1, 1]]), [0, 1]),
+        "left_kernel": lambda: la.left_kernel_basis(la.ExactMatrix([[1, 1], [1, 1]])),
         "preimage": lambda: la.in_column_space(la.ExactMatrix([[1, 0], [0, 0]]), [1, 0]),
         "kernel": lambda: la.kernel_basis(la.ExactMatrix([[1, 1]])),
         "rref": lambda: la.rref(la.ExactMatrix([[1, 1]])),
         "syzygy": lambda: la.rank(la.ExactMatrix([[1, 1], [1, 1]]), kernel=lambda: [(1, 0)]),
-        # a pivot moved onto the zero entry, and the triangle turned over
-        "peel_diagonal": corrupt_peel(lambda rows, cols, *rest: (rows, cols[::-1], *rest)),
-        "peel_triangle": corrupt_peel(lambda rows, cols, *rest: (rows[::-1], cols[::-1], *rest)),
-        "peel_order": corrupt_peel(lambda rows, cols, *rest: (rows[:1], cols, *rest)),
-        # v = M's pivot column, so the functional's equations are dependent
-        # and its right-hand side hosts a pivot
-        "functional_rhs": lambda: la._functional(la.ExactMatrix([[1, 1]]), [(0, 0)]),
+        "peel_diagonal": corrupt_peel(corruptions[0]),
+        "peel_triangle": corrupt_peel(corruptions[1]),
+        "peel_order": corrupt_peel(corruptions[2]),
+        "peel_membership": each(*(corrupt_peel(c, membership) for c in corruptions)),
+        # a non-member whose left kernel comes out empty
+        "no_separating": with_kernel([], lambda: membership(la.ExactMatrix([[1, 1], [1, 1]]))),
+        # a left-kernel vector that kills no column of M
+        "left_kernel_columns": with_kernel(
+            [(1, 1)], lambda: la.left_kernel_basis(la.ExactMatrix([[1, 1], [1, 2]]))
+        ),
     }
     la._solve = corrupt_solve
-    raised = []
-    for name, check in checks.items():
-        try:
-            check()
-        except la.CertificateError:
-            raised.append(name)
+    raised = [name for name, check in checks.items() if raises(check)]
     print(sys.flags.optimize, *raised)
     """
 )
@@ -791,7 +869,8 @@ def test_certificate_checks_raise_under_python_O():
         env=env, capture_output=True, text=True, timeout=60, check=True,
     ).stdout.split()
     assert out == ["1", "bareiss", "kronecker", "membership", "left_kernel", "preimage", "kernel", "rref", "syzygy",
-                   "peel_diagonal", "peel_triangle", "peel_order", "functional_rhs"]
+                   "peel_diagonal", "peel_triangle", "peel_order", "peel_membership", "no_separating",
+                   "left_kernel_columns"]
 
 
 # ------------------------------------------------- builder and mod-p sweep
