@@ -58,10 +58,10 @@ INTERNAL_ERROR = 3
 # n = 16.
 MAX_N = 11
 
-# The largest m*a and m*b that p1p1 accepts; dpsi_matrix is dense, with
-# (2ma+1)(2mb+1) x 4(ma+1)(mb+1) cells.  `detrep p1p1` at ma = mb = 16, 20 and
-# 24 on a 2-core machine took 0.1, 0.3 and 0.5 s with a maximum RSS of 58, 97
-# and 167 MB.
+# The largest m*a and m*b that p1p1 accepts; dpsi_matrix is a dense int64
+# array of (2ma+1)(2mb+1) x 4(ma+1)(mb+1) cells.  `detrep p1p1` at ma = mb =
+# 16 and 20 on a 2-core machine took 0.01 and 0.03 s with a maximum RSS of 43
+# and 60 MB; its report at 24, called directly, 0.05 s and 90 MB.
 MAX_P1P1_DEGREE = 20
 
 # The largest generator degree D that containment accepts; its ladder climbs to
@@ -105,11 +105,11 @@ MAX_AUDIT_TWIST = 10**6
 # The most bytes a containment --gens-file may hold; a larger file is refused
 # after reading one byte past the bound.  Parsing sums the coefficients of a
 # repeated monomial, and distinct denominators make that sum's denominator
-# grow with every term: `detrep containment` on one generator repeating x^2
-# over distinct 16-digit denominators took 0.32, 1.2 and 52 s at 64 KiB,
-# 128 KiB and 1 MiB on a 2-core machine (single runs), of which parsing took
-# 0.05, 0.13 and 4.2 s; most of the rest is `linalg.multiplication_matrix`
-# taking each row's gcd with that denominator.  Repeating a plain x^2 took
+# grow with every term: for one generator repeating x^2 over distinct
+# 16-digit denominators, parsing took 0.07, 0.15, 0.3 and 3.7 s at 64, 128,
+# 256 KiB and 1 MiB on a 2-core machine, and `containment_degree` 0.08, 0.2,
+# 0.8 and 12 s (single runs), most of it three gcds of the sum's numerator
+# and denominator, which grow with the file.  Repeating a plain x^2 took
 # 0.05 s at 64 KiB and 1.2 s at 1 MiB; maximum RSS stayed under 70 MB.  Ten
 # dense degree-8 forms with 100-digit coefficients fit in the bound.
 MAX_GENS_FILE_BYTES = 64 * 1024

@@ -165,7 +165,7 @@ def syzygy_columns(
         row
         for i, gen in enumerate(generators)
         if not gen.is_zero()
-        for row in multiplication_matrix([syz[i] for syz in scaled], k - gen.degree).ints
+        for row in multiplication_matrix([syz[i] for syz in scaled], k - gen.degree).ints.tolist()
     ]
     return list(zip(*rows))
 

@@ -8,19 +8,21 @@ on the pivot columns left of it, which ``kernel_basis`` negates into a
 re-checked kernel vector; ``rref`` (no library caller) reads its rows off
 those vectors.  Section spaces and their quotients read pivot columns off
 ``_bareiss_echelon`` directly, since those depend only on the row span.
-An ``ExactMatrix`` clears its rows of denominators once, at construction, and
-stores them in the integer form the core reads.  Pivoting is deterministic
-(first nonzero entry in column order), so identical inputs give
-bit-identical outputs.  The elimination leaves a row alone while its entry
-in the pivot column is zero and divides its next update by the pivot that
-divided its last one (a lazy divisor, exact by telescoping), so the sparse
-relation and multiplication matrices cost only the updates they need.
+An ``ExactMatrix`` clears its rows of denominators once, where it is built,
+and stores them as one integer array that every verdict reads as it is:
+int64, or Python ints when some entry needs more than 63 bits.  Since int64
+wraps silently, a value leaves the array for Python arithmetic only through
+``tolist``.  Pivoting is deterministic (first nonzero entry in column
+order), so identical inputs give bit-identical outputs.  The elimination
+leaves a row alone while its entry in the pivot column is zero and divides
+its next update by the pivot that divided its last one (a lazy divisor,
+exact by telescoping), so the sparse relation and multiplication matrices
+cost only the updates they need.
 
-Multiplication matrices, whose columns are the products m*g of generators g
-with monomials m, come from one builder, ``multiplication_matrix``.  It
-reads each generator's integer numerators and writes the stored integer rows
-straight through the shift table of ``polynomials``; no ``Fraction`` is built
-on the way.
+Multiplication matrices (columns m*g for generators g and monomials m) come
+from one builder, ``multiplication_matrix``, which writes every generator's
+integer numerators into the array through the shift table of
+``polynomials`` in one assignment, with no ``Fraction``.
 
 ``rank``, membership and the left kernel peel the matrix on its integer
 nonzero pattern (``_peel``): a column whose one nonzero lies in row i is a
@@ -39,18 +41,14 @@ kills (the syzygy columns of a multiplication matrix) may hand them to
 ``rank``; once the integer product re-checks that they are killed, cols
 minus their rank mod p is an upper bound, and when the two bounds meet the
 rank is exact.  Any other deficient core is recomputed by integer Bareiss.
-The stored rows become one int64 array in one numpy call, shared by the peel
-and the sweep, and stay Python ints only when some entry needs more than 63
-bits (numpy's ``OverflowError``).  At each pivot the sweep updates only the
-rows below whose pivot-column entry is nonzero; the dense update would leave
-the others unchanged.
 
 Membership and surjectivity verdicts come with certificates (a preimage or a
 cokernel functional) that are re-verified against the original matrix before
 being returned, and so are kernel vectors and the vectors behind a syzygy
-bound.  Every re-check of a vector is one integer product with the stored
-cleared rows (``_annihilates``).  A failed re-check, of a vector or of the
-peel, raises ``CertificateError``, which ``python -O`` does not strip.
+bound.  Every re-check of a vector is one product in Python ints with the
+stored array's columns in the vector's support (``_annihilates``).  A failed
+re-check, of a vector or of the peel, raises ``CertificateError``, which
+``python -O`` does not strip.
 """
 
 from __future__ import annotations
@@ -58,7 +56,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from itertools import accumulate, chain
+from operator import attrgetter, mul
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,40 +83,43 @@ class CertificateError(Exception):
 class ExactMatrix:
     """Immutable dense rational matrix, stored as the elimination core reads it.
 
-    Row i is ``ints[i] / dens[i]``: integer entries over one positive
-    denominator, the lcm of the row's entry denominators.  Rows are cleared
-    once, at construction; the form is canonical, so equal matrices have
-    equal stored rows.  ``entries`` is the read-only Fraction view.
+    Row i is ``ints[i] / dens[i]``: ``ints`` is one read-only integer array of
+    the matrix's shape (int64 unless some entry needs more than 63 bits), and
+    ``dens[i]`` the lcm of row i's entry denominators.  The form is canonical,
+    so equal matrices have equal stored rows.  ``entries`` is the read-only
+    Fraction view.
     """
 
-    __slots__ = ("_rows", "_cols", "_ints", "_dens")
+    __slots__ = ("_ints", "_dens")
 
     def __init__(self, entries: Sequence[Sequence]):
         cleared = [_clear(row) for row in entries]
         cols = len(cleared[0][0]) if cleared else 0
-        self._store(cols, [row for row, _ in cleared], [den for _, den in cleared])
-
-    def _store(self, cols: int, ints: Sequence[Tuple[int, ...]], dens: Sequence[int]) -> None:
-        if any(len(row) != cols for row in ints):
+        if any(len(row) != cols for row, _ in cleared):
             raise ValueError("ragged rows")
-        self._rows, self._cols, self._ints, self._dens = len(ints), cols, tuple(ints), tuple(dens)
+        ints = _integer_array([row for row, _ in cleared]).reshape(len(cleared), cols)
+        self._store(ints, [den for _, den in cleared])
 
-    rows = property(attrgetter("_rows"))
-    cols = property(attrgetter("_cols"))
+    def _store(self, ints: np.ndarray, dens: Sequence[int]) -> None:
+        ints = _integer_array(ints)
+        ints.flags.writeable = False
+        self._ints, self._dens = ints, tuple(dens)
+
+    rows = property(lambda self: self._ints.shape[0])
+    cols = property(lambda self: self._ints.shape[1])
     ints = property(attrgetter("_ints"), doc="Row i's integer entries, the row times ``dens[i]``.")
     dens = property(attrgetter("_dens"), doc="Row i's positive denominator.")
 
     @staticmethod
-    def _of(cols: int, ints: Sequence[Tuple[int, ...]], dens: Sequence[int]) -> ExactMatrix:
-        """A matrix from rows already in stored form; ``cols`` is kept even
-        when there are no rows."""
+    def _of(ints: np.ndarray, dens: Sequence[int]) -> ExactMatrix:
+        """A matrix from a cleared integer array and its row denominators."""
         out = ExactMatrix.__new__(ExactMatrix)
-        out._store(cols, ints, dens)
+        out._store(ints, dens)
         return out
 
     @property
     def entries(self) -> Tuple[Vector, ...]:
-        return tuple(tuple(Fraction(e, den) for e in row) for row, den in zip(self._ints, self._dens))
+        return tuple(tuple(Fraction(e, d) for e in row) for row, d in zip(self._ints.tolist(), self._dens))
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence], rows: int | None = None) -> ExactMatrix:
@@ -136,33 +138,32 @@ class ExactMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> ExactMatrix:
-        return ExactMatrix._of(cols, [(0,) * cols] * rows, [1] * rows)
+        return ExactMatrix._of(np.zeros((rows, cols), dtype=np.int64), [1] * rows)
 
     def augment_column(self, v: Sequence) -> ExactMatrix:
         """The matrix (self | v); each row's denominator merges with v_i's."""
-        if len(v) != self._rows:
+        if len(v) != self.rows:
             raise ValueError("column length does not match row count")
-        ints, dens = [], []
-        for row, den, e in zip(self._ints, self._dens, v):
-            num, d = (e, 1) if type(e) is int else _rat(e).as_integer_ratio()
-            merged = math.lcm(den, d)
-            scale = merged // den
-            if scale != 1:
-                row = tuple(x * scale for x in row)
-            ints.append(row + (num * (merged // d),))
-            dens.append(merged)
-        return ExactMatrix._of(self._cols + 1, ints, dens)
+        ratios = [(e, 1) if type(e) is int else _rat(e).as_integer_ratio() for e in v]
+        dens = [math.lcm(den, d) for den, (_, d) in zip(self._dens, ratios)]
+        scales = [merged // den for merged, den in zip(dens, self._dens)]
+        ints = self._ints
+        if set(scales) - {1}:
+            # int64 wraps silently, so rows are rescaled in Python ints.
+            ints = ints.astype(object) * np.array(scales, dtype=object)[:, None]
+        column = _integer_array([num * (merged // d) for (num, d), merged in zip(ratios, dens)])
+        return ExactMatrix._of(np.column_stack([ints, column]), dens)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self._cols, self._ints, self._dens) == (other._cols, other._ints, other._dens)
+        return self._dens == other._dens and np.array_equal(self._ints, other._ints)
 
     def __hash__(self):
-        return hash((self._cols, self._ints, self._dens))
+        return hash((self._ints.shape, self._dens))
 
     def __repr__(self) -> str:
-        return f"ExactMatrix({self._rows}x{self._cols})"
+        return f"ExactMatrix({self.rows}x{self.cols})"
 
 
 def multiplication_matrix(
@@ -178,42 +179,42 @@ def multiplication_matrix(
     A zero generator gives zero columns, and a generator of degree above
     ``degree`` gives none.
 
-    The integer rows are written straight through the shift table
-    ``polynomials._shift`` from each generator's numerators, scaled to the
-    lcm L of every generator's denominator; when L > 1 each row is divided
-    by its gcd with L, which leaves the canonical stored form, so the result
-    equals ``ExactMatrix.from_columns`` of the Fraction columns.
+    All numerators, scaled to the lcm L of the denominators, are written in
+    one assignment: term t of the block at column s fills row
+    ``_shift(t, degree)[j]`` of column s + j.  Dividing each nonzero row by
+    its gcd with L leaves the canonical form, so the result equals
+    ``ExactMatrix.from_columns`` of the Fraction columns.
     """
     gens = list(generators)
-    keep = [None] * len(gens) if keep is None else list(keep)
-    if len(keep) != len(gens):
+    if keep is not None and len(keep) != len(gens):
         raise ValueError("keep needs one list per generator")
     sub = _ring(degree).sub
     rows = len(_mono_index(degree)[0])
-    widths = [
-        len(_mono_index(sub(degree, gen.degree))[0]) if kept is None else len(kept)
-        for gen, kept in zip(gens, keep)
-    ]
+    blocks = [len(_mono_index(sub(degree, gen.degree))[0]) for gen in gens]
+    starts = list(accumulate(blocks, initial=0))
     scale = math.lcm(*(gen.den for gen in gens))
-    cols = sum(widths)
-    ints = [[0] * cols for _ in range(rows)]
-    start = 0
-    for gen, kept, width in zip(gens, keep, widths):
-        factor = scale // gen.den
-        for t, num in gen.nums.items():
-            pos = _shift(t, degree)
-            value = num * factor
-            for col, p in enumerate(pos if kept is None else [pos[m] for m in kept], start):
-                ints[p][col] = value
-        start += width
-    if scale == 1:
-        return ExactMatrix._of(cols, [tuple(row) for row in ints], [1] * rows)
-    gcds = [math.gcd(scale, *row) for row in ints]
-    return ExactMatrix._of(
-        cols,
-        [tuple(e // g for e in row) for row, g in zip(ints, gcds)],
-        [scale // g for g in gcds],
-    )
+    values = [num * f for gen in gens for f in [scale // gen.den] for num in gen.nums.values()]
+    wide = values and max(map(abs, values)).bit_length() > 63
+    arr = np.zeros((rows, starts[-1]), dtype=object if wide else np.int64)
+    shifts = (_shift(t, degree) for gen, b in zip(gens, blocks) if b for t in gen.nums)
+    at = np.fromiter(chain.from_iterable(shifts), np.intp)
+    spans = np.array([blocks, starts[:-1]], dtype=np.intp)
+    widths, firsts = spans.repeat([len(gen.nums) for gen in gens], axis=1)
+    # Entry j of a term whose block starts at column s goes to column s + j.
+    cols = np.arange(at.size) - (widths.cumsum() - widths - firsts).repeat(widths)
+    arr[at, cols] = np.array(values, dtype=arr.dtype).repeat(widths)
+    if keep is not None:
+        arr = arr[:, [s + m for s, kept in zip(starts, keep) for m in kept]]
+    dens = [1] * rows
+    if scale > 1:
+        live = np.flatnonzero(arr.any(1))
+        gcds = np.gcd.reduce(arr[live], axis=1).tolist()
+        # L may exceed int64, so each distinct row gcd meets it in Python once.
+        divisor = {g: math.gcd(g, scale) for g in set(gcds)}
+        arr[live] //= np.array([divisor[g] for g in gcds], dtype=arr.dtype)[:, None]
+        for i, g in zip(live.tolist(), gcds):
+            dens[i] = scale // divisor[g]
+    return ExactMatrix._of(arr, dens)
 
 
 @dataclass(frozen=True)
@@ -339,10 +340,11 @@ def _solve(echelon: List[List[int]], pivots: List[Tuple[int, int]], col: int) ->
     return x
 
 
-def _annihilates(rows: Sequence[Sequence[int]], x: Sequence[Fraction]) -> bool:
-    """Whether rows @ x == 0, decided in integers on x's cleared form."""
-    support = [(j, e) for j, e in enumerate(_clear(x)[0]) if e]
-    return not any(sum(row[j] * e for j, e in support) for row in rows)
+def _annihilates(rows: np.ndarray, x: Sequence[Fraction]) -> bool:
+    """Whether rows @ x == 0, decided in Python ints on x's cleared form;
+    only the columns in x's support leave the array."""
+    support = {j: e for j, e in enumerate(_clear(x)[0]) if e}
+    return not any(sum(map(mul, row, support.values())) for row in rows[:, list(support)].tolist())
 
 
 def _integer_array(rows: Sequence[Sequence[int]]) -> np.ndarray:
@@ -489,7 +491,7 @@ def rank(M: ExactMatrix, kernel: Optional[Callable[[], Sequence[Sequence[int]]]]
     lower bound the rank is exact; otherwise Bareiss decides on the core.
     """
     if USE_MODP_FAST_PATH:
-        arr = _integer_array(M.ints).reshape(M.rows, M.cols)
+        arr = M.ints
         rows, cols, peeled, a, b = _peeled_core(arr)
         core = arr if (a, b) == arr.shape else arr[rows[peeled:peeled + a]][:, cols[peeled:peeled + b]]
         if core.size == 0:
@@ -505,12 +507,12 @@ def rank(M: ExactMatrix, kernel: Optional[Callable[[], Sequence[Sequence[int]]]]
                 return lower
         _, pivots, _ = _bareiss_echelon(core.tolist())
         return peeled + len(pivots)
-    _, pivots, _ = _bareiss_echelon(M.ints)
+    _, pivots, _ = _bareiss_echelon(M.ints.tolist())
     return len(pivots)
 
 
-def _kernel(rows: Sequence[Sequence[int]], cols: int) -> Iterator[Vector]:
-    """Right kernel basis of integer rows with ``cols`` columns, each vector
+def _kernel(arr: np.ndarray, cols: int) -> Iterator[Vector]:
+    """Right kernel basis of an integer array of ``cols`` columns, each vector
     re-checked as it is yielded: a caller pays only for the vectors it takes.
 
     Free column f gives x_f = 1, 0 on the other free columns, and -y on the
@@ -518,7 +520,7 @@ def _kernel(rows: Sequence[Sequence[int]], cols: int) -> Iterator[Vector]:
     free column f hosts no pivot, so only the rows of the pivots left of f are
     nonzero up to f, and ``_solve`` on them solves the whole system.
     """
-    echelon, pivots, _ = _bareiss_echelon(rows)
+    echelon, pivots, _ = _bareiss_echelon(arr.tolist())
     left = 0  # pivots[:left] are the pivots left of f
     for f in range(cols):
         if left < len(pivots) and pivots[left][1] == f:
@@ -526,7 +528,7 @@ def _kernel(rows: Sequence[Sequence[int]], cols: int) -> Iterator[Vector]:
             continue
         y = _solve(echelon, pivots[:left], f)
         vec = (*(-e for e in y), Fraction(1), *[_ZERO] * (cols - f - 1))
-        if not _annihilates(rows, vec):
+        if not _annihilates(arr, vec):
             raise CertificateError("kernel vector must verify")
         yield vec
 
@@ -546,8 +548,7 @@ def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
     rows; a non-member's functional is the first left-kernel vector w with
     w @ v != 0, solved on M's pivot columns of that echelon.
     """
-    aug = M.augment_column(v)
-    arr = _integer_array(aug.ints).reshape(aug.rows, aug.cols)
+    arr = M.augment_column(v).ints
     rows, cols, k, _, _ = _peeled_core(arr[:, :-1])
     order = np.append(cols, M.cols)
     below, pivots, _ = _bareiss_echelon(arr[rows[k:]][:, order].tolist())
@@ -560,7 +561,7 @@ def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
     x = _solve(echelon, [(j, j) for j in range(k)] + [(k + r, c) for r, c in pivots], M.cols)
     pre = tuple(x[j] for j in np.argsort(cols).tolist())
     # M @ pre == v exactly when (M | v) @ (pre, -1) == 0.
-    if not _annihilates(aug.ints, pre + (-1,)):
+    if not _annihilates(arr, pre + (-1,)):
         raise CertificateError("preimage must verify")
     return Membership(member=True, preimage=pre, functional=None)
 
@@ -572,14 +573,13 @@ def _left_kernel(M: ExactMatrix, span: Optional[np.ndarray] = None) -> Iterator[
     t = w / dens is a kernel vector of the transpose of the rows below them
     on the core's columns, or on the columns ``span`` that span those.
     """
-    arr = _integer_array(M.ints).reshape(M.rows, M.cols)
+    arr = M.ints
     rows, cols, k, _, b = _peeled_core(arr)
     below = arr[rows[k:]][:, cols[k:k + b] if span is None else span]
-    columns = arr.T.tolist()
-    for s in _kernel(below.T.tolist(), M.rows - k):
+    for s in _kernel(below.T, M.rows - k):
         t = np.full(M.rows, _ZERO, dtype=object)
         t[rows[k:]] = s
-        if not _annihilates(columns, t):
+        if not _annihilates(arr.T, t):
             raise CertificateError("left kernel vector must verify")
         yield tuple(ti * di if ti else ti for ti, di in zip(t, M.dens))
 

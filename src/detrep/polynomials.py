@@ -8,8 +8,8 @@ One form type, ``HomPoly``, serves two rings:
   (a, b), keyed by exponent quadruples (a0, a1, b0, b1).  ``BigradedPoly``
   is another name for the class.
 
-A form is stored the way ``linalg.ExactMatrix`` stores a row: a sparse map
-``nums`` from monomials to nonzero integer numerators over one positive
+A form stores what a row of ``linalg.ExactMatrix`` stores, but sparsely: a
+map ``nums`` from monomials to nonzero integer numerators over one positive
 denominator ``den``, in lowest terms (gcd(den, *nums) = 1, and den = 1 for
 zero), so equal forms have equal stored parts.  A form cannot be changed:
 ``degree`` and ``den`` are read-only, ``nums`` is a read-only view of the
@@ -36,7 +36,7 @@ Products and multiplication matrices share one private primitive,
 a monomial t and a target degree D, with m running over the basis of the
 complementary degree.  ``HomPoly.__mul__`` accumulates through it into a
 sparse map keyed by position, and ``linalg.multiplication_matrix`` writes
-the integer rows of its matrices through it.
+each generator's numerators into its matrix's integer array through it.
 
 Text comes in through ``parse_hompoly`` and ``parse_bipoly``, which share
 one reader, ``_parse_form``.  It makes one pass: one split of the text at

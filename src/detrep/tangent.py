@@ -111,7 +111,7 @@ def section_space(bundle: BundleSpec) -> SectionSpace:
         blocks = [multiplication_matrix([entry], src + entry.degree) for entry in row]
         if any(den != 1 for block in blocks for den in block.dens):
             raise CertificateError("relation rows must have integer coefficients")
-        relations.extend(zip(*(line for block in blocks for line in block.ints)))
+        relations.extend(zip(*(line for block in blocks for line in block.ints.tolist())))
     echelon, pivots, _ = _bareiss_echelon(relations)
     if len(pivots) != len(relations):
         raise CertificateError("defining relations must be independent")

@@ -515,9 +515,8 @@ def common_factor_pair(n):
 
 def peeled_core(matrix):
     """The core ``rank`` leaves to the sweep once the peel is done."""
-    arr = detrep.linalg._integer_array(matrix.ints)
-    rows, cols, k, a, b = detrep.linalg._peeled_core(arr)
-    return arr[rows[k:k + a]][:, cols[k:k + b]]
+    rows, cols, k, a, b = detrep.linalg._peeled_core(matrix.ints)
+    return matrix.ints[rows[k:k + a]][:, cols[k:k + b]]
 
 
 @pytest.mark.parametrize(

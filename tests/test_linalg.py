@@ -169,9 +169,8 @@ def shuffled(rng, m):
 def peeled(m):
     """The peel's pivot count and the core ``rank`` sweeps, sliced from the
     peel's re-checked orders."""
-    arr = la._integer_array(m.ints)
-    rows, cols, k, a, b = la._peeled_core(arr)
-    return k, arr[rows[k:k + a]][:, cols[k:k + b]]
+    rows, cols, k, a, b = la._peeled_core(m.ints)
+    return k, m.ints[rows[k:k + a]][:, cols[k:k + b]]
 
 
 def test_peeled_rank_matches_bareiss(monkeypatch):
@@ -445,15 +444,17 @@ def test_stored_rows_are_the_canonical_cleared_rows():
         ]),
     ]
     for M in cases:
-        assert ([list(row) for row in M.ints], list(M.dens)) == reference_int_rows(M)
-        assert all(type(e) is int for row in M.ints for e in row)
-    assert (cases[2].ints, cases[2].dens) == (((), (), ()), (1, 1, 1))
+        assert (M.ints.tolist(), list(M.dens)) == reference_int_rows(M)
+        assert all(type(e) is int for row in M.ints.tolist() for e in row)
+        with pytest.raises(ValueError):
+            M.ints[...] = 0
+    assert (cases[2].ints.tolist(), cases[2].dens) == ([[], [], []], (1, 1, 1))
 
     # Equal rationals written differently store the same rows.
     a = ExactMatrix([[Fraction(2, 4), 3], ["5/10", Fraction(-4, 6)]])
     b = ExactMatrix([[Fraction(1, 2), Fraction(6, 2)], [Fraction(1, 2), Fraction(-2, 3)]])
     assert a == b and hash(a) == hash(b)
-    assert (a.ints, a.dens) == (((1, 6), (3, -4)), (2, 6))
+    assert (a.ints.tolist(), a.dens) == ([[1, 6], [3, -4]], (2, 6))
 
     # Augmenting merges each row's denominator with the new entry's.
     M = cases[0]
@@ -466,7 +467,7 @@ def test_stored_rows_are_the_canonical_cleared_rows():
             M.augment_column(v)
 
     empty = ExactMatrix.from_columns([], rows=3)
-    assert (empty.rows, empty.cols, empty.ints) == (3, 0, ((), (), ()))
+    assert (empty.rows, empty.cols, empty.ints.tolist()) == (3, 0, [[], [], []])
     with pytest.raises(TypeError):
         ExactMatrix([[1, 0.5]])
     with pytest.raises(ValueError, match="ragged"):
@@ -481,7 +482,9 @@ def test_stored_rows_are_the_canonical_cleared_rows():
 
 def test_matrices_without_rows_keep_their_columns():
     empty = ExactMatrix.zero(0, 3)
-    assert (empty.rows, empty.cols, empty.ints, empty.dens) == (0, 3, (), ())
+    assert (empty.rows, empty.cols, empty.ints.tolist(), empty.dens) == (0, 3, [], ())
+    with pytest.raises(ValueError):
+        empty.ints[...] = 1
     assert repr(empty) == "ExactMatrix(0x3)"
     assert empty.__eq__(((0, 0, 0),)) is NotImplemented
     assert empty != ()
@@ -987,3 +990,105 @@ def test_sparse_modp_sweep_matches_dense_sweep():
     p = la._FAST_PRIME
     assert la._modp_rank([[2**70, 2**70 + p], [1, 1]]) == dense_modp_rank([[2**70, 2**70 + p], [1, 1]]) == 1
     assert la._modp_rank([[2**63 - 1, 0], [0, -(2**63)]]) == 2
+
+
+# ------------------------------------------------- the int64 array's boundary
+#
+# int64 products wrap silently, so every value leaves the stored array for
+# Python arithmetic through ``tolist``.
+
+
+def test_annihilates_does_not_wrap_in_int64():
+    # In int64, 2^62 * 4 wraps to 0.
+    row = np.array([[2**62]], dtype=np.int64)
+    assert not la._annihilates(row, (4,))
+    assert not la._annihilates(row, (Fraction(1, 3),))
+    assert la._annihilates(np.array([[2**62, 4]], dtype=np.int64), (4, -(2**62)))
+    assert la._annihilates(row, (0,))
+
+
+def wide_rows(rng):
+    """A seeded matrix up to 5x5 whose nonzero integers lie between 2^40 and
+    2^62 in absolute value, often with one row the sum of two others, a zero
+    row or a row divided by 3."""
+    rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+    m = [[rng.choice([-1, 1]) * rng.randint(2**40, 2**61) if rng.random() < 0.7 else 0 for _ in range(cols)]
+         for _ in range(rows)]
+    if rows >= 3 and rng.random() < 0.5:
+        a, b, c = rng.sample(range(rows), 3)
+        m[c] = [x + y for x, y in zip(m[a], m[b])]
+    if rng.random() < 0.2:
+        m[rng.randrange(rows)] = [0] * cols
+    if rng.random() < 0.3:
+        i = rng.randrange(rows)
+        m[i] = [Fraction(e, 3) for e in m[i]]
+    return m
+
+
+def verdicts(M, rng):
+    """rank, kernel, left kernel and two memberships (a member and a random v)."""
+    member_v = times(M, [Fraction(rng.randint(-3, 3)) for _ in range(M.cols)])
+    random_v = [Fraction(rng.randint(-2**62, 2**62), rng.choice([1, 7])) for _ in range(M.rows)]
+    return (
+        rank(M),
+        kernel_basis(M),
+        left_kernel_basis(M),
+        [in_column_space(M, v) for v in (member_v, random_v)],
+    )
+
+
+def test_int64_and_object_arrays_give_the_same_verdicts(sympy, monkeypatch):
+    pool = [wide_rows(random.Random(f"wide-{i}")) for i in range(150)]
+    stored = [ExactMatrix(m) for m in pool]
+    assert all(M.ints.dtype == np.int64 for M in stored)
+    got = [verdicts(M, random.Random(i)) for i, M in enumerate(stored)]
+    # The same matrices stored, and every array formed, as Python ints.
+    monkeypatch.setattr(la, "_integer_array", lambda rows: np.array(rows, dtype=object))
+    objects = [ExactMatrix(m) for m in pool]
+    assert all(M.ints.dtype == object for M in objects) and objects == stored
+    assert [verdicts(M, random.Random(i)) for i, M in enumerate(objects)] == got
+    monkeypatch.undo()
+    ranks = set()
+    for M, (r, kernel, left, memberships) in zip(stored, got):
+        S = to_sympy(sympy, M)
+        assert r == S.rank()
+        ranks.add(r < min(M.rows, M.cols))
+        assert kernel == [tuple(Fraction(int(e.p), int(e.q)) for e in x) for x in S.nullspace()]
+        W = rationals(sympy, len(left), M.rows, [e for w in left for e in w])
+        assert len(left) == M.rows - r and W.rank() == len(left) and (W * S).is_zero_matrix
+        assert memberships[0].member
+        certificates = [mem.preimage if mem.member else mem.functional for mem in memberships]
+        coordinates = [e for vec in kernel + left + certificates for e in vec] + [e for row in M.entries for e in row]
+        assert all(type(e.numerator) is int and type(e.denominator) is int for e in coordinates)
+        assert all(type(e) is int for row in M.ints.tolist() for e in row)
+    # Deficient and full ranks both occur, and non-members too.
+    assert ranks == {True, False}
+    assert any(not mem.member for *_, memberships in got for mem in memberships)
+
+
+def test_multiplication_matrix_past_int64():
+    # Small numerators over a 30-digit denominator: L exceeds int64 and the
+    # entries do not.  A row holding one term divides by its numerator.
+    big = 105 * 10**27
+    assert big.bit_length() > 63
+    slim = HomPoly(2, {(2, 0, 0): Fraction(3, big), (0, 1, 1): Fraction(-5, big), (0, 0, 2): Fraction(7, big)})
+    # A numerator past 63 bits, and one that reaches -2^63 once scaled to
+    # L = 2^63: its rows divide back into int64.
+    wide = HomPoly(1, {(1, 0, 0): Fraction(2**70), (0, 1, 0): Fraction(1, 3)})
+    edge = [HomPoly(1, {(1, 0, 0): Fraction(1, 2**63)}), HomPoly(1, {(0, 1, 0): Fraction(-1)})]
+    for gens, degree, dtype in (
+        ([slim], 2, np.int64),
+        ([slim], 4, np.int64),
+        ([slim, HomPoly(1, {(0, 1, 0): Fraction(2, big)})], 3, np.int64),
+        ([slim, HomPoly(1, {(0, 1, 0): Fraction(1, 2)})], 3, object),
+        ([wide, slim], 3, object),
+        (edge, 1, np.int64),
+        (edge, 3, np.int64),
+    ):
+        built = la.multiplication_matrix(gens, degree)
+        want = reference_matrix(gens, degree)
+        assert built == want and hash(built) == hash(want)
+        assert built.ints.dtype == want.ints.dtype == dtype
+        assert all(type(e) is int for row in built.ints.tolist() for e in row)
+        assert all(type(d) is int for d in built.dens)
+    assert la.multiplication_matrix([slim], 2).dens == (big // 3, 1, 1, 1, big // 5, big // 7)
