@@ -18,9 +18,14 @@ and y -> 2^(s(D+1)), D the determinant degree.  One integer determinant of the
 packed matrix, taken by the package's one elimination core
 (``linalg._bareiss_echelon``), is unpacked as balanced base-2^s digits; digit
 a + (D+1)b is the coefficient of x^a y^b z^(D-a-b).  The unpacking is exact
-by a norm bound, not a heuristic: every coefficient of the determinant is at
-most prod_i sum_j |a_ij|_1 (1-norms of the cleared entries) in absolute value,
-and s is chosen with 2^(s-1) above that product.
+by a norm bound, not a heuristic (Goldstein and Graham, "A Hadamard-type
+bound on the coefficients of a determinant of polynomials", SIAM Review 16,
+1974): every coefficient of the determinant is at most
+B = ceil(sqrt(prod_i sum_j |a_ij|_1^2)) in absolute value, |a_ij|_1 the
+1-norm of a cleared entry, and s is chosen with 2^(s-1) above B.  Proof: on
+the torus |x| = |y| = 1 (z = 1) each |a_ij| is at most |a_ij|_1; Hadamard's
+inequality bounds |det A| there by the product of the rows' 2-norms; and by
+Parseval every coefficient is at most the maximum of |det A| on the torus.
 
 The tests check it against two independent engines, labelled oracles in
 ``tests/oracles.py`` (criterion 10): cofactor expansion and fraction-free
@@ -131,21 +136,27 @@ def det_poly(M: PolyMatrix) -> HomPoly:
     ring map, so the packed matrix's determinant, taken on
     ``linalg._bareiss_echelon``, is the image of the polynomial determinant.
     Every coefficient of the cleared determinant is at most
-    prod_i sum_j |a_ij|_1 in absolute value, and s is the least width with
-    2^(s-1) above that bound, so the balanced digits are the coefficients.
+    B = ceil(sqrt(prod_i sum_j |a_ij|_1^2)) in absolute value (Goldstein and
+    Graham 1974): on the torus |x| = |y| = 1 each |a_ij| is at most
+    |a_ij|_1, Hadamard's inequality bounds |det A| there by the product of
+    the rows' 2-norms, and by Parseval no coefficient exceeds the maximum of
+    |det A| on the torus.  s is the least width with 2^(s-1) above B, so the
+    balanced digits are the coefficients.
     A negative D or a singular packed matrix gives ``HomPoly.zero(D)``.
     """
     degree = M.det_deg
     if degree < 0:
         return HomPoly.zero(degree)
-    rows, denominator, bound = [], 1, 1
+    rows, denominator, squared = [], 1, 1
     for row in M.entries:
         mult = math.lcm(*(e.den for e in row))
         cleared = [[(mono, c * (mult // e.den)) for mono, c in e.nums.items()] for e in row]
-        bound *= sum(abs(c) for terms in cleared for _, c in terms)
+        squared *= sum(sum(abs(c) for _, c in terms) ** 2 for terms in cleared)
         denominator *= mult
         rows.append(cleared)
-    s = bound.bit_length() + 1
+    root = math.isqrt(squared)
+    # B = ceil(sqrt(squared)) bounds every coefficient.
+    s = (root + (root * root < squared)).bit_length() + 1
     step = s * (degree + 1)
     packed = [
         [sum(c << (s * a + step * b) for (a, b, _), c in terms) for terms in row]

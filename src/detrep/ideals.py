@@ -175,11 +175,15 @@ def component_dim(
 ) -> int:
     """Dimension of the degree-k piece of the ideal.
 
-    A deficient rank is bounded above by the kernel columns of ``syzygies``,
-    the Koszul syzygies of the generators by default (built only when the
-    mod-p sweep comes out deficient), and Bareiss decides where that bound
-    is not tight.
+    Below the degree of every nonzero generator the piece is 0, and no
+    matrix is built.  A deficient rank is bounded above by the kernel
+    columns of ``syzygies``, the Koszul syzygies of the generators by default
+    (built only when the mod-p sweep comes out deficient), and Bareiss
+    decides where that bound is not tight.
     """
+    if all(gen.is_zero() or gen.degree > k for gen in generators):
+        return 0
+
     def kernel() -> List[Tuple[int, ...]]:
         syz = koszul_syzygies(generators) if syzygies is None else syzygies
         return syzygy_columns(generators, k, syz)

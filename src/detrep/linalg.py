@@ -545,17 +545,19 @@ def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
     v is a member exactly when its column hosts no pivot of the rows of
     (M | v) below the peel's pivots, the only rows eliminated.  A member's
     preimage is back-substituted through their echelon and then the pivot
-    rows; a non-member's functional is the first left-kernel vector w with
-    w @ v != 0, solved on M's pivot columns of that echelon.
+    rows; a non-member's functional is the first left-kernel candidate w,
+    solved on M's pivot columns of that echelon, with w @ v != 0.  The peel
+    of M is taken once, and only the functional returned is re-checked
+    against every column of M.
     """
     arr = M.augment_column(v).ints
-    rows, cols, k, _, _ = _peeled_core(arr[:, :-1])
+    peel = rows, cols, k, _, _ = _peeled_core(M.ints)
     order = np.append(cols, M.cols)
     below, pivots, _ = _bareiss_echelon(arr[rows[k:]][:, order].tolist())
     if pivots and pivots[-1][1] == M.cols:
-        for w in _left_kernel(M, cols[[c for _, c in pivots[:-1]]]):
-            if sum(wi * _rat(vi) for wi, vi in zip(w, v) if wi):
-                return Membership(member=False, preimage=None, functional=w)
+        for t in _left_candidates(M, peel, cols[[c for _, c in pivots[:-1]]]):
+            if sum(ti * di * _rat(vi) for ti, di, vi in zip(t, M.dens, v) if ti):
+                return Membership(member=False, preimage=None, functional=_checked_left(M, t))
         raise CertificateError("a non-member must have a separating functional")
     echelon = arr[rows[:k]][:, order].tolist() + below
     x = _solve(echelon, [(j, j) for j in range(k)] + [(k + r, c) for r, c in pivots], M.cols)
@@ -566,22 +568,37 @@ def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
     return Membership(member=True, preimage=pre, functional=None)
 
 
-def _left_kernel(M: ExactMatrix, span: Optional[np.ndarray] = None) -> Iterator[Vector]:
-    """Left kernel basis of M, each vector re-checked against every column.
+def _left_candidates(
+    M: ExactMatrix, peel: Tuple[np.ndarray, np.ndarray, int, int, int], span: Optional[np.ndarray] = None
+) -> Iterator[np.ndarray]:
+    """Left kernel basis of M over its row denominators, read off M's
+    re-checked peel (``_peeled_core``) and not yet re-checked against M's
+    columns.
 
     Since S is invertible, a left-kernel vector w is zero on the pivot rows:
     t = w / dens is a kernel vector of the transpose of the rows below them
     on the core's columns, or on the columns ``span`` that span those.
     """
-    arr = M.ints
-    rows, cols, k, _, b = _peeled_core(arr)
-    below = arr[rows[k:]][:, cols[k:k + b] if span is None else span]
+    rows, cols, k, _, b = peel
+    below = M.ints[rows[k:]][:, cols[k:k + b] if span is None else span]
     for s in _kernel(below.T, M.rows - k):
         t = np.full(M.rows, _ZERO, dtype=object)
         t[rows[k:]] = s
-        if not _annihilates(arr.T, t):
-            raise CertificateError("left kernel vector must verify")
-        yield tuple(ti * di if ti else ti for ti, di in zip(t, M.dens))
+        yield t
+
+
+def _checked_left(M: ExactMatrix, t: np.ndarray) -> Vector:
+    """The functional w = t * dens, once t @ M.ints == 0 is re-checked
+    against every column."""
+    if not _annihilates(M.ints.T, t):
+        raise CertificateError("left kernel vector must verify")
+    return tuple(ti * di if ti else ti for ti, di in zip(t, M.dens))
+
+
+def _left_kernel(M: ExactMatrix) -> Iterator[Vector]:
+    """Left kernel basis of M, each vector re-checked against every column."""
+    for t in _left_candidates(M, _peeled_core(M.ints)):
+        yield _checked_left(M, t)
 
 
 def left_kernel_basis(M: ExactMatrix) -> List[Vector]:

@@ -1,5 +1,6 @@
 """Degeneracy matrices: determinants, wedges, GPLI checks, normalization."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -173,13 +174,89 @@ def test_det_poly_balanced_digit_borrows():
         [Z.scale(big) - X, -Y, X.scale(-1) + Y.scale(-big)],
     ])
     assert det_poly(m) == oracle(m)
-    # A coefficient of magnitude exactly the bound, prod_i sum_j |a_ij|_1,
+    # A lone coefficient of magnitude exactly the bound, which with one
+    # nonzero monomial entry per row is the product of their coefficients,
     # with both signs, at and one below a power of two.
     for c in (big - 1, -(big - 1), big, -big):
         m = PolyMatrix([[X.scale(c), HomPoly.zero(1)], [HomPoly.zero(1), Y]])
         assert det_poly(m) == (X * Y).scale(c)
         m = PolyMatrix([[(X * Z).scale(c)]])
         assert det_poly(m) == (X * Z).scale(c)
+
+
+def packing_widths(m):
+    """The Kronecker widths s, with 2^(s-1) above the bound, of the row
+    1-norm product prod_i sum_j |a_ij|_1 and of the Goldstein-Graham bound
+    ceil(sqrt(prod_i sum_j |a_ij|_1^2)), on the rows cleared of denominators."""
+    product, squared = 1, 1
+    for row in m.entries:
+        mult = math.lcm(*(e.den for e in row))
+        norms = [sum(abs(c) * (mult // e.den) for c in e.nums.values()) for e in row]
+        product *= sum(norms)
+        squared *= sum(n * n for n in norms)
+    root = math.isqrt(squared)
+    return product.bit_length() + 1, (root + (root * root < squared)).bit_length() + 1
+
+
+def sylvester(n):
+    """The n x n Sylvester-Hadamard matrix, n a power of two."""
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-e for e in row] for row in h]
+    return h
+
+
+def test_det_poly_attains_the_goldstein_graham_bound():
+    # A Hadamard matrix of c times monomials m_i * n_j has the one
+    # coefficient c^n det(H), and |det H| = n^(n/2) makes it equal to the
+    # bound sqrt(prod_i n c^2): the digit reaches B, with both signs.
+    rows, cols = (X, Y * Y, Z, X * Y), (Z, HomPoly.monomial((0, 0, 0)), Y, X)
+    # det H_2 = -2, and H_4 = H_2 (x) H_2 has det (-2)^2 (-2)^2 = 16.
+    for n, power, det_h in ((2, 20, -2), (4, 10, 16)):
+        h = sylvester(n)
+        for c in (2**power, 2**power - 1, -(2**power), -(2**power - 1)):
+            m = PolyMatrix([[(rows[i] * cols[j]).scale(c * h[i][j]) for j in range(n)] for i in range(n)])
+            want = math.prod(rows[:n]) * math.prod(cols[:n])
+            got = det_poly(m)
+            [coefficient] = got.nums.values()
+            assert got == want.scale(c**n * det_h) == oracle(m)
+            bound = n ** (n // 2) * abs(c) ** n
+            assert abs(coefficient) == bound
+            assert packing_widths(m)[1] == bound.bit_length() + 1
+
+
+def dense_form(rng, degree, top):
+    """Every monomial of the degree, with coefficients of mixed signs up to top."""
+    return HomPoly(degree, {mono: Fraction(rng.choice((-1, 1)) * rng.randint(1, top)) for mono in mono_basis(degree)})
+
+
+def test_det_poly_matches_both_oracles_on_dense_wide_entries():
+    # Dense entries of 3 to 10 terms, mixed signs and coefficients up to
+    # 2^40, with a row/column degree split.  From size 3 on, rows of several
+    # entries of comparable 1-norm make the Goldstein-Graham width strictly
+    # narrower than the row 1-norm product's.  At size 2 the two bounds
+    # differ by a factor of at most 2, exactly 2 when each row's entries have
+    # equal 1-norms, so there the second entry of a row is the first's
+    # coefficients shuffled and re-signed.  Either way the narrower packing
+    # is what is tested.
+    rng = random.Random("kronecker-goldstein-graham")
+    top = 2**40
+    for size in range(2, 7):
+        for _ in range(4):
+            row_degs = [rng.randint(0, 1) for _ in range(size)]
+            col_degs = [rng.randint(1, 2) for _ in range(size)] if size > 2 else [rng.randint(1, 2)] * 2
+            entries = [[dense_form(rng, r + c, top) for c in col_degs] for r in row_degs]
+            if size == 2:
+                for row in entries:
+                    coeffs = [rng.choice((-1, 1)) * abs(c) for c in row[0].nums.values()]
+                    rng.shuffle(coeffs)
+                    row[1] = HomPoly(row[1].degree, dict(zip(mono_basis(row[1].degree), map(Fraction, coeffs))))
+            m = PolyMatrix(entries)
+            old, new = packing_widths(m)
+            assert new < old, (size, old, new)
+            got = det_poly(m)
+            assert not got.is_zero()
+            assert got == det_eliminate(m.entries, m.det_deg) == det_cofactor(m.entries, m.det_deg)
 
 
 def test_det_poly_one_by_one():

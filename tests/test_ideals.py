@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import detrep.ideals
 import detrep.linalg
 from detrep.ideals import (
     component_dim,
@@ -206,6 +207,22 @@ def test_component_dim_of_principal_ideal():
         assert component_dim([f], k) == h0_p2(k - 2)
 
 
+def test_component_dim_below_every_generator_builds_no_matrix(monkeypatch):
+    # A zero generator has no columns, so it does not count.
+    gens = [X * X, HomPoly.zero(0), (Y * Y * Z).scale(Fraction(3, 2))]
+    built = [rank(component_matrix(gens, k)) for k in range(4)]
+    assert built == [0, 0, 1, 4]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rung below every generator built a matrix")
+
+    monkeypatch.setattr(detrep.ideals, "multiplication_matrix", refuse)
+    assert [component_dim(gens, k) for k in (0, 1)] == built[:2]
+    assert component_dim([HomPoly.zero(1)], 3) == component_dim([], 0) == 0
+    with pytest.raises(AssertionError, match="built a matrix"):
+        component_dim(gens, 2)
+
+
 # ---------------------------------------------------------------- cross-checks
 
 
@@ -333,13 +350,13 @@ def test_crosscheck_takes_no_cokernel_witness(monkeypatch):
     # The cross-check's report has no field for a cokernel functional, so a
     # non-surjective pair ranks its multiplication matrix and solves nothing.
     calls = []
-    original = detrep.linalg._left_kernel
+    original = detrep.linalg._left_candidates
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(detrep.linalg, "_left_kernel", counted)
+    monkeypatch.setattr(detrep.linalg, "_left_candidates", counted)
     n = 3  # the special pair at k = 3
     f, g = special_pair(n)
     rep = diagram_crosscheck(f, g)

@@ -856,6 +856,9 @@ CHECKS_UNDER_O = textwrap.dedent(
         "left_kernel_columns": with_kernel(
             [(1, 1)], lambda: la.left_kernel_basis(la.ExactMatrix([[1, 1], [1, 2]]))
         ),
+        # a separating candidate that kills no column of M: (1, 0) does not
+        # separate v = (0, 1), and (0, 1) separates it but is no functional
+        "separating_columns": with_kernel([(1, 0), (0, 1)], lambda: membership(la.ExactMatrix([[1, 1], [1, 1]]))),
     }
     la._solve = corrupt_solve
     raised = [name for name, check in checks.items() if raises(check)]
@@ -873,7 +876,7 @@ def test_certificate_checks_raise_under_python_O():
     ).stdout.split()
     assert out == ["1", "bareiss", "kronecker", "membership", "left_kernel", "preimage", "kernel", "rref", "syzygy",
                    "peel_diagonal", "peel_triangle", "peel_order", "peel_membership", "no_separating",
-                   "left_kernel_columns"]
+                   "left_kernel_columns", "separating_columns"]
 
 
 # ------------------------------------------------- builder and mod-p sweep
