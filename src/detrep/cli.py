@@ -51,9 +51,9 @@ INTERNAL_ERROR = 3
 # whose multiplication map is not onto: both sides of the cross-check fall
 # back to Bareiss, and so do the membership probes when 3 divides 2n + 3.
 # With f = L*f' and g = L*g', L = x + 2y + 3z and f', g' dense and seeded,
-# nothing peels.  It took 55-60 s at n = 9 (probes included, about 18 s
-# each) and 83-95 s at n = 11 (no probes) on a 2-core machine shared with
-# other work.  An onto pair reads its probes off the verdict: `detrep mult
+# nothing peels.  It took 40-53 s at n = 9 (probes included, 11-14 s each)
+# and 83-95 s at n = 11 (no probes) on a 2-core machine shared with other
+# work.  An onto pair reads its probes off the verdict: `detrep mult
 # --seed 1` took 0.09 s at n = 9.  `detrep tangent` stayed under 2 s up to
 # n = 16.
 MAX_N = 11

@@ -3,11 +3,13 @@
 Everything here returns exact answers, from one elimination core:
 fraction-free (Bareiss) elimination over the integers (``_bareiss_echelon``),
 in which every column may host a pivot, and back-substitution on its echelon
-form.  ``_solve`` back-substitutes one column: a preimage, or a free column
-on the pivot columns left of it, which ``kernel_basis`` negates into a
-re-checked kernel vector; ``rref`` (no library caller) reads its rows off
-those vectors.  Section spaces and their quotients read pivot columns off
-``_bareiss_echelon`` directly, since those depend only on the row span.
+form.  ``_solve`` back-substitutes one column: a preimage; a separating
+functional, from the transposed pivot columns and a unit right-hand side;
+or a free column on the pivot columns left of it, which ``kernel_basis``
+negates into a re-checked kernel vector.  ``rref`` (no library caller)
+reads its rows off those vectors.  Section spaces and their quotients read
+pivot columns off ``_bareiss_echelon`` directly, since those depend only on
+the row span.
 An ``ExactMatrix`` clears its rows of denominators once, where it is built,
 and stores them as one integer array that every verdict reads as it is:
 int64, or Python ints when some entry needs more than 63 bits.  Since int64
@@ -222,7 +224,7 @@ class Membership:
     """Verdict of a column-space membership test with its certificate.
 
     ``preimage`` satisfies M @ preimage == v when member; ``functional`` is a
-    row vector with functional @ M == 0 and functional @ v != 0 otherwise.
+    row vector with functional @ M == 0 and functional @ v == 1 otherwise.
     """
 
     member: bool
@@ -542,63 +544,58 @@ def kernel_basis(M: ExactMatrix) -> List[Vector]:
 def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
     """Decide v in col-span(M) with a re-verified certificate either way.
 
-    v is a member exactly when its column hosts no pivot of the rows of
+    v is a member exactly when its column hosts no pivot of the rows B of
     (M | v) below the peel's pivots, the only rows eliminated.  A member's
     preimage is back-substituted through their echelon and then the pivot
-    rows; a non-member's functional is the first left-kernel candidate w,
-    solved on M's pivot columns of that echelon, with w @ v != 0.  The peel
-    of M is taken once, and only the functional returned is re-checked
-    against every column of M.
+    rows.  Otherwise the pivot columns P of that echelon, M's and then v's,
+    are independent, so t @ B[:, P] = (0, ..., 0, 1) is one exact solve of
+    the transposed system.  Every column of M is zero on B's rows or a
+    combination of M's pivot columns there, so w = t times (M | v)'s row
+    denominators, zero on the peel's pivot rows, has w @ M == 0 and
+    w @ v == 1; both are re-checked.
     """
-    arr = M.augment_column(v).ints
-    peel = rows, cols, k, _, _ = _peeled_core(M.ints)
+    aug = M.augment_column(v)
+    rows, cols, k, _, _ = _peeled_core(M.ints)
     order = np.append(cols, M.cols)
-    below, pivots, _ = _bareiss_echelon(arr[rows[k:]][:, order].tolist())
+    part = aug.ints[rows[k:]][:, order]
+    below, pivots, _ = _bareiss_echelon(part.tolist())
     if pivots and pivots[-1][1] == M.cols:
-        for t in _left_candidates(M, peel, cols[[c for _, c in pivots[:-1]]]):
-            if sum(ti * di * _rat(vi) for ti, di, vi in zip(t, M.dens, v) if ti):
-                return Membership(member=False, preimage=None, functional=_checked_left(M, t))
-        raise CertificateError("a non-member must have a separating functional")
-    echelon = arr[rows[:k]][:, order].tolist() + below
+        system = [row + [0] for row in part[:, [c for _, c in pivots]].T.tolist()]
+        system[-1][-1] = 1
+        echelon, tpivots, _ = _bareiss_echelon(system)
+        t = np.full(M.rows, _ZERO, dtype=object)
+        t[rows[k:]] = _solve(echelon, tpivots, len(part))
+        w = tuple(ti * d if ti else ti for ti, d in zip(t, aug.dens))
+        if not (
+            _annihilates(M.ints.T, [wi / d if wi else wi for wi, d in zip(w, M.dens)])
+            and sum(wi * _rat(vi) for wi, vi in zip(w, v) if wi) == 1
+        ):
+            raise CertificateError("a separating functional must kill M and take v to 1")
+        return Membership(member=False, preimage=None, functional=w)
+    echelon = aug.ints[rows[:k]][:, order].tolist() + below
     x = _solve(echelon, [(j, j) for j in range(k)] + [(k + r, c) for r, c in pivots], M.cols)
     pre = tuple(x[j] for j in np.argsort(cols).tolist())
     # M @ pre == v exactly when (M | v) @ (pre, -1) == 0.
-    if not _annihilates(arr, pre + (-1,)):
+    if not _annihilates(aug.ints, pre + (-1,)):
         raise CertificateError("preimage must verify")
     return Membership(member=True, preimage=pre, functional=None)
 
 
-def _left_candidates(
-    M: ExactMatrix, peel: Tuple[np.ndarray, np.ndarray, int, int, int], span: Optional[np.ndarray] = None
-) -> Iterator[np.ndarray]:
-    """Left kernel basis of M over its row denominators, read off M's
-    re-checked peel (``_peeled_core``) and not yet re-checked against M's
-    columns.
+def _left_kernel(M: ExactMatrix) -> Iterator[Vector]:
+    """Left kernel basis of M, read off its re-checked peel
+    (``_peeled_core``), each vector re-checked against every column.
 
     Since S is invertible, a left-kernel vector w is zero on the pivot rows:
     t = w / dens is a kernel vector of the transpose of the rows below them
-    on the core's columns, or on the columns ``span`` that span those.
+    on the core's columns.
     """
-    rows, cols, k, _, b = peel
-    below = M.ints[rows[k:]][:, cols[k:k + b] if span is None else span]
-    for s in _kernel(below.T, M.rows - k):
+    rows, cols, k, _, b = _peeled_core(M.ints)
+    for s in _kernel(M.ints[rows[k:]][:, cols[k:k + b]].T, M.rows - k):
         t = np.full(M.rows, _ZERO, dtype=object)
         t[rows[k:]] = s
-        yield t
-
-
-def _checked_left(M: ExactMatrix, t: np.ndarray) -> Vector:
-    """The functional w = t * dens, once t @ M.ints == 0 is re-checked
-    against every column."""
-    if not _annihilates(M.ints.T, t):
-        raise CertificateError("left kernel vector must verify")
-    return tuple(ti * di if ti else ti for ti, di in zip(t, M.dens))
-
-
-def _left_kernel(M: ExactMatrix) -> Iterator[Vector]:
-    """Left kernel basis of M, each vector re-checked against every column."""
-    for t in _left_candidates(M, _peeled_core(M.ints)):
-        yield _checked_left(M, t)
+        if not _annihilates(M.ints.T, t):
+            raise CertificateError("left kernel vector must verify")
+        yield tuple(ti * di if ti else ti for ti, di in zip(t, M.dens))
 
 
 def left_kernel_basis(M: ExactMatrix) -> List[Vector]:

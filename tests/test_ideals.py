@@ -350,13 +350,13 @@ def test_crosscheck_takes_no_cokernel_witness(monkeypatch):
     # The cross-check's report has no field for a cokernel functional, so a
     # non-surjective pair ranks its multiplication matrix and solves nothing.
     calls = []
-    original = detrep.linalg._left_candidates
+    original = detrep.linalg._left_kernel
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(detrep.linalg, "_left_candidates", counted)
+    monkeypatch.setattr(detrep.linalg, "_left_kernel", counted)
     n = 3  # the special pair at k = 3
     f, g = special_pair(n)
     rep = diagram_crosscheck(f, g)

@@ -28,7 +28,8 @@ from detrep.linalg import (
 )
 from detrep.bundles import T
 from detrep.detmatrix import Section
-from detrep.polynomials import BigradedPoly, HomPoly, bimono_basis, h0_p2, mono_basis
+from detrep.polynomials import BigradedPoly, HomPoly, bimono_basis, h0_p2, mono_basis, parse_hompoly
+from detrep.sampling import derive_rng, random_pair
 from detrep.tangent import tangent_map
 from oracles import left_times, multiple_columns, times
 
@@ -623,6 +624,29 @@ def test_certificates_verify_with_sympy_dimensions(sympy):
         ExactMatrix.zero(0, 3): [()],
         frac_matrix([[2, 1], [0, 3], [0, 0]]): [(0, 0, 5), (1, 3, 0)],
     }
+    # Non-members of four kinds: (a) after a partial peel, with a core left;
+    # (b) with denominators unlike M's rows', so that (M | v) rescales rows;
+    # (c) nonzero only on a zero row of M; (d) the L-multiple pair at n = 1,
+    # f = L*f' and g = L*g' with L = x + 2y + 3z, where nothing peels.
+    partial = frac_matrix([[2, 1, 0], [0, 1, 3], [0, 2, 6], [0, 0, 0]])
+    rational = frac_matrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)],
+                            [Fraction(1, 6), Fraction(1, 9)]])
+    zero_row = frac_matrix([[0, 0, 0], [1, 1, 0], [1, 2, 3]])
+    L = parse_hompoly("x + 2*y + 3*z")
+    s1, s2 = random_pair(derive_rng(47, "common-factor", 1), T(0))
+    common = mult_map_matrix(u_generators(*(tuple(L * c for c in s.components) for s in (s1, s2)), n=1))
+    nonmembers = {
+        partial: [(5, 1, 1, 0)],
+        rational: [(Fraction(1, 5), Fraction(2, 7), Fraction(3, 11))],
+        zero_row: [(Fraction(4, 3), 0, 0)],
+        common: [HomPoly.monomial((5, 0, 0)).coeff_vector()],
+    }
+    k, core = peeled(partial)
+    assert k and core.size
+    assert rational.augment_column(nonmembers[rational][0]).dens != rational.dens
+    assert not zero_row.ints[0].any() and peeled(zero_row)[1].size == 0
+    assert peeled(common)[1].shape == (common.rows, common.cols)
+    extra.update(nonmembers)
     # Then the peel pool, every third matrix with rational rows, each with
     # a rational random v, so that denominators merge in (M | v).
     pool = [with_rational_rows(rng, m) if i % 3 == 0 else m for i, m in enumerate(peel_pool())]
@@ -633,7 +657,7 @@ def test_certificates_verify_with_sympy_dimensions(sympy):
     assert any(la._integer_array(m.ints).dtype == object for m in pool)
     assert any(d > 1 for m in pool for d in m.dens)
     matrices = seeded_matrices("certificates-vs-sympy", 120) + list(extra)
-    pool_verdicts = set()
+    pool_verdicts, separated = set(), set()
     for i, M in enumerate(matrices + pool):
         S = to_sympy(sympy, M)
         r = S.rank()
@@ -665,12 +689,14 @@ def test_certificates_verify_with_sympy_dimensions(sympy):
                 assert times(M, res.preimage) == v
                 assert S * rationals(sympy, M.cols, 1, res.preimage) == V
             else:
+                separated.add((M, v))
                 w = rationals(sympy, 1, M.rows, res.functional)
-                assert (w * S).is_zero_matrix and (w * V)[0] != 0
+                assert (w * S).is_zero_matrix and (w * V)[0] == 1
                 assert all(e == 0 for e in left_times(res.functional, M))
-                assert sum(wi * vi for wi, vi in zip(res.functional, v)) != 0
+                assert sum(wi * vi for wi, vi in zip(res.functional, v)) == 1
     # Members and non-members, with and without peeled pivots.
     assert pool_verdicts == {(True, True), (True, False), (False, True), (False, False)}
+    assert all((M, tuple(map(Fraction, v))) in separated for M, vs in nonmembers.items() for v in vs)
 
 
 def classic_bareiss(rows):
@@ -730,8 +756,8 @@ def test_special_pair_k3_verdicts(monkeypatch):
     # into degree 3k.  x^k y^k z^k is never in the image; x^(k+1) y^k z^(k-1)
     # is at k = 3 only.  The matrix peels whole, so a member costs one
     # elimination, of the rows - rank rows of (M | v) below the peel's pivots;
-    # a non-member's functional costs a second one, of the transpose of those
-    # rows on the empty core, which has no rows.
+    # a non-member's functional costs a second one, of the transposed system
+    # on the echelon's pivot columns: v's alone, so one row.
     heights = []
     real = la._bareiss_echelon
 
@@ -756,9 +782,9 @@ def test_special_pair_k3_verdicts(monkeypatch):
                 assert heights == [rows - r]
                 assert times(matrix, res.preimage) == v
             else:
-                assert heights == [rows - r, 0]
+                assert heights == [rows - r, 1]
                 assert all(e == 0 for e in left_times(res.functional, matrix))
-                assert sum(wi * vi for wi, vi in zip(res.functional, v)) != 0
+                assert sum(wi * vi for wi, vi in zip(res.functional, v)) == 1
 
 
 def test_bareiss_last_pivot_is_the_determinant():
@@ -802,15 +828,15 @@ CHECKS_UNDER_O = textwrap.dedent(
                 la._peel = real_peel
         return check
 
-    def with_kernel(vectors, verdict):
-        # a verdict with ``_kernel`` yielding these vectors
+    def patched(name, value, verdict):
+        # a verdict with the module's ``name`` replaced by ``value``
         def check():
-            real_kernel = la._kernel
-            la._kernel = lambda rows, cols: iter(vectors)
+            real = getattr(la, name)
+            setattr(la, name, value)
             try:
                 verdict()
             finally:
-                la._kernel = real_kernel
+                setattr(la, name, real)
         return check
 
     def raises(check):
@@ -850,15 +876,15 @@ CHECKS_UNDER_O = textwrap.dedent(
         "peel_triangle": corrupt_peel(corruptions[1]),
         "peel_order": corrupt_peel(corruptions[2]),
         "peel_membership": each(*(corrupt_peel(c, membership) for c in corruptions)),
-        # a non-member whose left kernel comes out empty
-        "no_separating": with_kernel([], lambda: membership(la.ExactMatrix([[1, 1], [1, 1]]))),
         # a left-kernel vector that kills no column of M
-        "left_kernel_columns": with_kernel(
-            [(1, 1)], lambda: la.left_kernel_basis(la.ExactMatrix([[1, 1], [1, 2]]))
+        "left_kernel_columns": patched(
+            "_kernel", lambda rows, cols: iter([(1, 1)]), lambda: la.left_kernel_basis(la.ExactMatrix([[1, 1], [1, 2]]))
         ),
-        # a separating candidate that kills no column of M: (1, 0) does not
-        # separate v = (0, 1), and (0, 1) separates it but is no functional
-        "separating_columns": with_kernel([(1, 0), (0, 1)], lambda: membership(la.ExactMatrix([[1, 1], [1, 1]]))),
+        # a transposed solve that returns zeros: its functional kills M but
+        # does not take v = (0, 1) to 1
+        "separating": patched(
+            "_solve", lambda echelon, pivots, col: [la._ZERO] * col, lambda: membership(la.ExactMatrix([[1, 1], [1, 1]]))
+        ),
     }
     la._solve = corrupt_solve
     raised = [name for name, check in checks.items() if raises(check)]
@@ -875,8 +901,8 @@ def test_certificate_checks_raise_under_python_O():
         env=env, capture_output=True, text=True, timeout=60, check=True,
     ).stdout.split()
     assert out == ["1", "bareiss", "kronecker", "membership", "left_kernel", "preimage", "kernel", "rref", "syzygy",
-                   "peel_diagonal", "peel_triangle", "peel_order", "peel_membership", "no_separating",
-                   "left_kernel_columns", "separating_columns"]
+                   "peel_diagonal", "peel_triangle", "peel_order", "peel_membership",
+                   "left_kernel_columns", "separating"]
 
 
 # ------------------------------------------------- builder and mod-p sweep
