@@ -10,12 +10,12 @@ negates into a re-checked kernel vector.  ``rref`` (no library caller)
 reads its rows off those vectors.  Section spaces and their quotients read
 pivot columns off ``_bareiss_echelon`` directly, since those depend only on
 the row span.
-An ``ExactMatrix`` clears its rows of denominators once, where it is built,
-and stores them as one integer array that every verdict reads as it is:
-int64, or Python ints when some entry needs more than 63 bits.  Since int64
-wraps silently, a value leaves the array for Python arithmetic only through
-``tolist``.  Pivoting is deterministic (first nonzero entry in column
-order), so identical inputs give bit-identical outputs.  The elimination
+An ``ExactMatrix`` clears its denominators once, where it is built, into
+one integer array over one denominator, and every verdict reads the array
+as it is: int64, or Python ints when some entry needs more than 63 bits.
+Since int64 wraps silently, a value leaves the array for Python arithmetic
+only through ``tolist``.  Pivoting is deterministic (first nonzero entry in
+column order), so identical inputs give bit-identical outputs.  The elimination
 leaves a row alone while its entry in the pivot column is zero and divides
 its next update by the pivot that divided its last one (a lazy divisor,
 exact by telescoping), so the sparse relation and multiplication matrices
@@ -85,43 +85,44 @@ class CertificateError(Exception):
 class ExactMatrix:
     """Immutable dense rational matrix, stored as the elimination core reads it.
 
-    Row i is ``ints[i] / dens[i]``: ``ints`` is one read-only integer array of
-    the matrix's shape (int64 unless some entry needs more than 63 bits), and
-    ``dens[i]`` the lcm of row i's entry denominators.  The form is canonical,
-    so equal matrices have equal stored rows.  ``entries`` is the read-only
-    Fraction view.
+    The matrix is ``ints / den``: ``ints`` is one read-only integer array of
+    its shape (int64 unless some entry needs more than 63 bits), and ``den``
+    the lcm of the entries' denominators, so gcd(den, every entry) = 1 and
+    equal matrices have equal stored parts.  Verdicts read ``ints`` alone:
+    scaling a matrix changes no rank, kernel, preimage or left kernel.
+    ``entries`` is the read-only Fraction view.
     """
 
-    __slots__ = ("_ints", "_dens")
+    __slots__ = ("_ints", "_den")
 
     def __init__(self, entries: Sequence[Sequence]):
-        cleared = [_clear(row) for row in entries]
-        cols = len(cleared[0][0]) if cleared else 0
-        if any(len(row) != cols for row, _ in cleared):
+        rows = list(entries)
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
             raise ValueError("ragged rows")
-        ints = _integer_array([row for row, _ in cleared]).reshape(len(cleared), cols)
-        self._store(ints, [den for _, den in cleared])
+        flat, den = _clear([e for row in rows for e in row])
+        self._store(_integer_array(flat).reshape(len(rows), cols), den)
 
-    def _store(self, ints: np.ndarray, dens: Sequence[int]) -> None:
+    def _store(self, ints: np.ndarray, den: int) -> None:
         ints = _integer_array(ints)
         ints.flags.writeable = False
-        self._ints, self._dens = ints, tuple(dens)
+        self._ints, self._den = ints, den
 
     rows = property(lambda self: self._ints.shape[0])
     cols = property(lambda self: self._ints.shape[1])
-    ints = property(attrgetter("_ints"), doc="Row i's integer entries, the row times ``dens[i]``.")
-    dens = property(attrgetter("_dens"), doc="Row i's positive denominator.")
+    ints = property(attrgetter("_ints"), doc="The integer entries, the matrix times ``den``.")
+    den = property(attrgetter("_den"), doc="The positive denominator of every entry.")
 
     @staticmethod
-    def _of(ints: np.ndarray, dens: Sequence[int]) -> ExactMatrix:
-        """A matrix from a cleared integer array and its row denominators."""
+    def _of(ints: np.ndarray, den: int) -> ExactMatrix:
+        """A matrix from a cleared integer array and its denominator."""
         out = ExactMatrix.__new__(ExactMatrix)
-        out._store(ints, dens)
+        out._store(ints, den)
         return out
 
     @property
     def entries(self) -> Tuple[Vector, ...]:
-        return tuple(tuple(Fraction(e, d) for e in row) for row, d in zip(self._ints.tolist(), self._dens))
+        return tuple(tuple(Fraction(e, self._den) for e in row) for row in self._ints.tolist())
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence], rows: int | None = None) -> ExactMatrix:
@@ -140,29 +141,28 @@ class ExactMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> ExactMatrix:
-        return ExactMatrix._of(np.zeros((rows, cols), dtype=np.int64), [1] * rows)
+        return ExactMatrix._of(np.zeros((rows, cols), dtype=np.int64), 1)
 
     def augment_column(self, v: Sequence) -> ExactMatrix:
-        """The matrix (self | v); each row's denominator merges with v_i's."""
+        """The matrix (self | v); its denominator is the lcm of self's and v's."""
         if len(v) != self.rows:
             raise ValueError("column length does not match row count")
-        ratios = [(e, 1) if type(e) is int else _rat(e).as_integer_ratio() for e in v]
-        dens = [math.lcm(den, d) for den, (_, d) in zip(self._dens, ratios)]
-        scales = [merged // den for merged, den in zip(dens, self._dens)]
+        column, d = _clear(v)
+        den = math.lcm(self._den, d)
         ints = self._ints
-        if set(scales) - {1}:
-            # int64 wraps silently, so rows are rescaled in Python ints.
-            ints = ints.astype(object) * np.array(scales, dtype=object)[:, None]
-        column = _integer_array([num * (merged // d) for (num, d), merged in zip(ratios, dens)])
-        return ExactMatrix._of(np.column_stack([ints, column]), dens)
+        if den != self._den:
+            # int64 wraps silently, so the array is rescaled in Python ints.
+            ints = ints.astype(object) * (den // self._den)
+        column = _integer_array([e * (den // d) for e in column])
+        return ExactMatrix._of(np.column_stack([ints, column]), den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self._dens == other._dens and np.array_equal(self._ints, other._ints)
+        return self._den == other._den and np.array_equal(self._ints, other._ints)
 
     def __hash__(self):
-        return hash((self._ints.shape, self._dens))
+        return hash((self._ints.shape, self._den))
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -183,9 +183,9 @@ def multiplication_matrix(
 
     All numerators, scaled to the lcm L of the denominators, are written in
     one assignment: term t of the block at column s fills row
-    ``_shift(t, degree)[j]`` of column s + j.  Dividing each nonzero row by
-    its gcd with L leaves the canonical form, so the result equals
-    ``ExactMatrix.from_columns`` of the Fraction columns.
+    ``_shift(t, degree)[j]`` of column s + j.  Dividing L and the array by
+    the gcd of L and every entry leaves the canonical form, so the result
+    equals ``ExactMatrix.from_columns`` of the Fraction columns.
     """
     gens = list(generators)
     if keep is not None and len(keep) != len(gens):
@@ -207,16 +207,14 @@ def multiplication_matrix(
     arr[at, cols] = np.array(values, dtype=arr.dtype).repeat(widths)
     if keep is not None:
         arr = arr[:, [s + m for s, kept in zip(starts, keep) for m in kept]]
-    dens = [1] * rows
     if scale > 1:
-        live = np.flatnonzero(arr.any(1))
-        gcds = np.gcd.reduce(arr[live], axis=1).tolist()
-        # L may exceed int64, so each distinct row gcd meets it in Python once.
-        divisor = {g: math.gcd(g, scale) for g in set(gcds)}
-        arr[live] //= np.array([divisor[g] for g in gcds], dtype=arr.dtype)[:, None]
-        for i, g in zip(live.tolist(), gcds):
-            dens[i] = scale // divisor[g]
-    return ExactMatrix._of(arr, dens)
+        # L may exceed int64, so the entries' gcd meets it in Python.
+        g = math.gcd(scale, int(np.gcd.reduce(arr, axis=None)))
+        if g > 1:
+            scale //= g
+            if arr.any():
+                arr //= g
+    return ExactMatrix._of(arr, scale)
 
 
 @dataclass(frozen=True)
@@ -246,11 +244,11 @@ class LinearMapReport:
 # ---------------------------------------------------------------------------
 
 
-def _clear(row: Sequence) -> Tuple[Tuple[int, ...], int]:
-    """A row of exact rationals as integers over the lcm of its denominators."""
-    if all(type(e) is int for e in row):
-        return tuple(row), 1
-    ratios = [_rat(e).as_integer_ratio() for e in row]
+def _clear(values: Sequence) -> Tuple[Tuple[int, ...], int]:
+    """Exact rationals as integers over the lcm of their denominators."""
+    if all(type(e) is int for e in values):
+        return tuple(values), 1
+    ratios = [_rat(e).as_integer_ratio() for e in values]
     den = math.lcm(*{d for _, d in ratios})
     return tuple([n * (den // d) for n, d in ratios]), den
 
@@ -513,15 +511,16 @@ def rank(M: ExactMatrix, kernel: Optional[Callable[[], Sequence[Sequence[int]]]]
     return len(pivots)
 
 
-def _kernel(arr: np.ndarray, cols: int) -> Iterator[Vector]:
-    """Right kernel basis of an integer array of ``cols`` columns, each vector
-    re-checked as it is yielded: a caller pays only for the vectors it takes.
+def _kernel(arr: np.ndarray) -> Iterator[Vector]:
+    """Right kernel basis of an integer array, each vector re-checked as it
+    is yielded: a caller pays only for the vectors it takes.
 
     Free column f gives x_f = 1, 0 on the other free columns, and -y on the
     pivot columns left of f, where column f is y @ those pivot columns.  The
     free column f hosts no pivot, so only the rows of the pivots left of f are
     nonzero up to f, and ``_solve`` on them solves the whole system.
     """
+    cols = arr.shape[1]
     echelon, pivots, _ = _bareiss_echelon(arr.tolist())
     left = 0  # pivots[:left] are the pivots left of f
     for f in range(cols):
@@ -538,7 +537,7 @@ def _kernel(arr: np.ndarray, cols: int) -> Iterator[Vector]:
 def kernel_basis(M: ExactMatrix) -> List[Vector]:
     """Deterministic basis of the right kernel, each vector verified; the
     vector of free column f is 1 there and 0 on the other free columns."""
-    return list(_kernel(M.ints, M.cols))
+    return list(_kernel(M.ints))
 
 
 def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
@@ -550,8 +549,8 @@ def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
     rows.  Otherwise the pivot columns P of that echelon, M's and then v's,
     are independent, so t @ B[:, P] = (0, ..., 0, 1) is one exact solve of
     the transposed system.  Every column of M is zero on B's rows or a
-    combination of M's pivot columns there, so w = t times (M | v)'s row
-    denominators, zero on the peel's pivot rows, has w @ M == 0 and
+    combination of M's pivot columns there, so w = t times (M | v)'s
+    denominator, zero on the peel's pivot rows, has w @ M == 0 and
     w @ v == 1; both are re-checked.
     """
     aug = M.augment_column(v)
@@ -565,9 +564,9 @@ def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
         echelon, tpivots, _ = _bareiss_echelon(system)
         t = np.full(M.rows, _ZERO, dtype=object)
         t[rows[k:]] = _solve(echelon, tpivots, len(part))
-        w = tuple(ti * d if ti else ti for ti, d in zip(t, aug.dens))
+        w = tuple(ti * aug.den if ti else ti for ti in t)
         if not (
-            _annihilates(M.ints.T, [wi / d if wi else wi for wi, d in zip(w, M.dens)])
+            _annihilates(M.ints.T, w)
             and sum(wi * _rat(vi) for wi, vi in zip(w, v) if wi) == 1
         ):
             raise CertificateError("a separating functional must kill M and take v to 1")
@@ -585,17 +584,17 @@ def _left_kernel(M: ExactMatrix) -> Iterator[Vector]:
     """Left kernel basis of M, read off its re-checked peel
     (``_peeled_core``), each vector re-checked against every column.
 
-    Since S is invertible, a left-kernel vector w is zero on the pivot rows:
-    t = w / dens is a kernel vector of the transpose of the rows below them
-    on the core's columns.
+    Since S is invertible, a left-kernel vector t is zero on the pivot rows,
+    and below them it is a kernel vector of the transpose of those rows on
+    the core's columns.  M and ``M.ints`` have the same left kernel.
     """
     rows, cols, k, _, b = _peeled_core(M.ints)
-    for s in _kernel(M.ints[rows[k:]][:, cols[k:k + b]].T, M.rows - k):
+    for s in _kernel(M.ints[rows[k:]][:, cols[k:k + b]].T):
         t = np.full(M.rows, _ZERO, dtype=object)
         t[rows[k:]] = s
         if not _annihilates(M.ints.T, t):
             raise CertificateError("left kernel vector must verify")
-        yield tuple(ti * di if ti else ti for ti, di in zip(t, M.dens))
+        yield tuple(t)
 
 
 def left_kernel_basis(M: ExactMatrix) -> List[Vector]:
@@ -612,7 +611,7 @@ def rref(M: ExactMatrix) -> Tuple[List[Vector], List[int]]:
     f ends in its 1 at f, the pivot columns are the columns with no vector,
     and the row of pivot column c holds -vec_f[c] at each free column f.
     """
-    free = {max(j for j, e in enumerate(vec) if e): vec for vec in _kernel(M.ints, M.cols)}
+    free = {max(j for j, e in enumerate(vec) if e): vec for vec in _kernel(M.ints)}
     pivots = [c for c in range(M.cols) if c not in free]
     rows = [
         tuple(-free[j][c] if j in free else Fraction(int(j == c)) for j in range(M.cols))

@@ -8,7 +8,7 @@ One form type, ``HomPoly``, serves two rings:
   (a, b), keyed by exponent quadruples (a0, a1, b0, b1).  ``BigradedPoly``
   is another name for the class.
 
-A form stores what a row of ``linalg.ExactMatrix`` stores, but sparsely: a
+A form stores what a ``linalg.ExactMatrix`` stores, but sparsely: a
 map ``nums`` from monomials to nonzero integer numerators over one positive
 denominator ``den``, in lowest terms (gcd(den, *nums) = 1, and den = 1 for
 zero), so equal forms have equal stored parts.  A form cannot be changed:

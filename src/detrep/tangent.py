@@ -109,7 +109,7 @@ def section_space(bundle: BundleSpec) -> SectionSpace:
     relations: List[Tuple[int, ...]] = []
     for row, src in zip(relation_rows(bundle), relation_source_degrees(bundle)):
         blocks = [multiplication_matrix([entry], src + entry.degree) for entry in row]
-        if any(den != 1 for block in blocks for den in block.dens):
+        if any(block.den != 1 for block in blocks):
             raise CertificateError("relation rows must have integer coefficients")
         relations.extend(zip(*(line for block in blocks for line in block.ints.tolist())))
     echelon, pivots, _ = _bareiss_echelon(relations)

@@ -418,15 +418,13 @@ def test_left_kernel_annihilates_rows():
 
 
 def reference_int_rows(M):
-    """Row-wise lcm of denominators, then int(e * lcm) in Fraction arithmetic."""
-    out, scales = [], []
+    """The lcm of every entry's denominator, then int(e * lcm) in Fraction
+    arithmetic."""
+    mult = 1
     for row in M.entries:
-        mult = 1
         for e in row:
             mult = math.lcm(mult, e.denominator)
-        out.append([int(e * mult) for e in row])
-        scales.append(mult)
-    return out, scales
+    return [[int(e * mult) for e in row] for row in M.entries], mult
 
 
 def test_stored_rows_are_the_canonical_cleared_rows():
@@ -445,19 +443,19 @@ def test_stored_rows_are_the_canonical_cleared_rows():
         ]),
     ]
     for M in cases:
-        assert (M.ints.tolist(), list(M.dens)) == reference_int_rows(M)
+        assert (M.ints.tolist(), M.den) == reference_int_rows(M)
         assert all(type(e) is int for row in M.ints.tolist() for e in row)
         with pytest.raises(ValueError):
             M.ints[...] = 0
-    assert (cases[2].ints.tolist(), cases[2].dens) == ([[], [], []], (1, 1, 1))
+    assert (cases[2].ints.tolist(), cases[2].den) == ([[], [], []], 1)
 
     # Equal rationals written differently store the same rows.
     a = ExactMatrix([[Fraction(2, 4), 3], ["5/10", Fraction(-4, 6)]])
     b = ExactMatrix([[Fraction(1, 2), Fraction(6, 2)], [Fraction(1, 2), Fraction(-2, 3)]])
     assert a == b and hash(a) == hash(b)
-    assert (a.ints.tolist(), a.dens) == ([[1, 6], [3, -4]], (2, 6))
+    assert (a.ints.tolist(), a.den) == ([[3, 18], [3, -4]], 6)
 
-    # Augmenting merges each row's denominator with the new entry's.
+    # Augmenting merges the denominator with the new column's.
     M = cases[0]
     v = [Fraction(1, 5), Fraction(7, 8), Fraction(-5, 4)]
     augmented = M.augment_column(v)
@@ -475,7 +473,7 @@ def test_stored_rows_are_the_canonical_cleared_rows():
         ExactMatrix([[1, 2], [3]])
 
     # A matrix cannot be changed.
-    for attr in ("rows", "cols", "ints", "dens", "entries", "extra"):
+    for attr in ("rows", "cols", "ints", "den", "entries", "extra"):
         with pytest.raises(AttributeError):
             setattr(M, attr, 5)
     assert M == cases[0] and (M.rows, M.cols) == (3, 4)
@@ -483,7 +481,7 @@ def test_stored_rows_are_the_canonical_cleared_rows():
 
 def test_matrices_without_rows_keep_their_columns():
     empty = ExactMatrix.zero(0, 3)
-    assert (empty.rows, empty.cols, empty.ints.tolist(), empty.dens) == (0, 3, [], ())
+    assert (empty.rows, empty.cols, empty.ints.tolist(), empty.den) == (0, 3, [], 1)
     with pytest.raises(ValueError):
         empty.ints[...] = 1
     assert repr(empty) == "ExactMatrix(0x3)"
@@ -589,12 +587,12 @@ def test_rref_matches_sympy_on_empty_and_zero_matrices(sympy):
 
 
 def test_augment_column_matches_rebuilt_matrix():
-    # Integral entries keep every stored row as it is; entries over a
-    # divisor of the row's denominator keep it too; the others rescale it.
+    # Integral entries keep the stored array as it is; entries over a
+    # divisor of the matrix's denominator keep it too; the others rescale it.
     rng = random.Random("augment-column")
     for M in seeded_matrices("augment-column", 120):
         integral = [Fraction(rng.randint(-9, 9)) for _ in range(M.rows)]
-        dividing = [Fraction(rng.randint(-9, 9), rng.choice([1, den])) for den in M.dens]
+        dividing = [Fraction(rng.randint(-9, 9), rng.choice([1, M.den])) for _ in range(M.rows)]
         fractional = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 5, 12])) for _ in range(M.rows)]
         for v in (integral, dividing, fractional):
             augmented = M.augment_column(v)
@@ -625,7 +623,7 @@ def test_certificates_verify_with_sympy_dimensions(sympy):
         frac_matrix([[2, 1], [0, 3], [0, 0]]): [(0, 0, 5), (1, 3, 0)],
     }
     # Non-members of four kinds: (a) after a partial peel, with a core left;
-    # (b) with denominators unlike M's rows', so that (M | v) rescales rows;
+    # (b) with denominators unlike M's, so that (M | v) rescales the array;
     # (c) nonzero only on a zero row of M; (d) the L-multiple pair at n = 1,
     # f = L*f' and g = L*g' with L = x + 2y + 3z, where nothing peels.
     partial = frac_matrix([[2, 1, 0], [0, 1, 3], [0, 2, 6], [0, 0, 0]])
@@ -643,7 +641,7 @@ def test_certificates_verify_with_sympy_dimensions(sympy):
     }
     k, core = peeled(partial)
     assert k and core.size
-    assert rational.augment_column(nonmembers[rational][0]).dens != rational.dens
+    assert rational.augment_column(nonmembers[rational][0]).den != rational.den
     assert not zero_row.ints[0].any() and peeled(zero_row)[1].size == 0
     assert peeled(common)[1].shape == (common.rows, common.cols)
     extra.update(nonmembers)
@@ -655,7 +653,7 @@ def test_certificates_verify_with_sympy_dimensions(sympy):
     assert any(k and core.size for k, core in peels)
     assert any(core.shape == (m.rows, m.cols) for m, (_, core) in zip(pool, peels))
     assert any(la._integer_array(m.ints).dtype == object for m in pool)
-    assert any(d > 1 for m in pool for d in m.dens)
+    assert any(m.den > 1 for m in pool)
     matrices = seeded_matrices("certificates-vs-sympy", 120) + list(extra)
     pool_verdicts, separated = set(), set()
     for i, M in enumerate(matrices + pool):
@@ -878,7 +876,7 @@ CHECKS_UNDER_O = textwrap.dedent(
         "peel_membership": each(*(corrupt_peel(c, membership) for c in corruptions)),
         # a left-kernel vector that kills no column of M
         "left_kernel_columns": patched(
-            "_kernel", lambda rows, cols: iter([(1, 1)]), lambda: la.left_kernel_basis(la.ExactMatrix([[1, 1], [1, 2]]))
+            "_kernel", lambda rows: iter([(1, 1)]), lambda: la.left_kernel_basis(la.ExactMatrix([[1, 1], [1, 2]]))
         ),
         # a transposed solve that returns zeros: its functional kills M but
         # does not take v = (0, 1) to 1
@@ -1097,12 +1095,13 @@ def test_int64_and_object_arrays_give_the_same_verdicts(sympy, monkeypatch):
 
 def test_multiplication_matrix_past_int64():
     # Small numerators over a 30-digit denominator: L exceeds int64 and the
-    # entries do not.  A row holding one term divides by its numerator.
+    # entries do not.  The numerators 3, -5 and 7 share no factor, so L
+    # stays the denominator.
     big = 105 * 10**27
     assert big.bit_length() > 63
     slim = HomPoly(2, {(2, 0, 0): Fraction(3, big), (0, 1, 1): Fraction(-5, big), (0, 0, 2): Fraction(7, big)})
     # A numerator past 63 bits, and one that reaches -2^63 once scaled to
-    # L = 2^63: its rows divide back into int64.
+    # L = 2^63, which int64 still holds.
     wide = HomPoly(1, {(1, 0, 0): Fraction(2**70), (0, 1, 0): Fraction(1, 3)})
     edge = [HomPoly(1, {(1, 0, 0): Fraction(1, 2**63)}), HomPoly(1, {(0, 1, 0): Fraction(-1)})]
     for gens, degree, dtype in (
@@ -1119,5 +1118,5 @@ def test_multiplication_matrix_past_int64():
         assert built == want and hash(built) == hash(want)
         assert built.ints.dtype == want.ints.dtype == dtype
         assert all(type(e) is int for row in built.ints.tolist() for e in row)
-        assert all(type(d) is int for d in built.dens)
-    assert la.multiplication_matrix([slim], 2).dens == (big // 3, 1, 1, 1, big // 5, big // 7)
+        assert type(built.den) is int
+    assert la.multiplication_matrix([slim], 2).den == big
