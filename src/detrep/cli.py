@@ -8,15 +8,21 @@ re-check (a defect of the program, not of the input).
 
 Each ``cmd_*`` function returns a ``RunReport`` of inputs, verdicts, data and
 seed, and raises ``ValueError`` (``ParseError`` included) on bad input.
-``build_parser`` adds ``--json`` to every subcommand.  ``main`` owns the rest
-of the run: it stamps the subcommand's name, times it, picks the exit code,
-renders the report, and maps a ``ValueError`` to ``error: ...`` with exit 2
-and a ``CertificateError`` to ``internal error: ...`` with exit 3.
+``build_parser`` returns a fresh parser with ``--json`` on every subcommand.
+``main`` builds one on its first call and reuses it for the rest of the
+process, so an in-process caller pays the build once.  The parser binds each
+subcommand's ``cmd_*`` and the ``_int_option`` type when it is built; the
+``MAX_*`` limits and the library functions are looked up when a command
+runs, so a test should patch those, not a ``cmd_*``.  ``main`` owns the
+rest of the run: it stamps the subcommand's name, times it, picks the exit
+code, renders the report, and maps a ``ValueError`` to ``error: ...`` with
+exit 2 and a ``CertificateError`` to ``internal error: ...`` with exit 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -479,10 +485,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     t0 = time.perf_counter()

@@ -571,9 +571,12 @@ def _ordered(text):
     return [pair for pair in json.loads(text, object_pairs_hook=list) if pair[0] != "timing"]
 
 
-@pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[case["id"] for case in GOLDEN_CASES])
-def test_golden_report(case, fmt, tmp_path, capsys):
+def _untimed_text(out):
+    return [line for line in out.splitlines() if not line.startswith("  time: ")]
+
+
+def check_golden(case, fmt, tmp_path, capsys):
+    """Run one golden row in ``fmt`` and compare it with its pinned report."""
     for name, content in case["files"]:
         (tmp_path / name).write_text(content, encoding="utf-8", errors="surrogateescape")
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in case["argv"]]
@@ -586,5 +589,73 @@ def test_golden_report(case, fmt, tmp_path, capsys):
     elif fmt == "json":
         assert _ordered(captured.out) == case["json"]
     else:
-        lines = [line for line in captured.out.splitlines() if not line.startswith("  time: ")]
-        assert lines == case["text"]
+        assert _untimed_text(captured.out) == case["text"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[case["id"] for case in GOLDEN_CASES])
+def test_golden_report(case, fmt, tmp_path, capsys):
+    check_golden(case, fmt, tmp_path, capsys)
+
+
+def test_golden_rows_replay_in_reverse_in_one_process(tmp_path, capsys):
+    # main reuses one parser for the whole process: no row may depend on the
+    # rows run before it, usage lines on stderr included.
+    detrep.cli._parser.cache_clear()
+    for case in reversed(GOLDEN_CASES):
+        for fmt in ("text", "json"):
+            check_golden(case, fmt, tmp_path, capsys)
+
+
+# ---------------------------------------------------------------- one parser per process
+
+
+def run_plain(capsys, argv):
+    """The exit code, stderr and report of one run; the report is the JSON
+    minus "timing", or the text minus its "time:" line."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    report = _ordered(captured.out) if "--json" in argv else _untimed_text(captured.out)
+    return code, captured.err, report
+
+
+LEAK_PAIRS = {
+    "seed-then-pair": (["mult", "--n", "1", "--seed", "3", "--json"], 0,
+                       ["mult", "--n", "1", "--f", "x^2, y^2, z^2", "--g", "y*z, x*z, x*y", "--json"]),
+    "select-degree-then-family": (["audit", "--select-degree", "7", "--json"], 0,
+                                  ["audit", "--family", "M", "--params", "n=0,k=2", "--json"]),
+    "json-then-text": (["verify-example2", "--json"], 0, ["verify-example2"]),
+    "usage-error-then-run": (["tangent", "--bundle", "T", "--n", "0"], 2,
+                             ["tangent", "--bundle", "T", "--n", "0", "--v1", "x, 2*y, 3*z",
+                              "--v2", "y, z, x", "--json"]),
+}
+
+
+@pytest.mark.parametrize("first, first_exit, second", LEAK_PAIRS.values(), ids=LEAK_PAIRS)
+def test_a_run_leaks_nothing_into_the_next(first, first_exit, second, capsys):
+    # The second of two runs in a row reports what it reports on a fresh parser.
+    detrep.cli._parser.cache_clear()
+    want = run_plain(capsys, second)
+    detrep.cli._parser.cache_clear()
+    before = run_plain(capsys, first)
+    assert before[0] == first_exit
+    assert run_plain(capsys, second) == want
+    if "--seed" in first:
+        assert "seed" in dict(before[2]) and "seed" not in dict(want[2])
+
+
+def test_main_builds_the_parser_once(monkeypatch, tmp_path, capsys):
+    detrep.cli._parser.cache_clear()
+    builds = counting(monkeypatch, "build_parser", detrep.cli)
+    firsts = {}
+    for case in GOLDEN_CASES:
+        firsts.setdefault(case["argv"][0], case)
+    assert set(firsts) == {"verify-example1", "verify-example2", "tangent", "mult",
+                           "p1p1", "audit", "containment"}
+    for case in firsts.values():
+        check_golden(case, "json", tmp_path, capsys)
+    assert main(["frobnicate"]) == 2
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: detrep")
+    assert len(builds) == 1
+    assert build_parser() is not build_parser()
