@@ -361,6 +361,10 @@ def _parse_range(text: str):
 
 def cmd_audit(args) -> RunReport:
     if args.select_degree is not None:
+        table = [f"--{key.replace('_', '-')}" for key in ("family", "params", "m_range", "g")
+                 if vars(args)[key] is not None]
+        if table:
+            raise ValueError(f"--select-degree echoes one bundle and cannot be given with {', '.join(table)}")
         spec = select_E_d(args.select_degree)
         return RunReport(
             inputs={"select_degree": args.select_degree},
@@ -369,18 +373,21 @@ def cmd_audit(args) -> RunReport:
         )
     if args.family is None:
         raise ValueError("--family (or --select-degree) is required")
+    # The table's defaults live here, so that --select-degree can refuse a given value.
+    m_text = "0:10" if args.m_range is None else args.m_range
+    g = 8 if args.g is None else args.g
     params = _parse_params(args.params)
-    m_range = _parse_range(args.m_range)
+    m_range = _parse_range(m_text)
     n = params.pop("n", 0)
     param = params.pop(parameter_letter(args.family), None)  # None pops nothing
     if params:
         raise ValueError(f"unknown parameters {sorted(params)}")
     spec = BundleSpec(args.family, n, param)
-    rows = inequality_audit(spec, m_range, args.g)
+    rows = inequality_audit(spec, m_range, g)
     gaps = [row.rhs - row.lhs for row in rows]
     onset = linearity_onset(gaps)
     return RunReport(
-        inputs={"family": args.family, "bundle": spec.label(), "m_range": args.m_range, "g": args.g},
+        inputs={"family": args.family, "bundle": spec.label(), "m_range": m_text, "g": g},
         verdicts={"all_hold": all(row.holds for row in rows)},
         data={
             "rows": [
@@ -469,9 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="section-count inequality table for a bundle family")
     p.add_argument("--family", choices=FAMILIES, default=None)
     p.add_argument("--params", default=None, help="e.g. n=2 or n=1,k=2")
-    p.add_argument("--m-range", default="0:10",
-                   help="inclusive lo:hi twist range; write a negative lo as --m-range=-3:0")
-    p.add_argument("--g", type=_int_option, default=8)
+    p.add_argument("--m-range", default=None,
+                   help="inclusive lo:hi twist range, 0:10 by default; write a negative lo as --m-range=-3:0")
+    p.add_argument("--g", type=_int_option, default=None, help="8 by default")
     p.add_argument("--select-degree", type=_int_option, default=None,
                    help="echo the rank-two bundle selected for a target degree")
     p.set_defaults(func=cmd_audit)

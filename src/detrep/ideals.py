@@ -12,8 +12,9 @@ of that multiplication map coincides with the image of the tangent map of the
 degeneracy construction at the pair, after restriction to the curve.
 ``diagram_crosscheck`` computes both verdicts from one build of the minors and
 compares them.  The two sides share the matrix builder
-``linalg.multiplication_matrix``: the tangent matrix is a column subset of the
-multiplication matrix of the same six forms, signed, and the curve column
+``linalg.multiplication_matrix``, the one-block case of ``module_matrix``: the
+tangent matrix is a column subset of the multiplication matrix of the same six
+forms, signed, and the curve column
 that augments it is built from the same forms, as F = v1 ^ v2 = sum_j (v2)_j
 * C_j(v1).  So the augmented tangent matrix lies in the span of the
 multiplication matrix by construction, and the cross-check ranks it first.
@@ -28,14 +29,15 @@ soon as one graded piece fills up, and filling is monotone upward (checked,
 not assumed).  Every rung below the fill has a deficient rank.  Known
 syzygies of the generators give kernel vectors of its matrix, re-checked in
 integers, which bound that rank from above: the Koszul syzygies for any
-generators, and five more that the construction gives for the minors U.
-Where the bound meets the mod-p rank the rung is decided without integer
-elimination; elsewhere Bareiss decides.
+generators, and five more that the construction gives for the minors U.  A
+syzygy is a module element, one form per generator, so its kernel columns
+m*s, stacked by generator, come from one ``linalg.module_matrix`` of all the
+syzygies together.  Where the bound meets the mod-p rank the rung is decided
+without integer elimination; elsewhere Bareiss decides.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -45,6 +47,7 @@ from .linalg import (
     CertificateError,
     ExactMatrix,
     LinearMapReport,
+    module_matrix,
     multiplication_matrix,
     rank,
     report,
@@ -141,35 +144,6 @@ def koszul_syzygies(generators: Sequence[HomPoly]) -> List[Syzygy]:
     return out
 
 
-def syzygy_columns(
-    generators: Sequence[HomPoly], k: int, syzygies: Sequence[Syzygy]
-) -> List[Tuple[int, ...]]:
-    """Kernel vectors of ``component_matrix(generators, k)``: the column m*s
-    for every syzygy s and every monomial m of degree k - deg s.
-
-    The rows of generator g_i are ``multiplication_matrix`` of the syzygies'
-    entries s_i in degree k - deg g_i, stacked in generator order; a zero
-    generator has no columns in the component matrix and gives no rows.  Each
-    syzygy is first scaled to integer numerators, so every block is stored
-    with denominator 1 and its columns are the vectors themselves.
-    """
-    scaled = []
-    for syz in syzygies:
-        if syz[0].degree + generators[0].degree > k:
-            continue  # no monomial of degree k - deg s
-        den = math.lcm(*(entry.den for entry in syz))
-        scaled.append(syz if den == 1 else tuple(entry.scale(den) for entry in syz))
-    if not scaled:
-        return []
-    rows = [
-        row
-        for i, gen in enumerate(generators)
-        if not gen.is_zero()
-        for row in multiplication_matrix([syz[i] for syz in scaled], k - gen.degree).ints.tolist()
-    ]
-    return list(zip(*rows))
-
-
 def component_dim(
     generators: Sequence[HomPoly], k: int, syzygies: Optional[Sequence[Syzygy]] = None
 ) -> int:
@@ -184,9 +158,15 @@ def component_dim(
     if all(gen.is_zero() or gen.degree > k for gen in generators):
         return 0
 
-    def kernel() -> List[Tuple[int, ...]]:
+    def kernel() -> List[List[int]]:
+        # The column m*s for every syzygy s and every monomial m of degree
+        # k - deg s, its entry s_i in the rows of g_i: a zero generator has
+        # no columns in the component matrix, so its entry is dropped.  The
+        # stored columns are one common positive multiple of the m*s.
+        live = [i for i, gen in enumerate(generators) if not gen.is_zero()]
         syz = koszul_syzygies(generators) if syzygies is None else syzygies
-        return syzygy_columns(generators, k, syz)
+        elements = [[s[i] for i in live] for s in syz]
+        return module_matrix(elements, [k - generators[i].degree for i in live]).ints.T.tolist()
 
     return rank(component_matrix(generators, k), kernel=kernel)
 

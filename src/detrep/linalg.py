@@ -21,10 +21,11 @@ its next update by the pivot that divided its last one (a lazy divisor,
 exact by telescoping), so the sparse relation and multiplication matrices
 cost only the updates they need.
 
-Multiplication matrices (columns m*g for generators g and monomials m) come
-from one builder, ``multiplication_matrix``, which writes every generator's
-integer numerators into the array through the shift table of
-``polynomials`` in one assignment, with no ``Fraction``.
+Multiplication matrices (columns m*e for monomials m and module elements e,
+one form per stacked row block) come from one builder, ``module_matrix``,
+which lays out the blocks and writes every integer numerator into the array
+through the shift table of ``polynomials`` in one assignment, with no
+``Fraction``; ``multiplication_matrix`` is its one-block case.
 
 ``rank``, membership and the left kernel peel the matrix on its integer
 nonzero pattern (``_peel``): a column whose one nonzero lies in row i is a
@@ -58,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, cycle
 from operator import attrgetter, mul
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -168,45 +169,52 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
-def multiplication_matrix(
-    generators: Sequence[HomPoly], degree, keep: Optional[Sequence[Sequence[int]]] = None
+def module_matrix(
+    elements: Sequence[Sequence[HomPoly]], degrees: Sequence, keep: Optional[Sequence[int]] = None
 ) -> ExactMatrix:
-    """The matrix whose columns are the coefficient vectors of m*g in the
-    degree-``degree`` basis, for every generator g and every monomial m of
-    degree ``degree - g.degree``.
+    """The matrix whose columns are the coefficient vectors of m*e, for every
+    module element e and every monomial m of e's multiplier degree.
 
-    Columns are generator-major, with m in basis order inside each
-    generator.  ``keep``, when given, holds one list per generator: the
-    positions in its multiplier basis whose columns are kept, in that order.
-    A zero generator gives zero columns, and a generator of degree above
-    ``degree`` gives none.
+    Entry i of an element fills row block i, the degree-``degrees[i]``
+    basis.  Every entry, a zero one included, falls short of its target
+    degree by the element's multiplier degree, or ``ValueError`` is raised;
+    a negative one gives no columns.  Columns are element-major, with m in
+    basis order.  ``keep``, when given, lists the column indices kept.
 
     All numerators, scaled to the lcm L of the denominators, are written in
-    one assignment: term t of the block at column s fills row
-    ``_shift(t, degree)[j]`` of column s + j.  Dividing L and the array by
-    the gcd of L and every entry leaves the canonical form, so the result
-    equals ``ExactMatrix.from_columns`` of the Fraction columns.
+    one assignment: term t of entry i of the element whose columns start at
+    s fills row o_i + ``_shift(t, degrees[i])[j]`` of column s + j, where
+    block i starts at row o_i.  Dividing L and the array by the gcd of L and
+    every entry leaves the canonical form, so the result equals
+    ``ExactMatrix.from_columns`` of the Fraction columns.
     """
-    gens = list(generators)
-    if keep is not None and len(keep) != len(gens):
-        raise ValueError("keep needs one list per generator")
-    sub = _ring(degree).sub
-    rows = len(_mono_index(degree)[0])
-    blocks = [len(_mono_index(sub(degree, gen.degree))[0]) for gen in gens]
+    width = len(degrees)
+    if any(len(element) != width for element in elements):
+        raise ValueError("an element needs one entry per target degree")
+    entries = [entry for element in elements for entry in element]
+    shorts = list(map(_ring(degrees[0]).sub, cycle(degrees), [entry.degree for entry in entries]))
+    if shorts != [short for short in shorts[::width] for _ in degrees]:
+        raise ValueError("every entry of an element needs the same multiplier degree")
+    blocks = [len(_mono_index(short)[0]) for short in shorts[::width]]
+    offsets = list(accumulate([len(_mono_index(d)[0]) for d in degrees], initial=0))
     starts = list(accumulate(blocks, initial=0))
-    scale = math.lcm(*(gen.den for gen in gens))
-    values = [num * f for gen in gens for f in [scale // gen.den] for num in gen.nums.values()]
+    rows, cols = offsets[-1], starts[-1]
+    scale = math.lcm(*(entry.den for entry in entries))
+    values = [num * f for entry in entries for f in [scale // entry.den] for num in entry.nums.values()]
     wide = values and max(map(abs, values)).bit_length() > 63
-    arr = np.zeros((rows, starts[-1]), dtype=object if wide else np.int64)
-    shifts = (_shift(t, degree) for gen, b in zip(gens, blocks) if b for t in gen.nums)
+    arr = np.zeros(rows * cols, dtype=object if wide else np.int64)
+    shifts = (_shift(t, d) for element, b in zip(elements, blocks) if b
+              for entry, d in zip(element, degrees) for t in entry.nums)
     at = np.fromiter(chain.from_iterable(shifts), np.intp)
-    spans = np.array([blocks, starts[:-1]], dtype=np.intp)
-    widths, firsts = spans.repeat([len(gen.nums) for gen in gens], axis=1)
-    # Entry j of a term whose block starts at column s goes to column s + j.
-    cols = np.arange(at.size) - (widths.cumsum() - widths - firsts).repeat(widths)
-    arr[at, cols] = np.array(values, dtype=arr.dtype).repeat(widths)
+    # Row o_i + shift[j] of column s + j, as one flat position:
+    # shift[j] * cols + (o_i * cols + s) + j.
+    spans = [[b for b in blocks for _ in degrees], [o * cols + s for s in starts[:-1] for o in offsets[:-1]]]
+    widths, firsts = np.array(spans, dtype=np.intp).repeat([len(entry.nums) for entry in entries], axis=1)
+    flat = at * cols + np.arange(at.size) - (widths.cumsum() - widths - firsts).repeat(widths)
+    arr[flat] = np.array(values, dtype=arr.dtype).repeat(widths)
+    arr = arr.reshape(rows, cols)
     if keep is not None:
-        arr = arr[:, [s + m for s, kept in zip(starts, keep) for m in kept]]
+        arr = arr[:, list(keep)]
     if scale > 1:
         # L may exceed int64, so the entries' gcd meets it in Python.
         g = math.gcd(scale, int(np.gcd.reduce(arr, axis=None)))
@@ -215,6 +223,14 @@ def multiplication_matrix(
             if arr.any():
                 arr //= g
     return ExactMatrix._of(arr, scale)
+
+
+def multiplication_matrix(
+    generators: Sequence[HomPoly], degree, keep: Optional[Sequence[int]] = None
+) -> ExactMatrix:
+    """``module_matrix`` of one-entry elements: the columns m*g for every
+    generator g and monomial m of degree ``degree - g.degree``, generator-major."""
+    return module_matrix([(gen,) for gen in generators], (degree,), keep)
 
 
 @dataclass(frozen=True)

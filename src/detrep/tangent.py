@@ -45,18 +45,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .bundles import (
-    BundleSpec,
-    ambient_degrees,
-    det_degree,
-    h0_bundle,
-    relation_rows,
-    relation_source_degrees,
-)
+from .bundles import BundleSpec, ambient_degrees, det_degree, h0_bundle, relation_rows
 from .detmatrix import GpliError, Section
-from .linalg import CertificateError, ExactMatrix, _bareiss_echelon, multiplication_matrix, rank
+from .linalg import CertificateError, ExactMatrix, _bareiss_echelon, module_matrix, multiplication_matrix
+from .linalg import rank
 from .polynomials import HomPoly, h0_p2, mono_basis
 
 
@@ -102,16 +96,13 @@ def section_space(bundle: BundleSpec) -> SectionSpace:
     degs = ambient_degrees(bundle)
     *offsets, ambient_dim = accumulate(map(h0_p2, degs), initial=0)
 
-    # Relation f*row for every monomial f of the row's source degree: one
-    # ambient vector per relation, stacked block by block, which is the
-    # column f of the row's multiplication matrices stacked.  Their span
-    # is the row space of the matrix with one relation per row.
-    relations: List[Tuple[int, ...]] = []
-    for row, src in zip(relation_rows(bundle), relation_source_degrees(bundle)):
-        blocks = [multiplication_matrix([entry], src + entry.degree) for entry in row]
-        if any(block.den != 1 for block in blocks):
-            raise CertificateError("relation rows must have integer coefficients")
-        relations.extend(zip(*(line for block in blocks for line in block.ints.tolist())))
+    # Relation f*row for every monomial f of the row's source degree: a row
+    # is a module element over the ambient blocks, so the relations are the
+    # columns of the rows' module matrix.
+    matrix = module_matrix(relation_rows(bundle), degs)
+    if matrix.den != 1:
+        raise CertificateError("relation rows must have integer coefficients")
+    relations = matrix.ints.T.tolist()
     echelon, pivots, _ = _bareiss_echelon(relations)
     if len(pivots) != len(relations):
         raise CertificateError("defining relations must be independent")
@@ -229,13 +220,11 @@ def _tangent_report(
     space = section_space(bundle)
     quot = quotient_by_pair(space, v1, v2)
     degree = det_degree(bundle)
-    # Lift positions split by ambient block, as offsets inside the block.
-    block_lifts: List[List[int]] = [[] for _ in space.block_offsets]
-    for pos in quot.lift_positions:
-        j, offset = space._locate(pos)
-        block_lifts[j].append(offset)
+    # C_j's multiplier basis is ambient block j, so each section's three forms
+    # have their lift columns at the lift positions, the second past the first.
     forms = [-form for form in c2] + list(c1)
-    matrix = multiplication_matrix(forms, degree, keep=block_lifts * 2)
+    lifts = quot.lift_positions
+    matrix = multiplication_matrix(forms, degree, keep=lifts + tuple(p + space.ambient_dim for p in lifts))
     # The curve's numerators: scaling a column by den leaves the rank as it is.
     augmented = matrix.augment_column(curve.num_vector())
     aug_rank = rank(augmented)

@@ -12,6 +12,7 @@ from detrep.ideals import (
     containment_degree,
     diagram_crosscheck,
     disjointness_check,
+    koszul_syzygies,
     mult_map_matrix,
     mult_map_report,
     u_generators,
@@ -521,6 +522,80 @@ def test_disjointness_takes_no_bareiss(n, monkeypatch):
 
     monkeypatch.setattr(detrep.linalg, "_bareiss_echelon", refuse)
     assert [disjointness_check(f, g) for f, g in pairs] == want
+
+
+def kernel_of(generators, k, syzygies=None):
+    """The kernel columns that ``component_dim`` hands to ``rank`` at k."""
+    seen = []
+
+    def ranked(matrix, kernel):
+        seen.append(kernel)
+        return rank(matrix, kernel=kernel)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detrep.ideals, "rank", ranked)
+        component_dim(generators, k, syzygies)
+    [kernel] = seen
+    return kernel()
+
+
+def stacked_products(generators, k, syzygies):
+    """m*s for every syzygy s and monomial m of degree k - deg s, each entry's
+    products concatenated over the nonzero generators, as ``HomPoly``
+    products."""
+    live = [i for i, gen in enumerate(generators) if not gen.is_zero()]
+    out = []
+    for syz in syzygies:
+        short = k - syz[0].degree - generators[0].degree
+        for mono in mono_basis(short):
+            m = HomPoly.monomial(mono)
+            out.append([e for i in live for e in (m * syz[i]).coeff_vector()])
+    return out
+
+
+def zero_generator_pair():
+    """A T(0) pair whose first triple (0, 0, z) has the zero minor b*x - a*y."""
+    zero = HomPoly.zero(1)
+    s1, s2 = random_pair(derive_rng(41, "zero-minor", 0), T(0))
+    return (zero, zero, Z), s2.components
+
+
+@pytest.mark.parametrize("source", ["koszul", "u"])
+def test_kernel_columns_are_one_positive_multiple_of_the_syzygy_products(source):
+    cases = []
+    if source == "koszul":
+        rng = derive_rng(43, "kernel-columns", 0)
+        gens = [random_hompoly(rng, 2), HomPoly.zero(1), (X * Y).scale(Fraction(3, 7)), random_hompoly(rng, 3)]
+        cases.append((gens, None, koszul_syzygies(gens)))
+    else:
+        for f, g in disjointness_pairs(2) + [zero_generator_pair()]:
+            u = u_generators(f, g)
+            cases.append((u.generators, u_syzygies(u), u_syzygies(u)))
+    assert any(gen.is_zero() for gens, _, _ in cases for gen in gens)
+    assert any(gen.den > 1 for gens, _, _ in cases for gen in gens)
+    for gens, given, syzygies in cases:
+        top = max(gen.degree for gen in gens)
+        for k in range(top, 3 * top):
+            columns = kernel_of(gens, k, given)
+            want = stacked_products(gens, k, syzygies)
+            assert len(columns) == len(want)
+            ratios = {Fraction(c, w) for col, ref in zip(columns, want) for c, w in zip(col, ref) if w}
+            assert all(not c for col, ref in zip(columns, want) for c, w in zip(col, ref) if not w)
+            assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+            assert bool(ratios) == any(any(ref) for ref in want)
+
+
+def test_a_deficient_rung_builds_its_kernel_in_one_call(monkeypatch):
+    # One build for the component matrix and one for the kernel columns of
+    # every syzygy, however many generators there are.
+    rng = derive_rng(43, "one-kernel-build", 0)
+    gens = [random_hompoly(rng, 3), HomPoly.zero(2), random_hompoly(rng, 3), random_hompoly(rng, 3)]
+    [k, *_] = deficient_rungs(gens, containment_degree(gens).ladder)
+    got, fell_back, want = rung(gens, k)
+    assert got == want and not fell_back
+    builds = count_calls(monkeypatch, detrep.linalg, "module_matrix", [detrep.linalg, detrep.ideals])
+    assert component_dim(gens, k) == got
+    assert [len(args[1]) for args in builds] == [1, 3]
 
 
 def common_factor_pair(n):

@@ -919,14 +919,21 @@ def random_form(rng, degree, basis):
     })
 
 
-def reference_matrix(gens, degree, keep=None):
-    """from_columns of the Fraction columns, keeping the chosen ones."""
+def reference_matrix(elements, degrees, keep=None):
+    """from_columns of the Fraction columns m*e, entry i of e stacked in row
+    block i, keeping the chosen ones."""
     columns = []
-    for i, gen in enumerate(gens):
-        block = multiple_columns([gen], degree)
-        kept = range(len(block)) if keep is None else keep[i]
-        columns.extend(block[m] for m in kept)
-    return ExactMatrix.from_columns(columns, rows=len(la._mono_index(degree)[0]))
+    for element in elements:
+        blocks = [multiple_columns([entry], d) for entry, d in zip(element, degrees, strict=True)]
+        columns.extend([e for part in column for e in part] for column in zip(*blocks))
+    if keep is not None:
+        columns = [columns[c] for c in keep]
+    return ExactMatrix.from_columns(columns, rows=sum(len(la._mono_index(d)[0]) for d in degrees))
+
+
+def one_block(gens, degree, keep=None):
+    """``reference_matrix`` of one-entry elements, as ``multiplication_matrix`` builds them."""
+    return reference_matrix([(gen,) for gen in gens], [degree], keep)
 
 
 def test_multiplication_matrix_matches_fraction_columns_on_the_plane():
@@ -935,14 +942,14 @@ def test_multiplication_matrix_matches_fraction_columns_on_the_plane():
         degree = rng.randint(0, 7)
         gens = [random_form(rng, d, mono_basis(d)) for d in rng.choices(range(9), k=rng.randint(1, 5))]
         built = la.multiplication_matrix(gens, degree)
-        assert built == reference_matrix(gens, degree)
+        assert built == one_block(gens, degree)
         assert (built.rows, built.cols) == (
             h0_p2(degree), sum(h0_p2(degree - g.degree) for g in gens)
         )
     # degree-0 generators, and one of degree above the target
     gens = [HomPoly(0, {(0, 0, 0): Fraction(5, 3)}), HomPoly.zero(0), HomPoly.monomial((3, 0, 0))]
     for degree in (0, 1, 2, 3):
-        assert la.multiplication_matrix(gens, degree) == reference_matrix(gens, degree)
+        assert la.multiplication_matrix(gens, degree) == one_block(gens, degree)
 
 
 def test_multiplication_matrix_matches_fraction_columns_on_p1p1():
@@ -953,23 +960,93 @@ def test_multiplication_matrix_matches_fraction_columns_on_p1p1():
         for _ in range(rng.randint(1, 4)):
             d = (rng.randint(0, 3), rng.randint(0, 3))
             gens.append(random_form(rng, d, bimono_basis(*d)))
-        assert la.multiplication_matrix(gens, target) == reference_matrix(gens, target)
+        assert la.multiplication_matrix(gens, target) == one_block(gens, target)
 
 
 def test_multiplication_matrix_keeps_chosen_columns():
-    # Shaped like tangent_map's lift columns: three signed forms, each keeping
-    # an increasing subset of its block, twice over, some blocks empty.
+    # Shaped like tangent_map's lift columns: three signed forms, keeping an
+    # increasing subset of the first three blocks' columns and the same
+    # shifted past them, some blocks empty; then any columns in any order.
     rng = random.Random("builder-keep")
     for _ in range(40):
         degree = rng.randint(2, 7)
         forms = [random_form(rng, d, mono_basis(d)) for d in rng.choices(range(1, degree + 1), k=3)]
         gens = [-f for f in forms] + forms
-        lifts = [sorted(rng.sample(range(h0_p2(degree - f.degree)), rng.randint(0, h0_p2(degree - f.degree))))
-                 for f in forms]
-        keep = lifts * 2
-        assert la.multiplication_matrix(gens, degree, keep=keep) == reference_matrix(gens, degree, keep)
+        half = sum(h0_p2(degree - f.degree) for f in forms)
+        lifts = sorted(rng.sample(range(half), rng.randint(0, half)))
+        keep = lifts + [pos + half for pos in lifts]
+        assert la.multiplication_matrix(gens, degree, keep=keep) == one_block(gens, degree, keep)
+        picked = rng.choices(range(2 * half), k=rng.randint(0, 6))
+        assert la.multiplication_matrix(gens, degree, keep=picked) == one_block(gens, degree, picked)
+    # An empty keep keeps no column.
+    built = la.multiplication_matrix([HomPoly.monomial((1, 0, 0))], 2, keep=[])
+    assert (built.rows, built.cols) == (6, 0)
+
+
+def random_element(rng, degrees, short, basis):
+    """One form per target degree, each ``short`` below it: zero forms,
+    mixed denominators, and now and then a numerator or denominator past
+    63 bits."""
+    sub = la._ring(degrees[0]).sub
+    element = []
+    for d in degrees:
+        form = random_form(rng, sub(d, short), basis(sub(d, short)))
+        if rng.random() < 0.1:
+            form = form.scale(rng.choice([Fraction(2**70, 3), Fraction(5, 10**25)]))
+        element.append(form)
+    return tuple(element)
+
+
+def check_module_matrix(elements, degrees):
+    built = la.module_matrix(elements, degrees)
+    want = reference_matrix(elements, degrees)
+    assert built == want and built.ints.dtype == want.ints.dtype
+    assert built.rows == sum(len(la._mono_index(d)[0]) for d in degrees)
+    return built
+
+
+def test_module_matrix_matches_fraction_columns_on_the_plane():
+    rng = random.Random("module-plane")
+    dtypes = set()
+    for _ in range(80):
+        degrees = [rng.randint(0, 6) for _ in range(rng.randint(1, 4))]
+        # a negative multiplier degree gives no columns
+        shorts = [rng.randint(-1, min(degrees)) for _ in range(rng.randint(0, 4))]
+        elements = [random_element(rng, degrees, short, mono_basis) for short in shorts]
+        built = check_module_matrix(elements, degrees)
+        assert built.cols == sum(h0_p2(short) for short in shorts)
+        dtypes.add(built.ints.dtype)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    # An element one degree above each of its targets fills no column.
+    x, y = HomPoly.monomial((1, 0, 0)), HomPoly.monomial((0, 1, 0))
+    built = la.module_matrix([(x * x, x * y * y)], (1, 2))
+    assert (built.rows, built.cols) == (9, 0)
+
+
+def test_module_matrix_matches_fraction_columns_on_p1p1():
+    rng = random.Random("module-p1p1")
+    for _ in range(50):
+        degrees = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 4))]
+        lows = [min(d[i] for d in degrees) for i in (0, 1)]
+        shorts = [(rng.randint(-1, lows[0]), rng.randint(-1, lows[1])) for _ in range(rng.randint(0, 4))]
+        elements = [random_element(rng, degrees, short, lambda d: bimono_basis(*d)) for short in shorts]
+        built = check_module_matrix(elements, degrees)
+        assert built.cols == sum((a + 1) * (b + 1) for a, b in shorts if min(a, b) >= 0)
+
+
+def test_module_matrix_refuses_entries_short_by_different_degrees():
+    x, y = HomPoly.monomial((1, 0, 0)), HomPoly.monomial((0, 1, 0))
+    with pytest.raises(ValueError, match="same multiplier degree"):
+        la.module_matrix([(x, y * y)], (2, 2))
+    # A zero entry keeps its degree, so a zero of the wrong degree is refused.
+    with pytest.raises(ValueError, match="same multiplier degree"):
+        la.module_matrix([(x, HomPoly.zero(0))], (2, 2))
+    with pytest.raises(ValueError, match="same multiplier degree"):
+        la.module_matrix([(x, x), (x, y * y)], (2, 3))
+    # An element needs one entry per target degree.
     with pytest.raises(ValueError):
-        la.multiplication_matrix([HomPoly.monomial((1, 0, 0))], 2, keep=[])
+        la.module_matrix([(x,)], (2, 2))
+    assert la.module_matrix([(x, HomPoly.zero(1))], (2, 2)).cols == 3
 
 
 def dense_modp_rank(rows):
@@ -1114,7 +1191,7 @@ def test_multiplication_matrix_past_int64():
         (edge, 3, np.int64),
     ):
         built = la.multiplication_matrix(gens, degree)
-        want = reference_matrix(gens, degree)
+        want = one_block(gens, degree)
         assert built == want and hash(built) == hash(want)
         assert built.ints.dtype == want.ints.dtype == dtype
         assert all(type(e) is int for row in built.ints.tolist() for e in row)

@@ -82,6 +82,14 @@ def relation_vectors(spec):
     ]
 
 
+@pytest.mark.parametrize("spec", [T(-1), T(1), N(2), M(2, 1), E(3, 1), E(4, 2)], ids=lambda s: s.label())
+def test_relation_echelon_is_the_echelon_of_the_relation_vectors(spec):
+    # The relations are the columns of one module matrix of the relation
+    # rows; the reference feeds each row every monomial multiplier by hand.
+    echelon, _, _ = detrep.tangent._bareiss_echelon(relation_vectors(spec))
+    assert section_space.__wrapped__(spec).relation_echelon == tuple(map(tuple, echelon))
+
+
 def test_relation_shift_keeps_lift_positions():
     for spec in (T(1), N(1)):
         space = section_space(spec)
