@@ -36,14 +36,15 @@ diagonal, hence invertible.  So v is in M's span iff its part below the
 pivots is in the span of those rows, the only ones eliminated, and a
 left-kernel vector is zero on the pivot rows.  A core with no rows or no
 columns settles the rank with no arithmetic, as for the monomial special
-pair; otherwise ``rank`` eliminates the core modulo the prime 2^31 - 1.  A
-full-rank outcome there exhibits a nonzero minor mod p, and an integer minor
-that is nonzero mod p is nonzero, so that verdict is already exact.  A
-deficient outcome is a lower bound.  A caller that knows vectors the matrix
-kills (the syzygy columns of a multiplication matrix) may hand them to
-``rank``; once the integer product re-checks that they are killed, cols
-minus their rank mod p is an upper bound, and when the two bounds meet the
-rank is exact.  Any other deficient core is recomputed by integer Bareiss.
+pair; otherwise ``rank`` eliminates the core modulo a prime p below 2^26,
+reducing the updated rows only once in every ``_LAZY_STEPS`` pivot steps
+(``_modp_rank``).  A full-rank outcome there exhibits a nonzero minor mod p,
+and an integer minor that is nonzero mod p is nonzero, so that verdict is
+already exact.  A deficient outcome is a lower bound.  A caller that knows
+vectors the matrix kills (the syzygy columns of a multiplication matrix)
+may hand them to ``rank``; once the integer product re-checks that they
+are killed, cols minus their rank mod p is an upper bound, and when the two
+bounds meet the rank is exact.  Any other deficient core is recomputed by integer Bareiss.
 
 Membership and surjectivity verdicts come with certificates (a preimage or a
 cokernel functional) that are re-verified against the original matrix before
@@ -59,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, cycle
+from itertools import chain, cycle
 from operator import attrgetter, mul
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -69,7 +70,9 @@ from .polynomials import HomPoly, _mono_index, _rat, _ring, _shift
 
 Vector = Tuple[Fraction, ...]
 
-_FAST_PRIME = 2**31 - 1
+_FAST_PRIME = 67108859  # the largest prime below 2^26
+# Unreduced updates an int64 entry in [0, p) can take without wrapping.
+_LAZY_STEPS = (2**63 - 1 - _FAST_PRIME) // (_FAST_PRIME - 1) ** 2
 # Tests may flip this to exercise the pure-Bareiss path.
 USE_MODP_FAST_PATH = True
 _ZERO = Fraction(0)
@@ -189,29 +192,32 @@ def module_matrix(
     ``ExactMatrix.from_columns`` of the Fraction columns.
     """
     width = len(degrees)
-    if any(len(element) != width for element in elements):
+    if any(map(width.__ne__, map(len, elements))):
         raise ValueError("an element needs one entry per target degree")
     entries = [entry for element in elements for entry in element]
-    shorts = list(map(_ring(degrees[0]).sub, cycle(degrees), [entry.degree for entry in entries]))
-    if shorts != [short for short in shorts[::width] for _ in degrees]:
+    shorts = list(map(_ring(degrees[0]).sub, cycle(degrees), map(attrgetter("degree"), entries)))
+    if any(shorts[i::width] != shorts[::width] for i in range(1, width)):
         raise ValueError("every entry of an element needs the same multiplier degree")
     blocks = [len(_mono_index(short)[0]) for short in shorts[::width]]
-    offsets = list(accumulate([len(_mono_index(d)[0]) for d in degrees], initial=0))
-    starts = list(accumulate(blocks, initial=0))
-    rows, cols = offsets[-1], starts[-1]
+    sizes = [len(_mono_index(d)[0]) for d in degrees]
+    rows, cols = sum(sizes), sum(blocks)
     scale = math.lcm(*(entry.den for entry in entries))
-    values = [num * f for entry in entries for f in [scale // entry.den] for num in entry.nums.values()]
-    wide = values and max(map(abs, values)).bit_length() > 63
-    arr = np.zeros(rows * cols, dtype=object if wide else np.int64)
-    shifts = (_shift(t, d) for element, b in zip(elements, blocks) if b
-              for entry, d in zip(element, degrees) for t in entry.nums)
+    values = _integer_array(
+        [num * f for entry in entries for f in [scale // entry.den] for num in entry.nums.values()]
+    )
+    arr = np.zeros(rows * cols, dtype=values.dtype)
+    # A term of an element with no columns shifts to no positions.
+    shifts = (_shift(t, d) for entry, d in zip(entries, cycle(degrees)) for t in entry.nums)
     at = np.fromiter(chain.from_iterable(shifts), np.intp)
     # Row o_i + shift[j] of column s + j, as one flat position:
-    # shift[j] * cols + (o_i * cols + s) + j.
-    spans = [[b for b in blocks for _ in degrees], [o * cols + s for s in starts[:-1] for o in offsets[:-1]]]
-    widths, firsts = np.array(spans, dtype=np.intp).repeat([len(entry.nums) for entry in entries], axis=1)
+    # shift[j] * cols + (o_i * cols + s) + j.  Each term spans its element's
+    # b columns, from the first position o_i * cols + s of its entry's block.
+    terms = np.fromiter(map(len, map(attrgetter("nums"), entries)), np.intp, len(entries))
+    b, o = np.array(blocks, dtype=np.intp), np.array(sizes, dtype=np.intp)
+    widths = b.repeat(width).repeat(terms)
+    firsts = np.add.outer(b.cumsum() - b, (o.cumsum() - o) * cols).ravel().repeat(terms)
     flat = at * cols + np.arange(at.size) - (widths.cumsum() - widths - firsts).repeat(widths)
-    arr[flat] = np.array(values, dtype=arr.dtype).repeat(widths)
+    arr[flat] = values.repeat(widths)
     arr = arr.reshape(rows, cols)
     if keep is not None:
         arr = arr[:, list(keep)]
@@ -373,33 +379,56 @@ def _integer_array(rows: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def _modp_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix modulo 2^31 - 1 (a lower bound on the rank).
+    """Rank of an integer matrix modulo the prime ``_FAST_PRIME`` (a lower
+    bound on the rank), by a sweep that delays its reductions (delayed
+    modular reduction, as in Dumas, Giorgi and Pernet's FFLAS-FFPACK).
 
     The matrix is reduced mod p in one numpy call; only when some entry does
-    not fit in int64 is each entry reduced in Python.  Each pivot step
-    updates only the rows below the pivot whose entry in the pivot column is
-    nonzero: for any other row the dense update subtracts 0.
+    not fit in int64 is each entry reduced in Python.  A pivot step reduces
+    only the live part of the pivot column and the pivot row, then subtracts
+    f * (pivot row) from every row below whose pivot-column entry is nonzero,
+    with no reduction of the updated block.  A reduced entry lies in [0, p),
+    and each update subtracts at most (p - 1)^2, so after s updates an entry
+    lies in [-s (p - 1)^2, p); p < 2^26 keeps (p - 1)^2 below 2^52, and
+    ``_LAZY_STEPS`` is the largest s with s (p - 1)^2 + p < 2^63.  The whole
+    trailing block is reduced once after every ``_LAZY_STEPS`` update steps,
+    so int64 never wraps, whatever the size.  Reducing a pivot column or row
+    before it is read keeps the factors and the products below 2^52.
+
+    The update is a plain slice of the rows below when more than a third of
+    the live rows are hit, and a gather of the hit rows otherwise; a row with
+    a zero factor changes by 0 either way.  Columns left of the pivot are
+    never read again, so the swap and the update leave them stale.
     """
     p = _FAST_PRIME
     arr = (_integer_array(rows) % p).astype(np.int64, copy=False)
     n, width = arr.shape
-    r = 0
+    r = steps = 0
     for col in range(width):
         if r == n:
             break
-        nz = np.flatnonzero(arr[r:, col])
+        c = arr[r:, col]
+        c %= p
+        nz = c.nonzero()[0]
         if nz.size == 0:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            # The old row r moves to i; it is zero in this column.
-            arr[[r, i]] = arr[[i, r]]
-        below = r + nz[1:]
-        if below.size:
-            inv = pow(int(arr[r, col]), -1, p)
-            factors = (arr[below, col] * inv) % p
-            # entries < p and factors < p, so products stay below 2^62 < int64 max
-            arr[below, col:] = (arr[below, col:] - factors[:, None] * arr[r, col:]) % p
+        if nz[0]:
+            # The old row r moves down; it is zero in this column.
+            i = r + int(nz[0])
+            arr[[r, i], col:] = arr[[i, r], col:]
+        k = nz.size - 1
+        if k:
+            inv = pow(int(c[0]), -1, p)
+            prow = arr[r, col + 1:] % p
+            if 3 * k < n - r:
+                below = r + nz[1:]
+                arr[below, col + 1:] -= ((c[nz[1:]] * inv) % p)[:, None] * prow
+            else:
+                arr[r + 1:, col + 1:] -= ((c[1:] * inv) % p)[:, None] * prow
+            steps += 1
+            if steps == _LAZY_STEPS:
+                arr[r + 1:, col + 1:] %= p
+                steps = 0
         r += 1
     return r
 

@@ -1049,8 +1049,10 @@ def test_module_matrix_refuses_entries_short_by_different_degrees():
     assert la.module_matrix([(x, HomPoly.zero(1))], (2, 2)).cols == 3
 
 
-def dense_modp_rank(rows):
-    """Reference: reduce each entry in Python, update every row below the pivot."""
+def dense_modp_rank(rows, hits=None):
+    """Reference: reduce each entry in Python, update every row below the
+    pivot and reduce the whole block at every step.  ``hits``, when given,
+    collects (rows hit below the pivot, live rows) at each pivot."""
     p = la._FAST_PRIME
     arr = np.array([[e % p for e in row] for row in rows], dtype=np.int64)
     n, width = arr.shape
@@ -1061,6 +1063,8 @@ def dense_modp_rank(rows):
         nz = np.nonzero(arr[r:, col])[0]
         if nz.size == 0:
             continue
+        if hits is not None:
+            hits.append((nz.size - 1, n - r))
         i = r + int(nz[0])
         arr[[r, i]] = arr[[i, r]]
         inv = pow(int(arr[r, col]), p - 2, p)
@@ -1070,8 +1074,11 @@ def dense_modp_rank(rows):
     return r
 
 
-def test_sparse_modp_sweep_matches_dense_sweep():
+def sweep_pool():
+    """Seeded small matrices: dense, sparse, with repeated rows, and with
+    entries at and past the int64 limits."""
     rng = random.Random("modp-sweep")
+    pool = []
     for trial in range(300):
         rows, cols = rng.randint(1, 12), rng.randint(1, 12)
         if trial % 3 == 0:
@@ -1085,6 +1092,12 @@ def test_sparse_modp_sweep_matches_dense_sweep():
             wide = WIDE[:3] if trial % 2 else WIDE
             for _ in range(rng.randint(1, 4)):
                 m[rng.randrange(rows)][rng.randrange(cols)] = rng.choice(wide)
+        pool.append(m)
+    return pool
+
+
+def test_sparse_modp_sweep_matches_dense_sweep():
+    for m in sweep_pool():
         assert la._modp_rank(m) == dense_modp_rank(m)
     # 2^63 - 1 and -2^63 convert in one numpy call; 2^63 and 2^70 overflow it.
     np.array([WIDE[:3]], dtype=np.int64)
@@ -1094,6 +1107,87 @@ def test_sparse_modp_sweep_matches_dense_sweep():
     p = la._FAST_PRIME
     assert la._modp_rank([[2**70, 2**70 + p], [1, 1]]) == dense_modp_rank([[2**70, 2**70 + p], [1, 1]]) == 1
     assert la._modp_rank([[2**63 - 1, 0], [0, -(2**63)]]) == 2
+
+
+def test_fast_prime_keeps_delayed_updates_inside_int64(sympy):
+    p, steps = la._FAST_PRIME, la._LAZY_STEPS
+    assert sympy.isprime(p) and p < 2**26
+    # An entry reduced into [0, p) that takes ``steps`` updates of at most
+    # (p - 1)^2 each stays above -2^63; one more update could wrap.
+    assert steps * (p - 1) ** 2 + p <= 2**63 - 1 < (steps + 1) * (p - 1) ** 2 + p
+    assert steps >= 2048
+
+
+def test_modp_sweep_agrees_when_it_re_reduces_often(monkeypatch):
+    pool = sweep_pool()
+    wants = [dense_modp_rank(m) for m in pool]
+    for steps in (1, 3):
+        monkeypatch.setattr(la, "_LAZY_STEPS", steps)
+        assert [la._modp_rank(m) for m in pool] == wants
+
+
+def test_modp_sweep_on_entries_near_the_prime(monkeypatch):
+    # Entries near +-(p - 1) make every product near (p - 1)^2.  The dense
+    # matrix updates through slices, the sparse one mostly through gathers,
+    # and small step bounds force the block re-reduction many times over.
+    rng = random.Random("near-the-prime")
+    p = la._FAST_PRIME
+    near = [p - 1, 1 - p, p - 2, 2 - p, p - 3, 3 - p]
+    dense = [[rng.choice(near) for _ in range(70)] for _ in range(60)]
+    sparse = [[rng.choice(near) if rng.random() < 0.03 else 0 for _ in range(200)] for _ in range(150)]
+    for m in (dense, sparse):
+        # two rows that depend on others over the integers
+        m[-1] = [a - b for a, b in zip(m[0], m[1])]
+        m[-2] = [a + 2 * b for a, b in zip(m[2], m[-1])]
+    traces = [[], []]
+    wants = [dense_modp_rank(m, hits) for m, hits in zip((dense, sparse), traces)]
+    assert wants == [58, 148]  # each short by its two dependent rows
+    updates = [[(k, live) for k, live in hits if k] for hits in traces]
+    assert all(3 * k >= live for k, live in updates[0][:40])
+    assert any(3 * k < live for k, live in updates[1]) and any(3 * k >= live for k, live in updates[1])
+    assert min(map(len, updates)) > 7
+    for steps in (la._LAZY_STEPS, 7, 3, 1):
+        monkeypatch.setattr(la, "_LAZY_STEPS", steps)
+        assert [la._modp_rank(dense), la._modp_rank(sparse)] == wants
+
+
+def minor3(m, cols):
+    """The 3x3 minor of a three-row matrix on the given columns."""
+    (a, b, c), (d, e, f), (g, h, i) = ([row[j] for j in cols] for row in m)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def test_an_unlucky_prime_falls_back_to_bareiss(monkeypatch):
+    # Full rank over Q, deficient mod p: the sweep's lower bound stays short,
+    # so Bareiss decides, and a kernel bound that is not met decides nothing.
+    p = la._FAST_PRIME
+    calls = []
+    real = la._bareiss_echelon
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(la, "_bareiss_echelon", counted)
+    two = [[1, 1], [1, 1 + p]]  # determinant p
+    # B has rank 2 and no entry divisible by p; B + p E has rank 3 over Q.
+    u, v, w, x = (1, 2, 3), (1, 1, 2, 5), (2, 1, 4), (3, 1, 1, 2)
+    three = [[u[i] * v[j] + w[i] * x[j] + p * (i == j) for j in range(4)] for i in range(3)]
+    assert all(e % p for row in three for e in row)
+    assert all(minor3(three, cols) % p == 0 for cols in itertools.combinations(range(4), 3))
+    assert minor3(three, (0, 1, 2)) != 0
+    for m, want in ((two, 2), (three, 3)):
+        M = frac_matrix(m)
+        assert la._modp_rank(m) == want - 1
+        assert bareiss_rank(M, monkeypatch) == want
+        kern = integer_kernel(M)
+        for kernel in (None, lambda: [], lambda: [(0,) * M.cols], lambda: kern):
+            calls.clear()
+            assert rank(M, kernel=kernel) == want
+            assert len(calls) == 1
+    # (1 + p, -1) is killed mod p only; the integer re-check refuses it.
+    with pytest.raises(la.CertificateError, match="syzygy"):
+        rank(frac_matrix(two), kernel=lambda: [(1 + p, -1)])
 
 
 # ------------------------------------------------- the int64 array's boundary
