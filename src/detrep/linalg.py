@@ -37,14 +37,15 @@ pivots is in the span of those rows, the only ones eliminated, and a
 left-kernel vector is zero on the pivot rows.  A core with no rows or no
 columns settles the rank with no arithmetic, as for the monomial special
 pair; otherwise ``rank`` eliminates the core modulo a prime p below 2^26,
-reducing the updated rows only once in every ``_LAZY_STEPS`` pivot steps
+reducing the updated rows only once in every ``_LAZY_STEPS`` update steps
 (``_modp_rank``).  A full-rank outcome there exhibits a nonzero minor mod p,
 and an integer minor that is nonzero mod p is nonzero, so that verdict is
 already exact.  A deficient outcome is a lower bound.  A caller that knows
 vectors the matrix kills (the syzygy columns of a multiplication matrix)
 may hand them to ``rank``; once the integer product re-checks that they
 are killed, cols minus their rank mod p is an upper bound, and when the two
-bounds meet the rank is exact.  Any other deficient core is recomputed by integer Bareiss.
+bounds meet the rank is exact.  Any other deficient core is recomputed by
+integer Bareiss.
 
 Membership and surjectivity verdicts come with certificates (a preimage or a
 cokernel functional) that are re-verified against the original matrix before
@@ -397,8 +398,10 @@ def _modp_rank(rows: Sequence[Sequence[int]]) -> int:
 
     The update is a plain slice of the rows below when more than a third of
     the live rows are hit, and a gather of the hit rows otherwise; a row with
-    a zero factor changes by 0 either way.  Columns left of the pivot are
-    never read again, so the swap and the update leave them stale.
+    a zero factor changes by 0 either way.  The rule is speed only: the slice
+    wins on the dense tangent matrices, the gather on the few sparse steps of
+    the large ladder matrices.  Columns left of the pivot are never read
+    again, so the swap and the update leave them stale.
     """
     p = _FAST_PRIME
     arr = (_integer_array(rows) % p).astype(np.int64, copy=False)
