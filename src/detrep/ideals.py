@@ -14,12 +14,12 @@ degeneracy construction at the pair, after restriction to the curve.
 compares them.  The two sides share the matrix builder
 ``linalg.multiplication_matrix``, the one-block case of ``module_matrix``: the
 tangent matrix is a column subset of the multiplication matrix of the same six
-forms, signed, and the curve column
-that augments it is built from the same forms, as F = v1 ^ v2 = sum_j (v2)_j
-* C_j(v1).  So the augmented tangent matrix lies in the span of the
-multiplication matrix by construction, and the cross-check ranks it first.
-When it is full, the multiplication map is onto and its matrix is neither
-built nor ranked on its own; otherwise it is ranked as well.  What tests the
+forms, signed, and the curve column that augments it is read off that
+matrix, as F = v1 ^ v2 = sum_j (v2)_j * C_j(v1).  So the augmented tangent
+matrix lies in the span of the multiplication matrix by construction, and
+the cross-check ranks it first.  When it is full, the multiplication map is
+onto and its matrix is neither built nor ranked on its own; otherwise it is
+ranked as well.  What tests the
 tangent columns and the curve independently are the determinant-based oracles
 of ``tests/oracles.py``.
 
@@ -247,8 +247,9 @@ def diagram_crosscheck(
     The two must agree whenever the pair is generically independent; a
     degenerate pair cuts no curve, and both sides then count as
     non-surjective.  The minors are built once and feed both sides.  The
-    tangent side expands the curve F = sum_j (v2)_j * C_j(v1) from them and
-    raises ``GpliError`` when it vanishes, which marks the pair degenerate.
+    tangent side reads the curve F = sum_j (v2)_j * C_j(v1) off their
+    multiplication matrix and raises ``GpliError`` when it vanishes, which
+    marks the pair degenerate.
 
     The augmented tangent matrix is ranked first.  Each of its columns is a
     signed column of the multiplication matrix, and its curve column F is a

@@ -7,19 +7,23 @@ form.  ``_solve`` back-substitutes one column: a preimage; a separating
 functional, from the transposed pivot columns and a unit right-hand side;
 or a free column on the pivot columns left of it, which ``kernel_basis``
 negates into a re-checked kernel vector.  ``rref`` (no library caller)
-reads its rows off those vectors.  Section spaces and their quotients read
-pivot columns off ``_bareiss_echelon`` directly, since those depend only on
-the row span.
+reads its rows off those vectors.  Section spaces read pivot columns off
+``_bareiss_echelon`` directly, and the quotient by a pair off one of the
+pair's two rows, reduced by the relations first, since pivot columns depend
+only on the row span.
 An ``ExactMatrix`` clears its denominators once, where it is built, into
 one integer array over one denominator, and every verdict reads the array
 as it is: int64, or Python ints when some entry needs more than 63 bits.
-Since int64 wraps silently, a value leaves the array for Python arithmetic
-only through ``tolist``.  Pivoting is deterministic (first nonzero entry in
-column order), so identical inputs give bit-identical outputs.  The elimination
-leaves a row alone while its entry in the pivot column is zero and divides
-its next update by the pivot that divided its last one (a lazy divisor,
-exact by telescoping), so the sparse relation and multiplication matrices
-cost only the updates they need.
+Since int64 wraps silently, int64 arithmetic on the array runs only under a
+bound that rules out wrapping: the mod-p sweep's, and ``_exact_product``'s,
+which multiplies the array by an integer vector in int64 while max|entry|
+times the vector's 1-norm is below 2^63, and in Python ints otherwise.
+Pivoting is deterministic (first nonzero entry in column order), so
+identical inputs give bit-identical outputs.  The elimination leaves a row
+alone while its entry in the pivot column is zero and divides its next
+update by the pivot that divided its last one (a lazy divisor, exact by
+telescoping), so the sparse relation and multiplication matrices cost only
+the updates they need.
 
 Multiplication matrices (columns m*e for monomials m and module elements e,
 one form per stacked row block) come from one builder, ``module_matrix``,
@@ -220,8 +224,13 @@ def module_matrix(
     flat = at * cols + np.arange(at.size) - (widths.cumsum() - widths - firsts).repeat(widths)
     arr[flat] = values.repeat(widths)
     arr = arr.reshape(rows, cols)
-    if keep is not None:
-        arr = arr[:, list(keep)]
+    return _lowest_terms(arr if keep is None else arr[:, list(keep)], scale)
+
+
+def _lowest_terms(arr: np.ndarray, scale: int) -> ExactMatrix:
+    """The matrix arr / scale, from a writable integer array that it takes
+    over: scale and arr are divided by the gcd of scale and every entry, so
+    the result is canonical whatever common factor the two shared."""
     if scale > 1:
         # L may exceed int64, so the entries' gcd meets it in Python.
         g = math.gcd(scale, int(np.gcd.reduce(arr, axis=None)))
@@ -368,6 +377,18 @@ def _annihilates(rows: np.ndarray, x: Sequence[Fraction]) -> bool:
     only the columns in x's support leave the array."""
     support = {j: e for j, e in enumerate(_clear(x)[0]) if e}
     return not any(sum(map(mul, row, support.values())) for row in rows[:, list(support)].tolist())
+
+
+def _exact_product(arr: np.ndarray, support: Sequence[int], values: Sequence[int]) -> np.ndarray:
+    """arr[:, support] @ values, exact: only the support's columns leave the
+    array.  Every partial sum is at most max|entry| * sum|value| in absolute
+    value, so int64 cannot wrap while that bound is below 2^63, and the
+    product is taken in int64 then; otherwise it is taken in Python ints."""
+    cols = arr[:, list(support)]
+    top = max(int(cols.max()), -int(cols.min()), 1) if cols.size else 1
+    if cols.dtype != object and top * sum(map(abs, values)) < 2**63:
+        return cols @ np.array(values, dtype=np.int64)
+    return cols.astype(object) @ np.array(values, dtype=object)
 
 
 def _integer_array(rows: Sequence[Sequence[int]]) -> np.ndarray:

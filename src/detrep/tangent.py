@@ -3,14 +3,18 @@ Jacobian smoothness certificate.
 
 The space of global sections of each bundle is realized concretely: an
 ambient direct sum of form spaces modulo the image of the defining relation.
-One fraction-free echelon form of the relations is kept per bundle.  The
-quotient by a pair is read from the pivots of that echelon with the pair's
-two ambient vectors appended: the pivot columns of an echelon form depend
-only on the row span, so the columns left without a pivot index monomials
-whose classes form a basis of H0 / <v1, v2>.  ``SectionSpace.ambient_vector``
-is the one packer of a section into the ambient space: integer numerators
-block by block, over the lcm of the block denominators, which spans the same
-line as the rational coefficient vector.
+One fraction-free echelon form of the relations is kept per bundle, with
+each row's pivot column and nonzero positions.  The quotient by a pair
+reduces only the pair's two ambient vectors by that echelon, row by row over
+each row's nonzeros, and reads two more pivots off one elimination of the
+two reduced rows.  The pivot columns of an echelon form depend only on the
+row span, so the relations' pivots and those two are the pivots of the
+relations with the pair appended, and the columns left without a pivot
+index monomials whose classes form a basis of H0 / <v1, v2>.
+``SectionSpace.ambient_terms`` is the one packer of a section into the
+ambient space: integer numerators with their positions, block by block,
+over the lcm of the block denominators, which spans the same line as the
+rational coefficient vector; ``ambient_vector`` lays them out densely.
 
 For a pair of sections (v1, v2) spanning V, the derivative of the map
 "pair of sections -> degeneracy curve" sends a homomorphism phi in
@@ -30,8 +34,10 @@ monomial m in one ambient block j, so the column of phi: v1 -> m is
 column subset of the multiplication matrix of the cofactor forms, and no
 polynomial determinant is taken per column (the tests take one per column,
 with ``tangent_column`` of ``tests/oracles.py``, as the independent
-reference).  The curve v1 ^ v2 = sum_j (v2)_j * C_j(v1) is read off the same
-forms, so no determinant is taken at all (``detmatrix.wedge_curve`` is its
+reference).  The curve v1 ^ v2 = sum_j (v2)_j * C_j(v1) is read off the
+same multiplication matrix: its columns m*C_j(v1), over every monomial m of
+every block, times v2's packed numerators.  So neither a determinant nor a
+polynomial product is taken (``detmatrix.wedge_curve`` is the curve's
 reference in the tests).  For T(n) the C_j of the two sections are exactly
 the minors that ``ideals.u_generators`` calls U.  Surjectivity onto sections
 of the curve is decided by ranking the matrix augmented with the curve's own
@@ -45,13 +51,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .bundles import BundleSpec, ambient_degrees, det_degree, h0_bundle, relation_rows
 from .detmatrix import GpliError, Section
-from .linalg import CertificateError, ExactMatrix, _bareiss_echelon, module_matrix, multiplication_matrix
-from .linalg import rank
-from .polynomials import HomPoly, h0_p2, mono_basis
+from .linalg import CertificateError, ExactMatrix, _bareiss_echelon, _exact_product, _lowest_terms
+from .linalg import module_matrix, multiplication_matrix, rank
+from .polynomials import HomPoly, _mono_index, h0_p2, mono_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +75,8 @@ class SectionSpace:
     block_offsets: Tuple[int, ...]
     ambient_dim: int
     relation_echelon: Tuple[Tuple[int, ...], ...]
+    relation_pivots: Tuple[int, ...]
+    relation_supports: Tuple[Tuple[int, ...], ...]
     free_positions: Tuple[int, ...]
 
     @property
@@ -75,15 +85,31 @@ class SectionSpace:
 
     # -- ambient packing ------------------------------------------------
 
-    def ambient_vector(self, components: Sequence[HomPoly]) -> Tuple[int, ...]:
-        """The components' coefficient vectors, concatenated and cleared of
-        denominators: each block's numerators scaled to the lcm L of the
-        block denominators, so the vector is L times the rational one."""
+    def ambient_terms(self, components: Sequence[HomPoly]) -> Tuple[List[int], List[int]]:
+        """The components' nonzero numerators and their ambient positions:
+        each block's numerators scaled to the lcm L of the block
+        denominators, so they are L times the rational coefficients.  It
+        costs one step per term, whatever the ambient dimension."""
         degrees = tuple(comp.degree for comp in components)
         if degrees != self.ambient_degrees:
             raise ValueError(f"components of degrees {degrees}, not {self.ambient_degrees}")
         den = math.lcm(*(comp.den for comp in components))
-        return tuple(c * (den // comp.den) for comp in components for c in comp.num_vector())
+        positions, nums = [], []
+        for offset, comp in zip(self.block_offsets, components):
+            index, scale = _mono_index(comp.degree)[1], den // comp.den
+            for mono, c in comp.nums.items():
+                positions.append(offset + index[mono])
+                nums.append(c * scale)
+        return positions, nums
+
+    def ambient_vector(self, components: Sequence[HomPoly]) -> Tuple[int, ...]:
+        """The components' coefficient vectors, concatenated and cleared of
+        denominators: ``ambient_terms`` laid out densely, so the vector is L
+        times the rational one."""
+        vector = [0] * self.ambient_dim
+        for pos, c in zip(*self.ambient_terms(components)):
+            vector[pos] = c
+        return tuple(vector)
 
     def _locate(self, pos: int) -> Tuple[int, int]:
         """The ambient block holding position ``pos``, and the offset in it."""
@@ -106,13 +132,16 @@ def section_space(bundle: BundleSpec) -> SectionSpace:
     echelon, pivots, _ = _bareiss_echelon(relations)
     if len(pivots) != len(relations):
         raise CertificateError("defining relations must be independent")
-    pivot_set = {c for _, c in pivots}
+    # Every row holds a pivot, so row i's pivot column is pivots[i][1].
+    pivot_cols = tuple(c for _, c in pivots)
+    pivot_set = set(pivot_cols)
     free = tuple(i for i in range(ambient_dim) if i not in pivot_set)
     if len(free) != h0_bundle(bundle):
         raise CertificateError("rank-computed dimension must match")
-    # The fraction-free echelon of the relations, which each pair extends.
+    # The fraction-free echelon of the relations, which reduces each pair.
     echelon = tuple(tuple(row) for row in echelon)
-    return SectionSpace(bundle, degs, tuple(offsets), ambient_dim, echelon, free)
+    supports = tuple(tuple(j for j, e in enumerate(row) if e) for row in echelon)
+    return SectionSpace(bundle, degs, tuple(offsets), ambient_dim, echelon, pivot_cols, supports, free)
 
 
 @dataclass(frozen=True)
@@ -146,19 +175,48 @@ class SectionQuotient:
 
 
 def quotient_by_pair(space: SectionSpace, v1: Section, v2: Section) -> SectionQuotient:
-    """The quotient by <v1, v2>, from one elimination of the relation echelon
-    with the pair's two ambient vectors appended."""
+    """The quotient by <v1, v2>: the pair's two ambient vectors, reduced by
+    the relation echelon, then one elimination of the two reduced rows.
+
+    Each vector w is reduced by the echelon rows in order, w <- piv*w -
+    w[c]*row at the row's pivot column c, over the row's nonzeros only.  A
+    row is zero left of its pivot and later rows left of theirs, so w ends
+    zero on every relation pivot column, which is re-checked.  The reduced
+    rows span, with the relations, what the pair does, and they share no
+    nonzero vector with the relations' span (each such vector leads at a
+    relation pivot column).  So the pivot columns of the whole are the
+    relations' and those of the two reduced rows alone.
+    """
     for v in (v1, v2):
         if v.bundle != space.bundle:
             other, own = v.bundle.label(), space.bundle.label()
             raise ValueError(f"a section of {other} is not one of {own}")
-    rows = space.relation_echelon + tuple(space.ambient_vector(v.components) for v in (v1, v2))
-    _, pivots, _ = _bareiss_echelon(rows)
-    if len(pivots) != len(rows):
+    reduced = [_reduce(space, space.ambient_vector(v.components)) for v in (v1, v2)]
+    if any(w[c] for w in reduced for c in space.relation_pivots):
+        raise CertificateError("a reduced section must vanish on every relation pivot column")
+    _, pivots, _ = _bareiss_echelon(reduced)
+    if len(pivots) != 2:
         raise GpliError("the two sections do not span a two-dimensional subspace")
-    pivot_set = {c for _, c in pivots}
-    positions = tuple(pos for pos in range(space.ambient_dim) if pos not in pivot_set)
-    return SectionQuotient(space=space, lift_positions=positions)
+    new = {c for _, c in pivots}
+    return SectionQuotient(space=space, lift_positions=tuple(p for p in space.free_positions if p not in new))
+
+
+def _reduce(space: SectionSpace, vector: Sequence[int]) -> List[int]:
+    """The vector reduced by the relation echelon rows in order, each over
+    its nonzero positions.  The result is a nonzero multiple of the vector
+    plus a combination of relations, all that the quotient needs, so no
+    division is taken."""
+    w = list(vector)
+    for row, c, support in zip(space.relation_echelon, space.relation_pivots, space.relation_supports):
+        f = w[c]
+        if not f:
+            continue
+        piv = row[c]
+        if piv != 1:
+            w = [piv * e for e in w]
+        for j in support:
+            w[j] -= f * row[j]
+    return w
 
 
 def cofactor_forms(v: Section) -> Tuple[HomPoly, HomPoly, HomPoly]:
@@ -211,22 +269,30 @@ def _tangent_report(
     bundle: BundleSpec, v1: Section, v2: Section, c1: Sequence[HomPoly], c2: Sequence[HomPoly]
 ) -> TangentReport:
     """``tangent_map`` on validated input, given c1 and c2, the cofactor
-    forms of v1 and v2, so that a caller holding them builds them once.  The
-    curve is det(v1; v2; r) expanded along v2's row."""
-    q1, q2, q3 = v2.components
-    curve = q1 * c1[0] + q2 * c1[1] + q3 * c1[2]
-    if curve.is_zero():
-        raise GpliError("sections are generically dependent; no curve is cut")
+    forms of v1 and v2, so that a caller holding them builds them once.
+
+    One multiplication matrix of the six signed forms, with all columns,
+    serves both the matrix and the curve.  C_j's multiplier basis is ambient
+    block j, so its half for v1 (columns m*C_j(v1)) times v2's packed
+    numerators is the curve det(v1; v2; r), expanded along v2's row, times
+    the matrix's and v2's denominators; the tangent matrix is its lift
+    columns in each half."""
     space = section_space(bundle)
-    quot = quotient_by_pair(space, v1, v2)
     degree = det_degree(bundle)
-    # C_j's multiplier basis is ambient block j, so each section's three forms
-    # have their lift columns at the lift positions, the second past the first.
-    forms = [-form for form in c2] + list(c1)
+    full = multiplication_matrix([-form for form in c2] + list(c1), degree)
+    column = _exact_product(full.ints[:, space.ambient_dim :], *space.ambient_terms(v2.components))
+    nonzero = np.flatnonzero(column)
+    if not nonzero.size:
+        raise GpliError("sections are generically dependent; no curve is cut")
+    basis = _mono_index(degree)[0]
+    den = full.den * math.lcm(*(comp.den for comp in v2.components))
+    curve = HomPoly._of(degree, dict(zip([basis[i] for i in nonzero.tolist()], column[nonzero].tolist())), den)
+    quot = quotient_by_pair(space, v1, v2)
     lifts = quot.lift_positions
-    matrix = multiplication_matrix(forms, degree, keep=lifts + tuple(p + space.ambient_dim for p in lifts))
-    # The curve's numerators: scaling a column by den leaves the rank as it is.
-    augmented = matrix.augment_column(curve.num_vector())
+    matrix = _lowest_terms(full.ints[:, list(lifts + tuple(p + space.ambient_dim for p in lifts))], full.den)
+    del full  # the rank below needs only the kept columns
+    # The column is the curve times a positive integer, so the rank is the same.
+    augmented = matrix.augment_column(column.tolist())
     aug_rank = rank(augmented)
     return TangentReport(
         bundle=bundle,

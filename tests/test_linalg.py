@@ -1205,6 +1205,35 @@ def test_annihilates_does_not_wrap_in_int64():
     assert la._annihilates(row, (0,))
 
 
+def test_exact_product_does_not_wrap_in_int64():
+    # In int64, 2^62 * 4 wraps to 0: at max|entry| * sum|value| = 2^64 the
+    # product leaves int64.
+    row = np.array([[2**62] * 4], dtype=np.int64)
+    assert la._exact_product(row, [0, 1, 2, 3], [1, 1, 1, 1]).tolist() == [2**64]
+    # Just below 2^63 the int64 product is taken, and it is exact.
+    under = la._exact_product(np.array([[2**61 - 1, 5]], dtype=np.int64), [0], [4])
+    assert under.dtype == np.int64 and under.tolist() == [2**63 - 4]
+    # -2^63 has no int64 absolute value; the bound still reads it as 2^63.
+    low = np.array([[-(2**63), 0]], dtype=np.int64)
+    assert la._exact_product(low, [0, 1], [1, 1]).tolist() == [-(2**63)]
+    assert la._exact_product(low, [0], [-1]).tolist() == [2**63]
+    # Only the support's columns are read, and an empty support gives zeros.
+    assert la._exact_product(np.array([[7, 2**62]], dtype=np.int64), [0], [3]).tolist() == [21]
+    assert la._exact_product(low, [], []).tolist() == [0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_product_matches_python_ints(seed):
+    rng = random.Random(seed)
+    rows = [[rng.choice([0, rng.randint(-(2**rng.choice([8, 40, 62, 70])), 2**62)]) for _ in range(6)]
+            for _ in range(4)]
+    arr = la._integer_array(rows)
+    support = sorted(rng.sample(range(6), rng.randint(0, 6)))
+    values = [rng.randint(-(2**rng.choice([4, 30, 64])), 2**20) for _ in support]
+    want = [sum(row[j] * v for j, v in zip(support, values)) for row in rows]
+    assert la._exact_product(arr, support, values).tolist() == want
+
+
 def wide_rows(rng):
     """A seeded matrix up to 5x5 whose nonzero integers lie between 2^40 and
     2^62 in absolute value, often with one row the sum of two others, a zero

@@ -1,14 +1,21 @@
 """Section spaces, tangent-map surjectivity, smoothness ladders."""
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import detrep.tangent
 from detrep.bundles import E, M, N, T, ambient_degrees, det_degree, h0_bundle, relation_source_degrees
 from detrep.detmatrix import GpliError, Section, degeneracy_matrix, relation_shift, shifted, wedge_curve
-from detrep.linalg import ExactMatrix, rank
+from detrep.linalg import ExactMatrix, multiplication_matrix, rank
 from detrep.polynomials import HomPoly, X, Y, h0_p2, mono_basis, parse_hompoly
 from detrep.sampling import derive_rng, random_hompoly, random_pair, random_section
 from detrep.tangent import (
@@ -154,6 +161,49 @@ def test_quotient_matches_sympy_rref():
         space = section_space(spec)
         expected = non_pivots(relation_vectors(spec), space.ambient_dim)
         assert tuple(space.free_positions) == expected, spec.label()
+    # Pair quotients on the other families.  Every relation echelon built
+    # here has unit pivots; on E_3(2) and E_2(3) some pivot column holds
+    # nonzeros of several rows, so reducing by one row fills in a later
+    # row's pivot column.  Scaling row i by i + 2 spans the same rows with
+    # pivots other than 1, so the reduction scales the pair, and the lift
+    # positions stay the same.
+    crowded = 0
+    for spec in (M(1, 2), M(2, 3), E(2, 1), E(3, 2), E(2, 3)):
+        space = section_space(spec)
+        echelon = space.relation_echelon
+        crowded += sum(sum(1 for row in echelon if row[c]) > 1 for c in space.relation_pivots)
+        scaled = dataclasses.replace(
+            space, relation_echelon=tuple(tuple((i + 2) * e for e in row) for i, row in enumerate(echelon))
+        )
+        for i in range(2):
+            v1, v2 = random_pair(derive_rng(10, f"sympy-pair:{spec.label()}", i), spec)
+            rows = relation_vectors(spec) + [space.ambient_vector(s.components) for s in (v1, v2)]
+            expected = non_pivots(rows, space.ambient_dim)
+            for quot in (quotient_by_pair(space, v1, v2), quotient_by_pair(scaled, v1, v2)):
+                assert quot.lift_positions == expected, spec.label()
+    assert crowded == 4
+
+
+def test_reduced_second_section_may_lead():
+    # On T(2) the relation pivots are the x-divisible monomials of block 1.
+    # v1 reduces to (0, y^3 - x^2*y, -x^2*z), which leads in block 2, and v2
+    # to (y^3, -y^3, z^3 - y^2*z), which leads in block 1: the elimination of
+    # the two reduced rows swaps them.
+    sympy = pytest.importorskip("sympy")
+    spec = T(2)
+    space = section_space(spec)
+    v1 = sec(spec, "x^3", "y^3", "0")
+    v2 = sec(spec, "x*y^2 + y^3", "0", "z^3")
+    leads = [
+        next(j for j, e in enumerate(detrep.tangent._reduce(space, space.ambient_vector(v.components))) if e)
+        for v in (v1, v2)
+    ]
+    assert leads[1] < leads[0]
+    rows = relation_vectors(spec) + [space.ambient_vector(s.components) for s in (v1, v2)]
+    _, pivots = sympy.Matrix(rows).rref()
+    quot = quotient_by_pair(space, v1, v2)
+    assert quot.lift_positions == tuple(c for c in range(space.ambient_dim) if c not in pivots)
+    assert set(space.free_positions) - set(quot.lift_positions) == set(leads)
 
 
 def test_rational_sections_match_their_rational_rows():
@@ -190,12 +240,14 @@ def test_rational_sections_match_their_rational_rows():
 
 
 def test_quotient_takes_one_integer_elimination(monkeypatch):
+    # The relation echelon only reduces the pair, over its rows' nonzeros;
+    # the one elimination is of the two reduced rows.
     import detrep.linalg
 
     assert not hasattr(detrep.tangent, "rref")
     cases = [
         (section_space(spec), *random_pair(derive_rng(9, "one-echelon", spec.label()), spec))
-        for spec in (T(2), N(2))
+        for spec in (T(2), N(2), E(3, 2))
     ]
     calls = []
     original = detrep.tangent._bareiss_echelon
@@ -212,7 +264,43 @@ def test_quotient_takes_one_integer_elimination(monkeypatch):
     for space, v1, v2 in cases:
         calls.clear()
         quotient_by_pair(space, v1, v2)
-        assert calls == [len(space.relation_echelon) + 2]
+        assert calls == [2]
+
+
+QUOTIENT_CHECK_UNDER_O = textwrap.dedent(
+    """
+    import sys
+    import detrep.tangent as tg
+    from detrep.bundles import T
+    from detrep.detmatrix import Section
+    from detrep.linalg import CertificateError
+    from detrep.polynomials import parse_hompoly
+
+    spec = T(0)
+    v1 = Section(spec, tuple(map(parse_hompoly, ("x", "2*y", "3*z"))))
+    v2 = Section(spec, tuple(map(parse_hompoly, ("y", "z", "x"))))
+    space = tg.section_space(spec)
+    before = tg.quotient_by_pair(space, v1, v2).lift_positions
+    # The one relation row (x, y, z) loses its pivot position, 0, from its
+    # cached support, so v1 is never cleared there.
+    [support] = space.relation_supports
+    object.__setattr__(space, "relation_supports", (support[1:],))
+    try:
+        tg.quotient_by_pair(space, v1, v2)
+    except CertificateError:
+        print(sys.flags.optimize, len(before), "raised")
+    """
+)
+
+
+def test_quotient_vanish_check_raises_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", QUOTIENT_CHECK_UNDER_O],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    ).stdout.split()
+    assert out == ["1", "6", "raised"]
 
 
 def test_quotient_rejects_dependent_pair():
@@ -364,6 +452,102 @@ def test_tangent_curve_matches_both_determinant_engines(draw):
             curve = tangent_map(spec, v1, v2).curve
             assert curve == wedge_curve(v1, v2) == det_cofactor(m.entries, m.det_deg), spec.label()
             assert curve.degree == det_degree(spec)
+
+
+def scaled_pair(spec, pair, scales=(Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7))):
+    """The pair with component i of each section scaled by scales[i]."""
+    return tuple(Section(spec, tuple(c.scale(s) for c, s in zip(v.components, scales))) for v in pair)
+
+
+def curve_pool():
+    """Seeded T(0..4) and N(0..3) pairs, the same pairs over mixed
+    denominators, and the monomial special pair at k = 3, 5, 7."""
+    pool = []
+    for family, twists in ((T, range(5)), (N, range(4))):
+        for n in twists:
+            spec = family(n)
+            pair = random_pair(derive_rng(41, f"curve-pool:{spec.label()}", 0), spec)
+            pool += [(spec, *pair), (spec, *scaled_pair(spec, pair))]
+    return pool + [special_pair(k) for k in (3, 5, 7)]
+
+
+def today_matrix(spec, v1, v2):
+    """The tangent matrix as one keep-build of the signed cofactor forms, at
+    the lift positions, the second half past the first."""
+    lifts = quotient_by_pair(section_space(spec), v1, v2).lift_positions
+    forms = [-form for form in cofactor_forms(v2)] + list(cofactor_forms(v1))
+    shift = section_space(spec).ambient_dim
+    return multiplication_matrix(forms, det_degree(spec), keep=lifts + tuple(p + shift for p in lifts))
+
+
+def test_curve_and_matrix_are_read_off_one_build():
+    for spec, v1, v2 in curve_pool():
+        rep = tangent_map(spec, v1, v2)
+        assert rep.curve == wedge_curve(v1, v2), spec.label()
+        assert rep.matrix == today_matrix(spec, v1, v2), spec.label()
+
+
+def test_wide_pairs_take_python_ints(monkeypatch):
+    # Coefficients near 2^40 keep the matrix in int64 but not the product,
+    # since max|entry| * sum|value| passes 2^63; near 2^70 the matrix itself
+    # holds Python ints.  Both must give the determinant's curve.
+    seen = []
+    original = detrep.tangent._exact_product
+
+    def spying_product(arr, positions, nums):
+        seen.append((arr.dtype, max(abs(e) for e in arr[:, positions].ravel().tolist()) * sum(map(abs, nums))))
+        return original(arr, positions, nums)
+
+    monkeypatch.setattr(detrep.tangent, "_exact_product", spying_product)
+    rng = derive_rng(41, "wide-pairs", 0)
+    for bits, dtype in ((40, np.int64), (70, object)):
+        for spec in (T(1), N(2)):
+            v1, v2 = (
+                Section(spec, tuple(
+                    HomPoly(d, {m: rng.choice([-1, 1]) * 2**bits + rng.randint(-99, 99) for m in mono_basis(d)})
+                    for d in ambient_degrees(spec)
+                ))
+                for _ in range(2)
+            )
+            seen.clear()
+            rep = tangent_map(spec, v1, v2)
+            [(kind, bound)] = seen
+            assert kind == dtype and bound >= 2**63, spec.label()
+            assert rep.curve == wedge_curve(v1, v2), spec.label()
+            assert rep.matrix == today_matrix(spec, v1, v2), spec.label()
+            assert rep.augmented_rank == rank(rep.matrix.augment_column(rep.curve.coeff_vector()))
+
+
+def test_tangent_report_builds_one_matrix_and_multiplies_no_forms(monkeypatch):
+    # Given the cofactor forms, the curve and the tangent matrix come from
+    # one module_matrix build, with no polynomial product.
+    import detrep.linalg
+
+    cases = [(spec, *random_pair(derive_rng(41, "one-build", spec.label()), spec)) for spec in (T(2), N(2))]
+    cases.append(special_pair(5))
+    for spec, _, _ in cases:
+        section_space(spec)
+    builds, products = [], []
+    original_build, original_mul = detrep.linalg.module_matrix, HomPoly.__mul__
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return original_build(*args, **kwargs)
+
+    def counting_mul(self, other):
+        products.append(other)
+        return original_mul(self, other)
+
+    for spec, v1, v2 in cases:
+        c1, c2 = cofactor_forms(v1), cofactor_forms(v2)
+        monkeypatch.setattr(detrep.linalg, "module_matrix", counting_build)
+        monkeypatch.setattr(detrep.tangent, "module_matrix", counting_build)
+        monkeypatch.setattr(HomPoly, "__mul__", counting_mul)
+        rep = detrep.tangent._tangent_report(spec, v1, v2, c1, c2)
+        monkeypatch.undo()
+        assert len(builds) == 1 and not products, spec.label()
+        builds.clear()
+        assert rep.curve == wedge_curve(v1, v2)
 
 
 def test_tangent_map_takes_no_determinant(monkeypatch):
