@@ -158,7 +158,7 @@ def component_dim(
     if all(gen.is_zero() or gen.degree > k for gen in generators):
         return 0
 
-    def kernel() -> List[List[int]]:
+    def kernel():
         # The column m*s for every syzygy s and every monomial m of degree
         # k - deg s, its entry s_i in the rows of g_i: a zero generator has
         # no columns in the component matrix, so its entry is dropped.  The
@@ -166,7 +166,7 @@ def component_dim(
         live = [i for i, gen in enumerate(generators) if not gen.is_zero()]
         syz = koszul_syzygies(generators) if syzygies is None else syzygies
         elements = [[s[i] for i in live] for s in syz]
-        return module_matrix(elements, [k - generators[i].degree for i in live]).ints.T.tolist()
+        return module_matrix(elements, [k - generators[i].degree for i in live]).ints.T
 
     return rank(component_matrix(generators, k), kernel=kernel)
 

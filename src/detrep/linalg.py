@@ -15,9 +15,9 @@ An ``ExactMatrix`` clears its denominators once, where it is built, into
 one integer array over one denominator, and every verdict reads the array
 as it is: int64, or Python ints when some entry needs more than 63 bits.
 Since int64 wraps silently, int64 arithmetic on the array runs only under a
-bound that rules out wrapping: the mod-p sweep's, and ``_exact_product``'s,
-which multiplies the array by an integer vector in int64 while max|entry|
-times the vector's 1-norm is below 2^63, and in Python ints otherwise.
+bound that rules out wrapping: the mod-p sweep's, and that of the one exact
+integer product, ``_exact_product``, in int64 while max|entry| times a value
+vector's 1-norm is below 2^63, and in Python ints otherwise.
 Pivoting is deterministic (first nonzero entry in column order), so
 identical inputs give bit-identical outputs.  The elimination leaves a row
 alone while its entry in the pivot column is zero and divides its next
@@ -54,10 +54,10 @@ integer Bareiss.
 Membership and surjectivity verdicts come with certificates (a preimage or a
 cokernel functional) that are re-verified against the original matrix before
 being returned, and so are kernel vectors and the vectors behind a syzygy
-bound.  Every re-check of a vector is one product in Python ints with the
-stored array's columns in the vector's support (``_annihilates``).  A failed
-re-check, of a vector or of the peel, raises ``CertificateError``, which
-``python -O`` does not strip.
+bound.  Every re-check is one ``_exact_product`` with the stored array: a
+vector's on its support (``_annihilates``), a syzygy bound's on the block of
+all its vectors.  A failed re-check, of a vector or of the peel, raises
+``CertificateError``, which ``python -O`` does not strip.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, cycle
-from operator import attrgetter, mul
+from operator import attrgetter
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -373,22 +373,22 @@ def _solve(echelon: List[List[int]], pivots: List[Tuple[int, int]], col: int) ->
 
 
 def _annihilates(rows: np.ndarray, x: Sequence[Fraction]) -> bool:
-    """Whether rows @ x == 0, decided in Python ints on x's cleared form;
-    only the columns in x's support leave the array."""
+    """Whether rows @ x == 0 for a rational x, by ``_exact_product`` on x's support."""
     support = {j: e for j, e in enumerate(_clear(x)[0]) if e}
-    return not any(sum(map(mul, row, support.values())) for row in rows[:, list(support)].tolist())
+    return not _exact_product(rows, support, list(support.values())).any()
 
 
-def _exact_product(arr: np.ndarray, support: Sequence[int], values: Sequence[int]) -> np.ndarray:
-    """arr[:, support] @ values, exact: only the support's columns leave the
-    array.  Every partial sum is at most max|entry| * sum|value| in absolute
-    value, so int64 cannot wrap while that bound is below 2^63, and the
-    product is taken in int64 then; otherwise it is taken in Python ints."""
-    cols = arr[:, list(support)]
-    top = max(int(cols.max()), -int(cols.min()), 1) if cols.size else 1
-    if cols.dtype != object and top * sum(map(abs, values)) < 2**63:
-        return cols @ np.array(values, dtype=np.int64)
-    return cols.astype(object) @ np.array(values, dtype=object)
+def _exact_product(arr: np.ndarray, support: Sequence[int], values: Sequence | np.ndarray) -> np.ndarray:
+    """arr[:, support] @ values, exact, for integer values: a vector or a block
+    of column vectors.  A partial sum is at most max|entry| times a column's
+    1-norm; the product is taken in int64 while that bound is below 2^63, and
+    in Python ints otherwise, with no bound work if either side holds them."""
+    cols, vals = arr[:, list(support)], _integer_array(values)
+    if cols.dtype != object and vals.dtype != object:
+        top = max(int(cols.max()), -int(cols.min()), 1) if cols.size else 1
+        if top * max((sum(map(abs, v)) for v in np.atleast_2d(vals.T).tolist()), default=0) < 2**63:
+            return cols @ vals
+    return cols.astype(object) @ vals.astype(object)
 
 
 def _integer_array(rows: Sequence[Sequence[int]]) -> np.ndarray:
@@ -540,7 +540,7 @@ def _peeled_core(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int, int, int
 # ---------------------------------------------------------------------------
 
 
-def rank(M: ExactMatrix, kernel: Optional[Callable[[], Sequence[Sequence[int]]]] = None) -> int:
+def rank(M: ExactMatrix, kernel: Optional[Callable[[], Sequence[Sequence[int]] | np.ndarray]] = None) -> int:
     """Exact rank over the rationals.
 
     The column singletons and zero lines are peeled first (``_peel``), and
@@ -553,11 +553,10 @@ def rank(M: ExactMatrix, kernel: Optional[Callable[[], Sequence[Sequence[int]]]]
     lower bound is exact.
 
     ``kernel``, when given, returns integer vectors of length ``M.cols`` that
-    M is known to kill, such as the kernel columns that syzygies of a
-    multiplication matrix's generators give.  It is called only when the
-    two bounds differ.  Once M @ K == 0 is re-checked in integers,
-    rank(M) <= cols - rank(K) <= cols - rank_p(K), so when that meets the
-    lower bound the rank is exact; otherwise Bareiss decides on the core.
+    M kills, as the rows of a sequence or an array (syzygy columns, say),
+    and is called only when the two bounds differ.  Once one exact product
+    re-checks M @ K == 0 for their block K, cols - rank_p(K) bounds the rank
+    above: where it meets the lower bound it is exact; else Bareiss decides.
     """
     if USE_MODP_FAST_PATH:
         arr = M.ints
@@ -570,9 +569,10 @@ def rank(M: ExactMatrix, kernel: Optional[Callable[[], Sequence[Sequence[int]]]]
             return lower
         if kernel is not None:
             vectors = kernel()
-            if not all(len(v) == M.cols and _annihilates(M.ints, v) for v in vectors):
+            block = _integer_array([v for v in vectors if len(v) == M.cols]).reshape(-1, M.cols).T
+            if block.shape[1] < len(vectors) or _exact_product(arr, range(M.cols), block).any():
                 raise CertificateError("syzygy vectors must lie in the kernel")
-            if vectors and lower + _modp_rank(vectors) == M.cols:
+            if lower + _modp_rank(block) == M.cols:
                 return lower
         _, pivots, _ = _bareiss_echelon(core.tolist())
         return peeled + len(pivots)
@@ -620,7 +620,7 @@ def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
     the transposed system.  Every column of M is zero on B's rows or a
     combination of M's pivot columns there, so w = t times (M | v)'s
     denominator, zero on the peel's pivot rows, has w @ M == 0 and
-    w @ v == 1; both are re-checked.
+    w @ v == 1, re-checked at once: W @ ``aug.ints`` is (0, ..., 0, q * den).
     """
     aug = M.augment_column(v)
     rows, cols, k, _, _ = _peeled_core(M.ints)
@@ -634,10 +634,10 @@ def in_column_space(M: ExactMatrix, v: Sequence) -> Membership:
         t = np.full(M.rows, _ZERO, dtype=object)
         t[rows[k:]] = _solve(echelon, tpivots, len(part))
         w = tuple(ti * aug.den if ti else ti for ti in t)
-        if not (
-            _annihilates(M.ints.T, w)
-            and sum(wi * _rat(vi) for wi, vi in zip(w, v) if wi) == 1
-        ):
+        W, q = _clear(w)  # w = W / q
+        support = {i: e for i, e in enumerate(W) if e}
+        image = _exact_product(aug.ints.T, support, list(support.values()))
+        if image[:-1].any() or int(image[-1]) != q * aug.den:
             raise CertificateError("a separating functional must kill M and take v to 1")
         return Membership(member=False, preimage=None, functional=w)
     echelon = aug.ints[rows[:k]][:, order].tolist() + below

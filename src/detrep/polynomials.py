@@ -35,8 +35,8 @@ Products and multiplication matrices share one private primitive,
 ``_shift``: a cached table of the positions of t*m in the degree-D basis, for
 a monomial t and a target degree D, with m running over the basis of the
 complementary degree.  ``HomPoly.__mul__`` accumulates through it into a
-sparse map keyed by position, and ``linalg.multiplication_matrix`` writes
-each generator's numerators into its matrix's integer array through it.
+sparse map keyed by position, and ``linalg.module_matrix`` writes each
+element's numerators into its matrix's integer array through it.
 
 Text comes in through ``parse_hompoly`` and ``parse_bipoly``, which share
 one reader, ``_parse_form``.  It makes one pass: one split of the text at

@@ -598,6 +598,39 @@ def test_a_deficient_rung_builds_its_kernel_in_one_call(monkeypatch):
     assert [len(args[1]) for args in builds] == [1, 3]
 
 
+@pytest.mark.parametrize("source", ["koszul", "u"])
+def test_a_deficient_rung_re_checks_its_kernel_in_one_product(source, monkeypatch):
+    # Every vector that one kernel() call returns is re-checked by one exact
+    # product of the component matrix with their block, one column each.
+    if source == "koszul":
+        rng = derive_rng(43, "koszul", 4)
+        gens, syzygies = [random_hompoly(rng, 4) for _ in range(3)], None
+    else:
+        u = u_generators(*disjointness_pairs(3)[0])
+        gens, syzygies = u.generators, u_syzygies(u)
+    rungs = deficient_rungs(gens, containment_degree(gens).ladder)
+    assert rungs
+    products = count_calls(monkeypatch, detrep.linalg, "_exact_product", [detrep.linalg])
+    asked = []
+
+    def ranked(matrix, kernel):
+        def counted():
+            asked.append(kernel())
+            return asked[-1]
+
+        return rank(matrix, kernel=counted)
+
+    monkeypatch.setattr(detrep.ideals, "rank", ranked)
+    for k in rungs:
+        products.clear()
+        asked.clear()
+        component_dim(gens, k, syzygies)
+        assert len(asked) == 1, k
+        [(arr, support, block)] = products
+        assert list(support) == list(range(arr.shape[1]))
+        assert block.shape == (arr.shape[1], len(asked[0])), k
+
+
 def common_factor_pair(n):
     """f = L*f', g = L*g' with L = x + 2y + 3z and seeded f', g'."""
     L = parse_hompoly("x + 2*y + 3*z")

@@ -314,8 +314,10 @@ def test_kernel_is_asked_for_only_on_a_deficient_sweep(monkeypatch):
     assert asked == [1]
 
 
-@pytest.mark.parametrize("vectors", [[(1, 0)], [(1, -1), (1, 0)], [(1, -1, 0)], [(1,)]],
-                         ids=["outside", "one-outside", "too-long", "too-short"])
+@pytest.mark.parametrize("vectors", [[(1, 0)], [(1, -1), (1, 0)], [(1, -1, 0)], [(1,)], [(1, -1), (1,)],
+                                     np.array([[1, -1, 0]]), np.array([[1, 0]])],
+                         ids=["outside", "one-outside", "too-long", "too-short", "ragged",
+                              "array-too-long", "array-outside"])
 def test_a_vector_the_matrix_does_not_kill_is_a_defect(vectors):
     with pytest.raises(la.CertificateError, match="syzygy"):
         rank(frac_matrix([[1, 1], [1, 1]]), kernel=lambda: vectors)
@@ -883,6 +885,12 @@ CHECKS_UNDER_O = textwrap.dedent(
         "separating": patched(
             "_solve", lambda echelon, pivots, col: [la._ZERO] * col, lambda: membership(la.ExactMatrix([[1, 1], [1, 1]]))
         ),
+        # a transposed solve that returns twice the true solution: its
+        # functional kills M but takes v = (0, 1) to 2
+        "separating_scale": patched(
+            "_solve", lambda echelon, pivots, col: [2 * e for e in real_solve(echelon, pivots, col)],
+            lambda: membership(la.ExactMatrix([[1, 1], [1, 1]]))
+        ),
     }
     la._solve = corrupt_solve
     raised = [name for name, check in checks.items() if raises(check)]
@@ -900,7 +908,7 @@ def test_certificate_checks_raise_under_python_O():
     ).stdout.split()
     assert out == ["1", "bareiss", "kronecker", "membership", "left_kernel", "preimage", "kernel", "rref", "syzygy",
                    "peel_diagonal", "peel_triangle", "peel_order", "peel_membership",
-                   "left_kernel_columns", "separating"]
+                   "left_kernel_columns", "separating", "separating_scale"]
 
 
 # ------------------------------------------------- builder and mod-p sweep
@@ -1192,8 +1200,9 @@ def test_an_unlucky_prime_falls_back_to_bareiss(monkeypatch):
 
 # ------------------------------------------------- the int64 array's boundary
 #
-# int64 products wrap silently, so every value leaves the stored array for
-# Python arithmetic through ``tolist``.
+# int64 products wrap silently.  The one exact product, ``_exact_product``,
+# takes int64 only while max|entry| times a value column's 1-norm is below
+# 2^63, and Python ints otherwise; every certificate re-check goes through it.
 
 
 def test_annihilates_does_not_wrap_in_int64():
@@ -1232,6 +1241,38 @@ def test_exact_product_matches_python_ints(seed):
     values = [rng.randint(-(2**rng.choice([4, 30, 64])), 2**20) for _ in support]
     want = [sum(row[j] * v for j, v in zip(support, values)) for row in rows]
     assert la._exact_product(arr, support, values).tolist() == want
+    # Blocks of value columns, with entries up to 2^70 on both sides: the
+    # product is int64 exactly when both sides are and max|entry| times the
+    # largest column 1-norm is below 2^63.
+    for row_bits, value_bits in itertools.product([8, 40, 70], [4, 30, 70]):
+        rows = [[rng.choice([0, rng.randint(-(2**row_bits), 2**row_bits)]) for _ in range(6)] for _ in range(4)]
+        support = sorted(rng.sample(range(6), rng.randint(0, 6)))
+        width = rng.randint(0, 3)
+        block = [[rng.randint(-(2**value_bits), 2**value_bits) for _ in range(width)] for _ in support]
+        arr, values = la._integer_array(rows), la._integer_array(block).reshape(len(support), width)
+        got = la._exact_product(arr, support, values)
+        assert got.tolist() == [[sum(row[j] * b[c] for j, b in zip(support, block)) for c in range(width)]
+                                for row in rows]
+        top = max([abs(row[j]) for row in rows for j in support], default=0)
+        norm = max([sum(abs(b[c]) for b in block) for c in range(width)], default=0)
+        assert (got.dtype == np.int64) == (arr.dtype == values.dtype == np.int64 and max(top, 1) * norm < 2**63)
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "int64"])
+def test_a_syzygy_bound_does_not_wrap_in_int64(as_array, monkeypatch):
+    # M peels nothing and sweeps to rank 1.  In int64, M @ (4, 0) = 2^64 * (1, 1)
+    # wraps to 0, yet (4, 0) is no kernel vector; (1, -1) is, and its bound
+    # decides the rank with no Bareiss.
+    M = ExactMatrix([[2**62, 2**62], [2**62, 2**62]])
+    assert M.ints.dtype == np.int64 and la._peeled_core(M.ints)[2:] == (0, 2, 2) and la._modp_rank(M.ints) == 1
+    vectors = (lambda v: np.array(v, dtype=np.int64)) if as_array else list
+    calls = []
+    real = la._bareiss_echelon
+    monkeypatch.setattr(la, "_bareiss_echelon", lambda rows: calls.append(rows) or real(rows))
+    with pytest.raises(la.CertificateError, match="syzygy"):
+        rank(M, kernel=lambda: vectors([(4, 0)]))
+    assert rank(M, kernel=lambda: vectors([(1, -1)])) == 1
+    assert calls == []
 
 
 def wide_rows(rng):

@@ -40,3 +40,20 @@ def test_the_package_has_modules_to_check():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_reads(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def asserts(source):
+    """The line numbers of a module's ``assert`` statements."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_the_check_sees_an_assert():
+    source = "def f(x):\n    assert x, 'stripped by -O'\n    return x\n\n\nclass C:\n    def g(self):\n        assert self\n"
+    assert asserts(source) == [2, 8]
+    assert asserts("assert_ = 'assert x'\n# assert x\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_has_an_assert_statement(path):
+    # ``python -O`` strips assert statements, and every re-check must survive it.
+    assert asserts(path.read_text(encoding="utf-8")) == []
